@@ -1,6 +1,6 @@
 // Command adeserved is the long-running ADE compile-and-execute
 // daemon: it accepts MEMOIR (.mir) programs over HTTP, compiles them
-// through the full ADE pipeline, and executes them on either engine
+// through the full ADE pipeline, and executes them on the bytecode VM
 // under per-request QoS budgets. Compiled artifacts live in a
 // content-addressed cache keyed by (canonical program hash, options
 // fingerprint), so repeat requests skip parse + ADE + compile.
@@ -69,7 +69,6 @@ func main() {
 		chaos      = flag.Bool("chaos", false, "with -selftest: run the chaos harness (store faults + hard restarts) instead of the load phases")
 		stRequests = flag.Int("selftest-requests", 200, "selftest: requests per phase (chaos: total across epochs, min 500)")
 		stConc     = flag.Int("selftest-concurrency", 8, "selftest: concurrent clients")
-		stEngine   = flag.String("selftest-engine", "vm", "selftest: execution engine (vm|interp)")
 	)
 	flag.Parse()
 
@@ -100,9 +99,9 @@ func main() {
 	if *selftest {
 		cfg.AccessLog = nil
 		if *chaos {
-			os.Exit(runChaosSelftest(*stRequests, *stConc, *stEngine, *storeDir))
+			os.Exit(runChaosSelftest(*stRequests, *stConc, *storeDir))
 		}
-		os.Exit(runSelftest(cfg, *stRequests, *stConc, *stEngine))
+		os.Exit(runSelftest(cfg, *stRequests, *stConc))
 	}
 
 	var logClose io.Closer
@@ -152,7 +151,7 @@ func main() {
 // runSelftest runs the load harness against an in-process handler and
 // prints the phase table; exit status 1 if the cache demonstrably did
 // not work (hot phase must be all hits, cold all misses).
-func runSelftest(cfg server.Config, requests, concurrency int, engine string) int {
+func runSelftest(cfg server.Config, requests, concurrency int) int {
 	s, err := server.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "selftest: %v\n", err)
@@ -162,14 +161,13 @@ func runSelftest(cfg server.Config, requests, concurrency int, engine string) in
 	phases, err := loadtest.Run(s.Handler(), loadtest.Config{
 		Requests:    requests,
 		Concurrency: concurrency,
-		Engine:      engine,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "selftest: %v\n", err)
 		return 1
 	}
-	fmt.Printf("adeserved selftest: %d requests/phase, %d clients, engine=%s\n\n",
-		requests, concurrency, engine)
+	fmt.Printf("adeserved selftest: %d requests/phase, %d clients\n\n",
+		requests, concurrency)
 	fmt.Print(loadtest.Format(phases))
 	cs := s.CacheStats()
 	fmt.Printf("\ncache: %d hits, %d misses, %d evictions, %d entries, %.1f%% hit ratio\n",
@@ -215,7 +213,7 @@ func runSelftest(cfg server.Config, requests, concurrency int, engine string) in
 // injected store faults, and hard server restarts against one durable
 // store directory. Exit status 1 if ANY answer was wrong, or if the
 // restarts demonstrably failed to recover state (no recovered hits).
-func runChaosSelftest(requests, concurrency int, engine, storeDir string) int {
+func runChaosSelftest(requests, concurrency int, storeDir string) int {
 	if requests < 500 {
 		requests = 500 // the acceptance floor: ≥500 interleaved requests
 	}
@@ -232,7 +230,6 @@ func runChaosSelftest(requests, concurrency int, engine, storeDir string) int {
 	rep, err := loadtest.RunChaos(loadtest.ChaosConfig{
 		Requests:    requests,
 		Concurrency: concurrency,
-		Engine:      engine,
 		StoreDir:    storeDir,
 	})
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"memoir/internal/adeprofile"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
-	"memoir/internal/profile"
 	"memoir/internal/telemetry"
 )
 
@@ -131,21 +130,6 @@ func ExecuteOn(s *Spec, prog *ir.Program, opts interp.Options, sc Scale, eng Eng
 		res.WallROI = whole
 	}
 	return res, nil
-}
-
-// CollectProfile executes prog on the benchmark's input and returns
-// the per-instruction execution profile for the profile-guided
-// benefit heuristic.
-func CollectProfile(s *Spec, prog *ir.Program, sc Scale) (profile.Profile, error) {
-	opts := interp.DefaultOptions()
-	opts.CollectProfile = true
-	opts.MemSampleEvery = 1 << 30
-	ip := interp.New(prog, opts)
-	args := s.Input(ip, sc)
-	if _, err := ip.Run("main", args...); err != nil {
-		return nil, fmt.Errorf("%s: profiling run: %w", s.Abbr, err)
-	}
-	return ip.Profile(), nil
 }
 
 // CollectSiteProfile executes prog (untransformed) on the benchmark's

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"memoir/internal/collections"
@@ -127,15 +128,19 @@ func TestPGOEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prof, err := CollectProfile(s, s.Build(""), ScaleTest)
+			prof, err := CollectSiteProfile(s, s.Build(""), ScaleTest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts := core.DefaultOptions()
-			opts.Profile = prof
+			opts.SiteProfile = prof
 			prog := s.Build("")
-			if _, err := core.Apply(prog, opts); err != nil {
+			rep, err := core.Apply(prog, opts)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if !strings.HasPrefix(rep.Profile, "weighted") {
+				t.Fatalf("profile not applied: %q", rep.Profile)
 			}
 			got, err := Execute(s, prog, interp.DefaultOptions(), ScaleTest)
 			if err != nil {

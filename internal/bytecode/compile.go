@@ -5,7 +5,7 @@ import (
 
 	"memoir/internal/interp"
 	"memoir/internal/ir"
-	"memoir/internal/profile"
+	"memoir/internal/telemetry"
 )
 
 // Compile lowers prog to bytecode. Functions are compiled in
@@ -104,7 +104,7 @@ func (p *progCompiler) compileFunc(fn *ir.Func) *Func {
 		bc:        &Func{Name: fn.Name, NumSlots: numSlots},
 		constReg:  map[*ir.Value]int32{},
 		iterLocal: ir.IterLocalAllocs(fn),
-		allocOrd:  profile.AllocOrdinals(fn),
+		allocOrd:  telemetry.AllocOrdinals(fn),
 	}
 	for _, prm := range fn.Params {
 		c.bc.ParamRegs = append(c.bc.ParamRegs, int32(prm.Slot))

@@ -5,7 +5,6 @@ import (
 
 	"memoir/internal/adeprofile"
 	"memoir/internal/ir"
-	"memoir/internal/profile"
 	"memoir/internal/remarks"
 )
 
@@ -23,10 +22,9 @@ type adeCtx struct {
 	// implies.
 	linked map[*facet][]*facet
 
-	// Profile lookup state: instruction ordinals per function and
-	// clone-name aliases (clones inherit their original's profile).
-	ordinals map[*ir.Func]map[*ir.Instr]int
-	fnAlias  map[string]string
+	// fnAlias maps clone names to their originals (clones inherit
+	// their original's profiled sites).
+	fnAlias map[string]string
 
 	// allocOrds caches per-function allocation ordinals for remark
 	// site keys (filled only when remarks are enabled).
@@ -46,38 +44,19 @@ type adeCtx struct {
 
 func (cx *adeCtx) fiOf(fn *ir.Func) *fnInfo { return cx.fis[fn] }
 
-// weightFn returns the benefit weight function for fn: static counts
-// without a profile, dynamic execution counts with one. A matched
-// adeprofile/v1 site profile takes precedence over the legacy
-// per-instruction profile.
+// weightFn returns the benefit weight function for fn: nil (static
+// counts) without a matched site profile, observed per-site operation
+// counts with one.
 func (cx *adeCtx) weightFn(fn *ir.Func) func(*ir.Instr) uint64 {
-	if cx.siteProf != nil {
-		m := cx.siteWeights(fn)
-		return func(in *ir.Instr) uint64 {
-			if w, ok := m[in]; ok {
-				return w
-			}
-			return 1 // instruction unknown to the profile (cmp, inserted)
-		}
-	}
-	if cx.opts.Profile == nil {
+	if cx.siteProf == nil {
 		return nil
 	}
-	ords, ok := cx.ordinals[fn]
-	if !ok {
-		ords = profile.Ordinals(fn)
-		cx.ordinals[fn] = ords
-	}
-	name := fn.Name
-	if orig, ok := cx.fnAlias[name]; ok {
-		name = orig
-	}
+	m := cx.siteWeights(fn)
 	return func(in *ir.Instr) uint64 {
-		o, ok := ords[in]
-		if !ok {
-			return 1 // instruction unknown to the profile (inserted)
+		if w, ok := m[in]; ok {
+			return w
 		}
-		return cx.opts.Profile[profile.Key{Fn: name, Ordinal: o}]
+		return 1 // instruction unknown to the profile (cmp, inserted)
 	}
 }
 
@@ -198,7 +177,6 @@ func Apply(prog *ir.Program, opts Options) (*Report, error) {
 
 	cx := &adeCtx{
 		prog: prog, opts: opts, fis: map[*ir.Func]*fnInfo{},
-		ordinals:  map[*ir.Func]map[*ir.Instr]int{},
 		fnAlias:   map[string]string{},
 		allocOrds: map[*ir.Func]map[*ir.Instr]int{},
 		siteWts:   map[*ir.Func]map[*ir.Instr]uint64{},

@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"memoir/internal/profile"
 )
 
 // Fingerprint renders the decision-relevant part of an Options value
@@ -17,7 +14,7 @@ import (
 // Covered: every field that changes what the pass decides or emits —
 // the ablation toggles, the implementation selections, ForceAll,
 // Fuel, Check/Sandbox (a check or sandbox failure changes the output
-// program), and the profile contents when profile-guided.
+// program), and the site profile's content hash when profile-guided.
 //
 // Excluded by design: Remarks (pure observation, pinned by PR-4
 // tests), and Faults (single-run test-only state; the server bypasses
@@ -26,27 +23,6 @@ func (o Options) Fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "rte=%t,prop=%t,share=%t,set=%s,map=%s,force=%t,static=%t,slimit=%d,check=%t,sandbox=%t,fuel=%d",
 		o.RTE, o.Propagation, o.Sharing, o.SetImpl, o.MapImpl, o.ForceAll, o.StaticEnum, o.StaticEnumLimit, o.Check, o.Sandbox, o.Fuel)
-	if len(o.Profile) > 0 {
-		// The profile weights the benefit heuristic, so its contents
-		// are decision-relevant. Render sorted for determinism.
-		keys := make([]profile.Key, 0, len(o.Profile))
-		for k := range o.Profile {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Fn != keys[j].Fn {
-				return keys[i].Fn < keys[j].Fn
-			}
-			return keys[i].Ordinal < keys[j].Ordinal
-		})
-		sb.WriteString(",profile=")
-		for i, k := range keys {
-			if i > 0 {
-				sb.WriteByte(';')
-			}
-			fmt.Fprintf(&sb, "%s#%d:%d", k.Fn, k.Ordinal, o.Profile[k])
-		}
-	}
 	if o.SiteProfile != nil {
 		// An adeprofile/v1 document can be large; cover it by the
 		// content hash of its canonical serialization (two compiles

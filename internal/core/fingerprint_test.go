@@ -3,11 +3,25 @@ package core
 import (
 	"testing"
 
+	"memoir/internal/adeprofile"
 	"memoir/internal/collections"
 	"memoir/internal/faults"
-	"memoir/internal/profile"
 	"memoir/internal/remarks"
+	"memoir/internal/telemetry"
 )
+
+// siteProfileOf builds a one-program site profile whose sites saw the
+// given insert counts. Map iteration order feeds the build, so equal
+// inputs reach FromTelemetry in varying orders.
+func siteProfileOf(inserts map[telemetry.SiteKey]uint64) *adeprofile.Profile {
+	t := &telemetry.Telemetry{}
+	for k, n := range inserts {
+		ss := &telemetry.SiteStats{Key: k}
+		ss.Ops[telemetry.OpInsert] = n
+		t.Sites = append(t.Sites, ss)
+	}
+	return adeprofile.FromTelemetry("h", "", t)
+}
 
 // Every decision-relevant Options variation must produce a distinct
 // fingerprint — a collision would alias two differently compiled
@@ -48,10 +62,10 @@ func TestFingerprintNoCollisions(t *testing.T) {
 	v.Fuel = -1
 	variants["fuel-none"] = v
 	v = base
-	v.Profile = profile.Profile{{Fn: "main", Ordinal: 2}: 10}
+	v.SiteProfile = siteProfileOf(map[telemetry.SiteKey]uint64{{Fn: "main", Alloc: 2}: 10})
 	variants["profiled"] = v
 	v = base
-	v.Profile = profile.Profile{{Fn: "main", Ordinal: 2}: 11}
+	v.SiteProfile = siteProfileOf(map[telemetry.SiteKey]uint64{{Fn: "main", Alloc: 2}: 11})
 	variants["profiled-other"] = v
 
 	seen := map[string]string{}
@@ -65,16 +79,18 @@ func TestFingerprintNoCollisions(t *testing.T) {
 }
 
 func TestFingerprintDeterministic(t *testing.T) {
-	o := DefaultOptions()
-	// A multi-entry profile exercises the sorted rendering: map
-	// iteration order must not leak into the fingerprint.
-	o.Profile = profile.Profile{
-		{Fn: "main", Ordinal: 5}: 7,
-		{Fn: "aux", Ordinal: 1}:  3,
-		{Fn: "main", Ordinal: 1}: 9,
+	// A multi-site profile rebuilt from a map each time exercises the
+	// canonical ordering: build order must not leak into the fingerprint.
+	inserts := map[telemetry.SiteKey]uint64{
+		{Fn: "main", Alloc: 5}: 7,
+		{Fn: "aux", Alloc: 1}:  3,
+		{Fn: "main", Alloc: 1}: 9,
 	}
+	o := DefaultOptions()
+	o.SiteProfile = siteProfileOf(inserts)
 	fp := o.Fingerprint()
 	for i := 0; i < 50; i++ {
+		o.SiteProfile = siteProfileOf(inserts)
 		if got := o.Fingerprint(); got != fp {
 			t.Fatalf("fingerprint not deterministic: %q vs %q", got, fp)
 		}

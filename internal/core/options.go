@@ -29,7 +29,6 @@ import (
 	"memoir/internal/collections"
 	"memoir/internal/faults"
 	"memoir/internal/ir"
-	"memoir/internal/profile"
 	"memoir/internal/remarks"
 )
 
@@ -81,22 +80,15 @@ type Options struct {
 	// pure observation: enabling it never changes the decisions taken.
 	Remarks *remarks.Emitter
 
-	// Profile, when non-nil, weights the benefit heuristic by dynamic
-	// execution counts instead of static use counts — the extension
-	// the paper sketches in §III-C. Cold code (never-executed uses,
-	// like FIM's disabled verbose output) then contributes no benefit,
-	// avoiding the enumeration of cold collections.
-	Profile profile.Profile
-
-	// SiteProfile, when non-nil, is the durable form of the same
-	// extension: an adeprofile/v1 document (adec -profile) whose
-	// per-site operation histograms weight the benefit heuristic and
-	// whose occupancy/key-bound observations steer implementation
-	// selection. The profile entry is matched to the program by its
+	// SiteProfile, when non-nil, is an adeprofile/v1 document (adec
+	// -profile) whose per-site operation histograms weight the benefit
+	// heuristic instead of static use counts — the extension the paper
+	// sketches in §III-C — so cold code (never-executed uses, like
+	// FIM's disabled verbose output) contributes no benefit, and whose
+	// occupancy/key-bound observations steer implementation selection. The profile entry is matched to the program by its
 	// pre-ADE ir.ProgramHash; a missing or unmappable entry emits a
 	// profile-stale remark and falls back to the static heuristics —
 	// it never fails the compile and never silently misapplies.
-	// When both Profile and SiteProfile apply, SiteProfile wins.
 	SiteProfile *adeprofile.Profile
 
 	// Sandbox runs every sub-pass against a pristine-IR snapshot with

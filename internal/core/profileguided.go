@@ -5,7 +5,6 @@ import (
 
 	"memoir/internal/collections"
 	"memoir/internal/ir"
-	"memoir/internal/profile"
 	"memoir/internal/remarks"
 	"memoir/internal/telemetry"
 )
@@ -61,7 +60,7 @@ func (cx *adeCtx) resolveSiteProfile(report *Report) {
 		}
 		ords, ok := cx.allocOrds[fn]
 		if !ok {
-			ords = profile.AllocOrdinals(fn)
+			ords = telemetry.AllocOrdinals(fn)
 			cx.allocOrds[fn] = ords
 		}
 		if s.Key.Alloc >= len(ords) {
@@ -129,7 +128,7 @@ func instrOpIndex(op ir.Opcode) int {
 // kind. A site absent from the profile never allocated in any recorded
 // run, so its operations weigh zero; instructions the map does not
 // cover (comparisons, phis, translations inserted later) default to
-// weight 1 in the returned closure, matching the legacy profile path.
+// weight 1 in weightFn's closure.
 func (cx *adeCtx) siteWeights(fn *ir.Func) map[*ir.Instr]uint64 {
 	if m, ok := cx.siteWts[fn]; ok {
 		return m

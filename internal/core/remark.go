@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"memoir/internal/ir"
-	"memoir/internal/profile"
 	"memoir/internal/remarks"
 	"memoir/internal/telemetry"
 )
@@ -35,7 +34,7 @@ func (cx *adeCtx) siteKey(s *site) *telemetry.SiteKey {
 	}
 	ords, ok := cx.allocOrds[s.fn]
 	if !ok {
-		ords = profile.AllocOrdinals(s.fn)
+		ords = telemetry.AllocOrdinals(s.fn)
 		cx.allocOrds[s.fn] = ords
 	}
 	o, ok := ords[a]

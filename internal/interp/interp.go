@@ -8,7 +8,6 @@ import (
 	"memoir/internal/collections"
 	"memoir/internal/faults"
 	"memoir/internal/ir"
-	"memoir/internal/profile"
 	"memoir/internal/telemetry"
 )
 
@@ -53,10 +52,6 @@ type Options struct {
 	// RecordOutput retains emitted values in order (for debugging) in
 	// addition to the order-insensitive checksum.
 	RecordOutput bool
-
-	// CollectProfile records per-instruction execution counts for the
-	// profile-guided benefit heuristic (the §III-C extension).
-	CollectProfile bool
 
 	// TrackReads records every non-constant SSA value the interpreter
 	// reads. The dataflow property tests use it as runtime ground
@@ -109,9 +104,6 @@ type Interp struct {
 	// the sum of every instance ever created.
 	iterLocal map[*ir.Instr]bool
 	localSlot map[*ir.Instr]int
-
-	// profCounts is non-nil when CollectProfile is set.
-	profCounts map[*ir.Instr]uint64
 
 	// reads is non-nil when TrackReads is set.
 	reads map[*ir.Value]bool
@@ -194,9 +186,6 @@ func New(prog *ir.Program, opts Options) *Interp {
 	if opts.TrackReads {
 		ip.reads = map[*ir.Value]bool{}
 	}
-	if opts.CollectProfile {
-		ip.profCounts = map[*ir.Instr]uint64{}
-	}
 	if opts.Telemetry != nil {
 		ip.tele = opts.Telemetry
 		ip.allocOrds = map[*ir.Func]map[*ir.Instr]int{}
@@ -215,17 +204,10 @@ func (ip *Interp) tcoll(c Coll, k OpKind, n uint64) {
 func (ip *Interp) allocKey(fn *ir.Func, in *ir.Instr) telemetry.SiteKey {
 	ords, ok := ip.allocOrds[fn]
 	if !ok {
-		ords = profile.AllocOrdinals(fn)
+		ords = telemetry.AllocOrdinals(fn)
 		ip.allocOrds[fn] = ords
 	}
 	return telemetry.SiteKey{Fn: fn.Name, Alloc: ords[in]}
-}
-
-// Profile returns the execution counts collected when
-// Options.CollectProfile was set, in the stable keyed form the ADE
-// pass consumes.
-func (ip *Interp) Profile() profile.Profile {
-	return profile.Collect(ip.Prog, ip.profCounts)
 }
 
 // ResetStats installs a fresh Stats (used to separate initialization

@@ -10,9 +10,6 @@ import (
 
 func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, error) {
 	ip.Stats.Steps++
-	if ip.profCounts != nil {
-		ip.profCounts[in]++
-	}
 	if ip.limited {
 		if err := ip.interrupted(fn); err != nil {
 			return ctrlNormal, Val{}, err

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"memoir/internal/bench"
 	"memoir/internal/collections"
 	"memoir/internal/core"
 	"memoir/internal/faults"
@@ -24,8 +23,9 @@ import (
 type Request struct {
 	// Program is the .mir source text.
 	Program string `json:"program"`
-	// Engine selects the execution engine: "interp" (default) or
-	// "vm". Ignored by /v1/compile.
+	// Engine names the execution engine. adeserved runs every request
+	// on the bytecode VM: "" and "vm" are accepted, anything else is a
+	// bad-request. The field stays for wire compatibility.
 	Engine string `json:"engine,omitempty"`
 	// Entry is the function to run (default "main").
 	Entry string `json:"entry,omitempty"`
@@ -80,7 +80,7 @@ type Response struct {
 	Degraded []string `json:"degraded,omitempty"` // sandboxed sub-passes rolled back
 	Classes  int      `json:"classes,omitempty"`  // enumeration classes formed
 
-	// Run-side results (absent for /v1/compile).
+	// Run-side results (absent for /v1/compile). Engine is always "vm".
 	Engine string     `json:"engine,omitempty"`
 	Result string     `json:"result,omitempty"`
 	Output *OutputSum `json:"output,omitempty"`
@@ -129,10 +129,9 @@ type RunStats struct {
 // the raw body so a JSON request can't smuggle a huge program inside
 // a body that squeaks under the transport cap.
 const (
-	maxArgs      = 64
-	maxEntryLen  = 128
-	maxFaultLen  = 64
-	maxEngineLen = 16
+	maxArgs     = 64
+	maxEntryLen = 128
+	maxFaultLen = 64
 )
 
 // DecodeRequest parses and validates a request body. contentType
@@ -234,11 +233,8 @@ func validateRequest(req *Request, maxProgram int) *APIError {
 		return apiErr(CodeBodyTooLarge, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("program is %d bytes; cap is %d", len(req.Program), maxProgram))
 	}
-	if len(req.Engine) > maxEngineLen {
-		return apiErr(CodeBadRequest, http.StatusBadRequest, "engine name too long")
-	}
-	if _, err := bench.ParseEngine(req.Engine); err != nil {
-		return apiErr(CodeBadRequest, http.StatusBadRequest, err.Error())
+	if req.Engine != "" && req.Engine != "vm" {
+		return apiErr(CodeBadRequest, http.StatusBadRequest, `unknown engine; adeserved runs on the VM (send "vm" or omit engine)`)
 	}
 	if req.Entry == "" {
 		req.Entry = "main"

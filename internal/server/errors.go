@@ -81,7 +81,7 @@ func apiErr(code string, status int, msg string) *APIError {
 //
 // Both engines return the same *interp.LimitError values from the
 // same dynamic points (PR 5), so the mapping is engine-agnostic by
-// construction; the server tests pin that on both engines.
+// construction; internal/vm/budget_test.go pins that parity.
 func MapRunError(err error) *APIError {
 	var le *interp.LimitError
 	if errors.As(err, &le) {

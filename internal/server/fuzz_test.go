@@ -61,9 +61,9 @@ func serveOne(t *testing.T, s *Server, body []byte, contentType string, run bool
 // FuzzServeRequest fuzzes the untrusted request surface end to end:
 // JSON and raw-.mir bodies through DecodeRequest and, when they
 // decode, through the full compile/execute pipeline. The invariants:
-// no panics anywhere (parser, verifier, ADE, bytecode compiler,
-// either engine), and every failure is a structured 4xx — arbitrary
-// client bytes must never produce a 500.
+// no panics anywhere (parser, verifier, ADE, bytecode compiler, VM),
+// and every failure is a structured 4xx — arbitrary client bytes must
+// never produce a 500.
 func FuzzServeRequest(f *testing.F) {
 	valid := `fn u64 @main(): exported
   %s := new Set<u64>()
@@ -81,7 +81,7 @@ func FuzzServeRequest(f *testing.F) {
 `
 	f.Add([]byte(`{"program":"fn u64 @main(): exported\n  ret 0\n"}`), true, true)
 	f.Add([]byte(`{"program":`+jsonQuote(valid)+`,"engine":"vm","telemetry":true}`), true, true)
-	f.Add([]byte(`{"program":`+jsonQuote(valid)+`,"engine":"interp","maxSteps":100}`), true, true)
+	f.Add([]byte(`{"program":`+jsonQuote(valid)+`,"maxSteps":100}`), true, true)
 	f.Add([]byte(`{"program":"x","options":{"setImpl":"bitset","sharing":false}}`), true, false)
 	f.Add([]byte(`{"program":"x","fault":"alloc-fail:1"}`), true, true)
 	f.Add([]byte(`{"program":"x","unknown":1}`), true, true)

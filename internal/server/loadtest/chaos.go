@@ -38,7 +38,6 @@ import (
 type ChaosConfig struct {
 	Requests    int    // total requests across all epochs (default 500)
 	Concurrency int    // parallel clients per epoch (default 8)
-	Engine      string // "vm" (default) or "interp"
 	Programs    int    // distinct program variants (default 12)
 	StoreDir    string // durable store root, shared by every epoch (required)
 	// Faults is the per-epoch store fault plan (internal/faults I/O
@@ -71,9 +70,6 @@ func (c *ChaosConfig) fill() {
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
-	}
-	if c.Engine == "" {
-		c.Engine = "vm"
 	}
 	if c.Programs <= 0 {
 		c.Programs = 12
@@ -176,7 +172,7 @@ func runChaosEpoch(s *server.Server, cfg ChaosConfig, truth []expected, perEpoch
 				if i%25 == 0 {
 					v = cfg.Programs + epoch
 				}
-				resp, err := chaosPost(h, request{Program: cfg.variantOf(v), Engine: cfg.Engine})
+				resp, err := chaosPost(h, request{Program: cfg.variantOf(v)})
 				mu.Lock()
 				rep.Requests++
 				switch {
@@ -226,7 +222,7 @@ func groundTruth(cfg ChaosConfig, n int) ([]expected, error) {
 	h := s.Handler()
 	out := make([]expected, n)
 	for v := 0; v < n; v++ {
-		resp, err := chaosPost(h, request{Program: cfg.variantOf(v), Engine: cfg.Engine})
+		resp, err := chaosPost(h, request{Program: cfg.variantOf(v)})
 		if err != nil {
 			return nil, fmt.Errorf("chaos: ground truth variant %d: %w", v, err)
 		}

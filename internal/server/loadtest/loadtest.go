@@ -70,7 +70,6 @@ const DefaultProgram = `fn u64 @main(): exported
 type Config struct {
 	Requests    int    // requests per phase (default 200)
 	Concurrency int    // parallel clients (default 8)
-	Engine      string // "vm" (default) or "interp"
 	Program     string // .mir template; %MOD% is the variant marker
 }
 
@@ -95,9 +94,6 @@ func (c *Config) fill() {
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
 	}
-	if c.Engine == "" {
-		c.Engine = "vm"
-	}
 	if c.Program == "" {
 		c.Program = DefaultProgram
 	}
@@ -115,7 +111,6 @@ func (c *Config) variant(i int) string {
 // the harness can also drive a remote daemon's handler stand-in.
 type request struct {
 	Program string `json:"program"`
-	Engine  string `json:"engine,omitempty"`
 	NoCache bool   `json:"noCache,omitempty"`
 }
 
@@ -147,7 +142,7 @@ func Run(h http.Handler, cfg Config) ([]Phase, error) {
 	cfg.fill()
 	// Prime the hot program once so the hot phase measures pure cache
 	// hits, not one cold outlier.
-	hot := request{Program: cfg.variant(0), Engine: cfg.Engine}
+	hot := request{Program: cfg.variant(0)}
 	if _, _, err := post(h, hot); err != nil {
 		return nil, fmt.Errorf("prime: %w", err)
 	}
@@ -156,7 +151,7 @@ func Run(h http.Handler, cfg Config) ([]Phase, error) {
 		gen  func(i int) request
 	}{
 		{"cold", func(i int) request {
-			return request{Program: cfg.variant(0), Engine: cfg.Engine, NoCache: true}
+			return request{Program: cfg.variant(0), NoCache: true}
 		}},
 		{"hot", func(i int) request { return hot }},
 		{"mixed", func(i int) request {
@@ -165,7 +160,7 @@ func Run(h http.Handler, cfg Config) ([]Phase, error) {
 			}
 			// Fresh variants: first occurrence misses, and with more
 			// variants than cache slots some re-miss later too.
-			return request{Program: cfg.variant(1 + i/2), Engine: cfg.Engine}
+			return request{Program: cfg.variant(1 + i/2)}
 		}},
 	}
 	var out []Phase

@@ -1,6 +1,6 @@
 // Package server implements adeserved: a long-running HTTP service
 // that compiles .mir programs through the full ADE pipeline and
-// executes them on either engine under per-request QoS budgets.
+// executes them on the bytecode VM under per-request QoS budgets.
 //
 // The core of the subsystem is a content-addressed compiled-artifact
 // cache (internal/server/cache) keyed by (ir.ProgramHash,
@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"memoir/internal/bench"
 	"memoir/internal/bytecode"
 	"memoir/internal/core"
 	"memoir/internal/faults"
@@ -141,12 +140,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// artifact is one cached compile result: the post-ADE IR (cloned per
-// interpreter run; the cached copy is never executed directly) and
-// the compiled bytecode (immutable, shared by concurrent VMs).
+// artifact is one cached compile result: the verified bytecode
+// (immutable, shared by concurrent VMs) and what the compile reported.
 type artifact struct {
 	key      cache.Key
-	ir       *ir.Program
 	bc       *bytecode.Prog
 	degraded []string
 	classes  int
@@ -185,8 +182,6 @@ type Server struct {
 	reqTotal  atomicCounter
 	reqOK     atomicCounter
 	cacheRuns atomicCounter // runs served from a cached artifact
-	engMu     sync.Mutex
-	byEngine  map[string]uint64
 
 	logMu sync.Mutex
 	reqID atomicCounter
@@ -258,7 +253,6 @@ func New(cfg Config) (*Server, error) {
 		errCodes: newErrCodeCounters(),
 		teleAgg:  &teleAggregate{},
 		prof:     &liveProfile{},
-		byEngine: map[string]uint64{},
 		start:    time.Now(),
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerBackoff, cfg.BreakerMaxBackoff),
 	}
@@ -338,7 +332,6 @@ func materialize(e *store.Entry) (*artifact, error) {
 	}
 	return &artifact{
 		key:      cache.Key{ProgramHash: e.ProgramHash, OptionsFP: e.OptionsFP},
-		ir:       prog,
 		bc:       bc,
 		degraded: e.Degraded,
 		classes:  e.Classes,
@@ -435,12 +428,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.engMu.Lock()
-	byEngine := make(map[string]uint64, len(s.byEngine))
-	for k, v := range s.byEngine {
-		byEngine[k] = v
-	}
-	s.engMu.Unlock()
 	cs := s.cache.Stats()
 	ps := s.prof.snapshot()
 	doc := map[string]any{
@@ -448,7 +435,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"requests": map[string]any{
 			"total":           s.reqTotal.Load(),
 			"ok":              s.reqOK.Load(),
-			"byEngine":        byEngine,
 			"servedFromCache": s.cacheRuns.Load(),
 		},
 		"errors": s.errCodes.snapshot(),
@@ -513,7 +499,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, runIt bool) 
 
 	if r.Method != http.MethodPost {
 		resp := &Response{ID: id, Error: apiErr(CodeBadRequest, http.StatusMethodNotAllowed, "POST required")}
-		s.writeResponse(w, r, resp, started, "", false)
+		s.writeResponse(w, r, resp, started, false)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -524,12 +510,12 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, runIt bool) 
 			code, status = CodeBodyTooLarge, http.StatusRequestEntityTooLarge
 		}
 		resp := &Response{ID: id, Error: apiErr(code, status, err.Error())}
-		s.writeResponse(w, r, resp, started, "", false)
+		s.writeResponse(w, r, resp, started, false)
 		return
 	}
 	req, aerr := DecodeRequest(body, r.Header.Get("Content-Type"), r.URL.Query(), s.cfg.MaxProgramBytes)
 	if aerr != nil {
-		s.writeResponse(w, r, &Response{ID: id, Error: aerr}, started, "", false)
+		s.writeResponse(w, r, &Response{ID: id, Error: aerr}, started, false)
 		return
 	}
 
@@ -552,12 +538,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request, runIt bool) 
 			resp = &Response{ID: id, Error: apiErr(CodeDeadline, http.StatusRequestTimeout, err.Error())}
 		}
 	}
-	cacheHit := resp.Cache != nil && resp.Cache.Hit
-	engine := resp.Engine // resolved name; falls back to the raw request field
-	if engine == "" {
-		engine = req.Engine
-	}
-	s.writeResponse(w, r, resp, started, engine, cacheHit)
+	s.writeResponse(w, r, resp, started, resp.Cache != nil && resp.Cache.Hit)
 }
 
 // process runs the full pipeline for one request on a pool worker.
@@ -711,7 +692,6 @@ func (s *Server) compileThroughCache(req *Request) (*artifact, PhaseInfo, bool, 
 	if err := bytecode.Verify(bc); err != nil {
 		return nil, phases, false, false, apiErr(CodeInternal, http.StatusInternalServerError, err.Error())
 	}
-	art.ir = prog
 	art.bc = bc
 	art.size = artifactSize(req.Program, bc)
 	if !bypass {
@@ -774,16 +754,11 @@ func requestInjector(req *Request, want faults.Kind) *faults.Injector {
 	return faults.NewInjector(pt)
 }
 
-// executeInto runs the artifact on the requested engine and fills the
-// run-side response fields.
+// executeInto runs the artifact on the VM and fills the run-side
+// response fields.
 func (s *Server) executeInto(resp *Response, art *artifact, req *Request, fromCache bool) {
-	eng, err := bench.ParseEngine(req.Engine)
-	if err != nil {
-		resp.Error = apiErr(CodeBadRequest, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp.Engine = eng.String()
-	if art.bc.ByName == nil || art.ir.Func(req.Entry) == nil {
+	resp.Engine = "vm"
+	if _, ok := art.bc.ByName[req.Entry]; !ok {
 		resp.Error = apiErr(CodeUnknownEntry, http.StatusBadRequest, "no function @"+req.Entry)
 		return
 	}
@@ -808,16 +783,8 @@ func (s *Server) executeInto(resp *Response, art *artifact, req *Request, fromCa
 		iopts.Telemetry = rec
 	}
 
-	var m machine
-	switch eng {
-	case bench.EngineVM:
-		// The compiled bytecode is immutable: concurrent VMs share it.
-		m = vmMachine{vm.New(art.bc, iopts)}
-	default:
-		// The interpreter finalizes slots lazily (a write to the IR),
-		// so concurrent runs get private clones of the cached program.
-		m = interpMachine{interp.New(ir.CloneProgram(art.ir), iopts)}
-	}
+	// The compiled bytecode is immutable: concurrent VMs share it.
+	m := vm.New(art.bc, iopts)
 
 	args := make([]interp.Val, len(req.Args))
 	for i, a := range req.Args {
@@ -827,7 +794,7 @@ func (s *Server) executeInto(resp *Response, art *artifact, req *Request, fromCa
 	ret, runErr := m.Run(req.Entry, args...)
 	resp.WallMs = float64(time.Since(start).Microseconds()) / 1000
 	m.FinalizeMem()
-	st := m.Stats()
+	st := m.Stats
 	resp.Stats = &RunStats{Steps: st.Steps, Sparse: st.Sparse, Dense: st.Dense, PeakBytes: st.PeakBytes}
 	resp.Output = &OutputSum{Count: st.EmitCount, Checksum: st.EmitSum}
 	if rec != nil {
@@ -848,9 +815,6 @@ func (s *Server) executeInto(resp *Response, art *artifact, req *Request, fromCa
 	if fromCache {
 		s.cacheRuns.Add(1)
 	}
-	s.engMu.Lock()
-	s.byEngine[eng.String()]++
-	s.engMu.Unlock()
 	if runErr != nil {
 		resp.Error = MapRunError(runErr)
 		resp.Partial = true
@@ -862,7 +826,7 @@ func (s *Server) executeInto(resp *Response, art *artifact, req *Request, fromCa
 
 // writeResponse encodes the reply, tallies metrics, and writes the
 // structured access-log line.
-func (s *Server) writeResponse(w http.ResponseWriter, r *http.Request, resp *Response, started time.Time, engine string, cacheHit bool) {
+func (s *Server) writeResponse(w http.ResponseWriter, r *http.Request, resp *Response, started time.Time, cacheHit bool) {
 	status := http.StatusOK
 	code := ""
 	if resp.Error != nil {
@@ -892,7 +856,6 @@ func (s *Server) writeResponse(w http.ResponseWriter, r *http.Request, resp *Res
 			"path":     r.URL.Path,
 			"status":   status,
 			"code":     code,
-			"engine":   engine,
 			"cacheHit": cacheHit,
 			"ms":       float64(dur.Microseconds()) / 1000,
 		})
@@ -901,20 +864,3 @@ func (s *Server) writeResponse(w http.ResponseWriter, r *http.Request, resp *Res
 		s.logMu.Unlock()
 	}
 }
-
-// machine is the slice of an engine the server needs. The adapters
-// below avoid bench.NewMachine, which would recompile the bytecode on
-// every request — the entire point of the cache is not doing that.
-type machine interface {
-	Run(name string, args ...interp.Val) (interp.Val, error)
-	FinalizeMem()
-	Stats() *interp.Stats
-}
-
-type interpMachine struct{ *interp.Interp }
-
-func (m interpMachine) Stats() *interp.Stats { return m.Interp.Stats }
-
-type vmMachine struct{ *vm.VM }
-
-func (m vmMachine) Stats() *interp.Stats { return m.VM.Stats }

@@ -20,25 +20,21 @@ func benchServe(b *testing.B, h http.Handler, req Request) *Response {
 // artifact comes from the raw-text alias (no parse, no ADE, no
 // compile), so per-request cost is decode + execute + encode.
 func BenchmarkServeHot(b *testing.B) {
-	for _, engine := range []string{"vm", "interp"} {
-		b.Run(engine, func(b *testing.B) {
-			s, err := New(Config{Workers: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.pool.Close()
-			h := s.Handler()
-			benchServe(b, h, Request{Program: histProg, Engine: engine}) // prime
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchServe(b, h, Request{Program: histProg, Engine: engine})
-			}
-			b.StopTimer()
-			if hits := s.CacheStats().Hits; hits < uint64(b.N) {
-				b.Fatalf("expected >=%d cache hits, got %d", b.N, hits)
-			}
-		})
+	s, err := New(Config{Workers: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.pool.Close()
+	h := s.Handler()
+	benchServe(b, h, Request{Program: histProg}) // prime
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchServe(b, h, Request{Program: histProg})
+	}
+	b.StopTimer()
+	if hits := s.CacheStats().Hits; hits < uint64(b.N) {
+		b.Fatalf("expected >=%d cache hits, got %d", b.N, hits)
 	}
 }
 
@@ -46,20 +42,16 @@ func BenchmarkServeHot(b *testing.B) {
 // (noCache): parse + verify + ADE + verify + bytecode compile + run.
 // Hot/cold is the cache's amortized win.
 func BenchmarkServeCold(b *testing.B) {
-	for _, engine := range []string{"vm", "interp"} {
-		b.Run(engine, func(b *testing.B) {
-			s, err := New(Config{Workers: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.pool.Close()
-			h := s.Handler()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchServe(b, h, Request{Program: histProg, Engine: engine, NoCache: true})
-			}
-		})
+	s, err := New(Config{Workers: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.pool.Close()
+	h := s.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchServe(b, h, Request{Program: histProg, NoCache: true})
 	}
 }
 
@@ -72,12 +64,12 @@ func BenchmarkServeHotParallel(b *testing.B) {
 	}
 	defer s.pool.Close()
 	h := s.Handler()
-	benchServe(b, h, Request{Program: histProg, Engine: "vm"})
+	benchServe(b, h, Request{Program: histProg})
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, status := postJSON(b, h, "/v1/run", Request{Program: histProg, Engine: "vm"})
+			resp, status := postJSON(b, h, "/v1/run", Request{Program: histProg})
 			if status != http.StatusOK || !resp.OK {
 				panic(fmt.Sprintf("request failed: %d %+v", status, resp.Error))
 			}

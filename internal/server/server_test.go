@@ -128,16 +128,21 @@ func postRaw(t testing.TB, h http.Handler, path string, body []byte, contentType
 	return &resp, w.Code
 }
 
+// Both accepted spellings of the engine field, "vm" and omitted, run
+// on the VM.
 func TestRunColdThenHot(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
 
-	for _, engine := range []string{"vm", "interp"} {
-		t.Run(engine, func(t *testing.T) {
-			prog := strings.ReplaceAll(histProg, "97", map[string]string{"vm": "89", "interp": "83"}[engine])
+	for name, engine := range map[string]string{"vm": "vm", "default": ""} {
+		t.Run(name, func(t *testing.T) {
+			prog := strings.ReplaceAll(histProg, "97", map[string]string{"vm": "89", "default": "83"}[name])
 			cold, code := postJSON(t, h, "/v1/run", Request{Program: prog, Engine: engine})
 			if code != http.StatusOK || !cold.OK {
 				t.Fatalf("cold run failed: %d %+v", code, cold.Error)
+			}
+			if cold.Engine != "vm" {
+				t.Fatalf("engine %q ran on %q, want vm", engine, cold.Engine)
 			}
 			if cold.Cache.Hit {
 				t.Fatal("first request cannot hit the cache")
@@ -195,25 +200,6 @@ func TestRunCanonicalHashHit(t *testing.T) {
 	}
 }
 
-// Engines share one artifact: a VM run primes the cache for an
-// interpreter run of the same program.
-func TestEnginesShareCacheEntry(t *testing.T) {
-	s := newTestServer(t)
-	h := s.Handler()
-	vmResp, _ := postJSON(t, h, "/v1/run", Request{Program: histProg, Engine: "vm"})
-	inResp, _ := postJSON(t, h, "/v1/run", Request{Program: histProg, Engine: "interp"})
-	if !vmResp.OK || !inResp.OK {
-		t.Fatalf("runs failed: %+v %+v", vmResp.Error, inResp.Error)
-	}
-	if !inResp.Cache.Hit {
-		t.Fatal("interp run should reuse the artifact the vm run compiled")
-	}
-	// Engine parity on the cached artifact.
-	if *vmResp.Output != *inResp.Output || vmResp.Stats.Steps != inResp.Stats.Steps {
-		t.Fatalf("engines disagree on cached artifact: vm=%+v interp=%+v", vmResp, inResp)
-	}
-}
-
 // Different ADE options are different artifacts: no aliasing.
 func TestOptionsFingerprintSeparatesArtifacts(t *testing.T) {
 	s := newTestServer(t)
@@ -240,8 +226,8 @@ func TestOptionsFingerprintSeparatesArtifacts(t *testing.T) {
 	}
 }
 
-// Satellite: the budget taxonomy maps to stable codes and statuses on
-// BOTH engines, with engine-identical structured bodies.
+// The budget taxonomy maps to stable codes and statuses, with
+// structured bodies that localize the interruption.
 func TestBudgetErrorMapping(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
@@ -258,40 +244,22 @@ func TestBudgetErrorMapping(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var got [2]*Response
-			for i, engine := range []string{"interp", "vm"} {
-				req := tc.req
-				req.Engine = engine
-				resp, status := postJSON(t, h, "/v1/run", req)
-				if status != tc.status {
-					t.Fatalf("%s: want HTTP %d, got %d (%+v)", engine, tc.status, status, resp.Error)
-				}
-				if resp.OK || resp.Error == nil || resp.Error.Code != tc.code {
-					t.Fatalf("%s: want code %q, got %+v", engine, tc.code, resp.Error)
-				}
-				if resp.Error.Status != tc.status {
-					t.Fatalf("%s: body status %d != transport %d", engine, resp.Error.Status, tc.status)
-				}
-				if tc.code == CodeStepBudget || tc.code == CodeMemBudget {
-					if !resp.Partial || resp.Stats == nil || resp.Stats.Steps == 0 {
-						t.Fatalf("%s: interrupted run must carry partial stats: %+v", engine, resp)
-					}
-					if resp.Error.Fn == "" || resp.Error.Steps == 0 {
-						t.Fatalf("%s: structured error must localize the interruption: %+v", engine, resp.Error)
-					}
-				}
-				got[i] = resp
+			resp, status := postJSON(t, h, "/v1/run", tc.req)
+			if status != tc.status {
+				t.Fatalf("want HTTP %d, got %d (%+v)", tc.status, status, resp.Error)
 			}
-			// Deterministic budget stops are engine-identical down to
-			// the structured error and partial step count (deadline is
-			// inherently timing-dependent, so only the code matches).
-			if tc.code == CodeStepBudget || tc.code == CodeMemBudget || tc.code == CodeRuntimeError {
-				a, b := got[0], got[1]
-				if a.Error.Message != b.Error.Message || a.Error.Fn != b.Error.Fn || a.Error.Steps != b.Error.Steps {
-					t.Fatalf("engines disagree on structured error:\n interp: %+v\n vm:     %+v", a.Error, b.Error)
+			if resp.OK || resp.Error == nil || resp.Error.Code != tc.code {
+				t.Fatalf("want code %q, got %+v", tc.code, resp.Error)
+			}
+			if resp.Error.Status != tc.status {
+				t.Fatalf("body status %d != transport %d", resp.Error.Status, tc.status)
+			}
+			if tc.code == CodeStepBudget || tc.code == CodeMemBudget {
+				if !resp.Partial || resp.Stats == nil || resp.Stats.Steps == 0 {
+					t.Fatalf("interrupted run must carry partial stats: %+v", resp)
 				}
-				if a.Stats != nil && b.Stats != nil && *a.Stats != *b.Stats {
-					t.Fatalf("engines disagree on partial stats:\n interp: %+v\n vm:     %+v", a.Stats, b.Stats)
+				if resp.Error.Fn == "" || resp.Error.Steps == 0 {
+					t.Fatalf("structured error must localize the interruption: %+v", resp.Error)
 				}
 			}
 		})
@@ -407,6 +375,7 @@ func TestDecoderHardening(t *testing.T) {
 		{"trailing garbage", `{"program":"x"} extra`, "application/json", http.StatusBadRequest, CodeBadRequest},
 		{"empty program", `{"program":""}`, "application/json", http.StatusBadRequest, CodeBadRequest},
 		{"bad engine", `{"program":"x","engine":"gpu"}`, "application/json", http.StatusBadRequest, CodeBadRequest},
+		{"interp engine", `{"program":"x","engine":"interp"}`, "application/json", http.StatusBadRequest, CodeBadRequest},
 		{"bad fault", `{"program":"x","fault":"nuke-everything"}`, "application/json", http.StatusBadRequest, CodeBadRequest},
 		{"bad impl", `{"program":"x","options":{"setImpl":"BloomSet"}}`, "application/json", http.StatusBadRequest, CodeBadRequest},
 		{"negative budget", `{"program":"x","timeoutMs":-5}`, "application/json", http.StatusBadRequest, CodeBadRequest},
@@ -635,7 +604,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // Concurrent mixed traffic against one server under -race: shared
-// bytecode across VMs, cloned IR across interpreters, one cache.
+// bytecode across VMs, one cache.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.Workers = 8; c.Backlog = 256 })
 	h := s.Handler()
@@ -647,7 +616,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
-				req := Request{Program: progs[(g+i)%len(progs)], Engine: []string{"vm", "interp"}[i%2]}
+				req := Request{Program: progs[(g+i)%len(progs)]}
 				if req.Program == growProg {
 					req.MaxMemBytes = 65_536 // deliberate budget trips in the mix
 				}

@@ -11,7 +11,7 @@
 // stream of an untouched run (the -tol 0 op-count gate holds by
 // construction — the recorder never writes to interp.Stats).
 //
-// The package is a leaf: it depends only on internal/collections, so
+// The package depends only on internal/collections and internal/ir, so
 // the interpreter, the VM, the compiler remarks, and the report tool
 // can all share its site keys and canonical operation names.
 package telemetry
@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"memoir/internal/collections"
+	"memoir/internal/ir"
 )
 
 // Operation indices, mirroring interp.OpKind one for one (interp
@@ -87,6 +88,23 @@ func (k SiteKey) String() string {
 		return fmt.Sprintf("@%s#%d/%d", k.Fn, k.Alloc, k.Depth)
 	}
 	return fmt.Sprintf("@%s#%d", k.Fn, k.Alloc)
+}
+
+// AllocOrdinals returns each `new` instruction's ordinal among fn's
+// allocations, in ir.WalkInstrs order: the Alloc half of a SiteKey.
+// The ADE transform inserts translations but never allocations, so the
+// ordinal survives it, and the compiler's remarks and both engines'
+// recorders agree on it.
+func AllocOrdinals(fn *ir.Func) map[*ir.Instr]int {
+	out := map[*ir.Instr]int{}
+	i := 0
+	ir.WalkInstrs(fn, func(in *ir.Instr) {
+		if in.Op == ir.OpNew {
+			out[in] = i
+			i++
+		}
+	})
+	return out
 }
 
 // Sample is one occupancy observation: the site's cumulative mutation

@@ -71,8 +71,8 @@ type VM struct {
 }
 
 // New returns a VM for the compiled program. Options are normalized
-// exactly as interp.New does; CollectProfile is interpreter-only and
-// ignored here (profile-guided runs stay on the interpreter).
+// exactly as interp.New does; TrackReads is interpreter-only and
+// ignored here (the dataflow property tests run on the interpreter).
 func New(prog *bytecode.Prog, opts interp.Options) *VM {
 	if opts.MemSampleEvery <= 0 {
 		opts.MemSampleEvery = 512

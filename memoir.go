@@ -24,13 +24,14 @@ import (
 	"fmt"
 	"time"
 
+	"memoir/internal/adeprofile"
 	"memoir/internal/bytecode"
 	"memoir/internal/collections"
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
 	"memoir/internal/parser"
-	"memoir/internal/profile"
+	"memoir/internal/telemetry"
 	"memoir/internal/vm"
 )
 
@@ -42,6 +43,9 @@ type Program struct {
 
 	set, mapI collections.Impl
 	engine    Engine
+	// hash is the pre-ADE ir.ProgramHash captured by Parse, the key
+	// CollectProfile records under and WithProfile matches against.
+	hash string
 }
 
 // Option configures Compile.
@@ -103,33 +107,29 @@ func WithSwissDefaults() Option {
 	}
 }
 
-// Profile carries dynamic execution counts from a profiling run back
-// into the benefit heuristic (the extension §III-C sketches).
-type Profile = profile.Profile
+// Profile carries observed per-site execution counts from a profiling
+// run back into the benefit heuristic (the extension §III-C sketches):
+// an adeprofile/v1 document, the same format adec -profile reads.
+type Profile = adeprofile.Profile
 
-// WithProfile weights the benefit heuristic by the given execution
-// profile, so cold code contributes no benefit and cold collections
-// are not enumerated.
-func WithProfile(p Profile) Option {
-	return func(c *config) { c.opts.Profile = p }
+// WithProfile weights the benefit heuristic by the given profile, so
+// cold code contributes no benefit and cold collections are not
+// enumerated. A profile recorded for a different program is reported
+// as stale in Report and leaves the static heuristics in charge.
+func WithProfile(p *Profile) Option {
+	return func(c *config) { c.opts.SiteProfile = p }
 }
 
-// CollectProfile executes entry and returns the per-instruction
-// execution profile. Profiles are keyed stably, so a profile collected
-// on one Compile of a source applies to another Compile of the same
-// source.
-func (p *Program) CollectProfile(entry string, args ...uint64) (Profile, error) {
-	opts := interp.DefaultOptions()
-	opts.CollectProfile = true
-	ip := interp.New(p.IR, opts)
-	vals := make([]interp.Val, len(args))
-	for i, a := range args {
-		vals[i] = interp.IntV(a)
-	}
-	if _, err := ip.Run(entry, vals...); err != nil {
+// CollectProfile executes entry on the configured engine and returns
+// the run's profile. Profiles are keyed by the source's pre-ADE hash
+// and stable site keys, so a profile collected on any Compile of a
+// source guides any other Compile of the same source.
+func (p *Program) CollectProfile(entry string, args ...uint64) (*Profile, error) {
+	rec := telemetry.NewRecorder()
+	if _, err := p.run(rec, entry, args); err != nil {
 		return nil, err
 	}
-	return ip.Profile(), nil
+	return adeprofile.FromTelemetry(p.hash, "", rec.Result()), nil
 }
 
 // Parse reads a textual MEMOIR program without transforming it.
@@ -141,7 +141,7 @@ func Parse(src string) (*Program, error) {
 	if err := ir.Verify(p); err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
-	return &Program{IR: p}, nil
+	return &Program{IR: p, hash: ir.ProgramHash(p)}, nil
 }
 
 // Compile parses src and applies Automatic Data Enumeration.
@@ -191,7 +191,13 @@ type Result struct {
 // Run executes entry on the configured engine with optional u64
 // arguments.
 func (p *Program) Run(entry string, args ...uint64) (*Result, error) {
+	return p.run(nil, entry, args)
+}
+
+// run executes entry, recording telemetry into rec when it is non-nil.
+func (p *Program) run(rec *telemetry.Recorder, entry string, args []uint64) (*Result, error) {
 	opts := interp.DefaultOptions()
+	opts.Telemetry = rec
 	if p.set != collections.ImplNone {
 		opts.DefaultSet = p.set
 	}

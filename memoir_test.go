@@ -1,6 +1,7 @@
 package memoir
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -116,6 +117,75 @@ func TestWithEngine(t *testing.T) {
 		if *ri != *rv {
 			t.Fatalf("engines disagree:\n  interp: %+v\n  vm:     %+v", ri, rv)
 		}
+	}
+}
+
+// TestProfileRoundTrip drives the profile loop through the façade on
+// the FIM cold-map shape: a profile collected with verbose off must
+// stop the cold %vstats map from being enumerated without changing any
+// output, and a profile collected on the VM must equal the
+// interpreter's.
+func TestProfileRoundTrip(t *testing.T) {
+	b, err := os.ReadFile("testdata/coldmap.mir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(b)
+	parsed, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := parsed.CollectProfile("main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onVM, err := Compile(src, WithoutADE(), WithEngine(EngineVM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vmProf, err := onVM.CollectProfile("main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.Fingerprint() != vmProf.Fingerprint() {
+		t.Fatal("interpreter and VM profiles differ")
+	}
+
+	static, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pgo, err := Compile(src, WithProfile(prof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(pgo.Report, "profile: weighted") {
+		t.Fatalf("profile not applied:\n%s", pgo.Report)
+	}
+	enumerated := func(report string) bool {
+		for _, l := range strings.Split(report, "\n") {
+			if strings.HasPrefix(l, "  ") && strings.Contains(l, "%vstats") {
+				return true
+			}
+		}
+		return false
+	}
+	if !enumerated(static.Report) {
+		t.Fatalf("static build should enumerate %%vstats:\n%s", static.Report)
+	}
+	if enumerated(pgo.Report) {
+		t.Fatalf("profile-guided build still enumerates %%vstats:\n%s", pgo.Report)
+	}
+	rs, err := static.Run("main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := pgo.Run("main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Value != rp.Value || rs.Checksum != rp.Checksum || rs.Outputs != rp.Outputs {
+		t.Fatalf("outputs differ: static %+v, pgo %+v", rs, rp)
 	}
 }
 
