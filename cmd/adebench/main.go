@@ -14,8 +14,9 @@
 //	adebench -scale test -counts testdata/baseline_counts.json   # (re)generate baseline
 //	adebench -scale test -gate testdata/baseline_counts.json     # fail on >5% regressions
 //
-// The gate compares deterministic interpreter op counts, not wall
-// clock, so it is stable on shared CI runners.
+// Every figure, gate and report runs on the bytecode VM. The gate
+// compares deterministic op counts, not wall clock, so it is stable
+// on shared CI runners.
 //
 // Profile collection:
 //
@@ -50,7 +51,6 @@ func main() {
 		counts  = flag.String("counts", "", "write the op-count baseline to this file and exit")
 		gate    = flag.String("gate", "", "compare current op counts against this baseline, failing on regressions")
 		tol     = flag.Float64("tol", 0.05, "op-count regression tolerance for -gate (0.05 = 5%)")
-		engine  = flag.String("engine", "interp", "execution engine for -counts/-gate: interp or vm (counts are engine-invariant)")
 		jsonTo  = flag.String("json", "", "write a machine-readable per-benchmark report (adebench-report/v1) to `file` (\"-\" = stdout) and exit")
 		profOut = flag.String("profile-out", "", "profile one untransformed run of every benchmark, merge the shards, write the adeprofile/v1 document to `file`, and exit")
 
@@ -73,11 +73,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	eng, err := bench.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *profOut != "" {
 		p, err := experiments.CollectSuiteProfile(sc)
 		if err == nil {
@@ -92,7 +87,7 @@ func main() {
 		return
 	}
 	if *jsonTo != "" {
-		rep, err := experiments.CollectBenchReport(sc, eng, bud)
+		rep, err := experiments.CollectBenchReport(sc, bud)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -114,7 +109,7 @@ func main() {
 		return
 	}
 	if *counts != "" {
-		c, err := experiments.CollectCounts(sc, eng, bud)
+		c, err := experiments.CollectCounts(sc, bud)
 		if err == nil {
 			err = experiments.WriteCounts(c, *counts)
 		}
@@ -126,7 +121,7 @@ func main() {
 		return
 	}
 	if *gate != "" {
-		if err := experiments.Gate(sc, *gate, *tol, eng, bud, os.Stdout); err != nil {
+		if err := experiments.Gate(sc, *gate, *tol, bud, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

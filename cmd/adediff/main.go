@@ -90,7 +90,7 @@ func main() {
 		// iterates the registry above); they are listed here because
 		// this flag is the single catalog of injectable fault names.
 		for _, p := range faults.IOPoints() {
-			fmt.Printf("%-28s kind=%s  (store I/O; adeserved -store-fault / -selftest -chaos)\n", p.Name, p.Kind)
+			fmt.Printf("%-28s kind=%s  (store I/O; adeserved -store-fault / -chaos)\n", p.Name, p.Kind)
 		}
 		return
 	}

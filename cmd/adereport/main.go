@@ -1,6 +1,6 @@
 // Command adereport joins the two halves of the observability layer:
 // the compiler's optimization remarks (which decisions ADE took, and
-// where) and the engines' runtime collection telemetry (what actually
+// where) and the VM's runtime collection telemetry (what actually
 // happened at each site). The join key is the allocation-site key
 // (function, `new` ordinal, depth) that both sides carry, so each
 // enumeration is reported as "created by rule X at line Y, absorbed Z
@@ -9,7 +9,7 @@
 // Usage:
 //
 //	adereport program.mir                 # one program, scalar -args
-//	adereport -engine vm -args 10 f.mir
+//	adereport -args 10 f.mir
 //	adereport -bench all -scale test      # whole suite + aggregate
 //	adereport -bench PTA -json            # machine-readable join
 //	adereport -profile p.json f.mir       # offline replay of a saved profile
@@ -97,16 +97,11 @@ func main() {
 	var (
 		benchSel = flag.String("bench", "", "run benchmark(s) instead of a .mir file: a suite abbreviation or \"all\"")
 		scale    = flag.String("scale", "test", "workload scale for -bench: test, small, full")
-		engine   = flag.String("engine", "interp", "execution engine: interp or vm")
 		args     = flag.String("args", "", "comma-separated u64 arguments for @main (single-program mode)")
 		jsonOut  = flag.Bool("json", false, "write the joined report as JSON to stdout")
 		profIn   = flag.String("profile", "", "offline replay: join this saved adeprofile/v1 `file` to the program's remarks instead of executing, and suggest pragmas where static and profile-guided compiles disagree")
 	)
 	flag.Parse()
-	eng, err := bench.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
 	var sc bench.Scale
 	switch *scale {
 	case "test":
@@ -144,7 +139,7 @@ func main() {
 		}
 		var collOps []float64
 		for _, s := range specs {
-			pr, ops, err := runBench(s, sc, eng)
+			pr, ops, err := runBench(s, sc)
 			if err != nil {
 				fatal(err)
 			}
@@ -157,7 +152,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "adereport: suite aggregate unavailable: %v\n", err)
 		}
 	case flag.NArg() == 1:
-		pr, err := runFile(flag.Arg(0), *args, eng)
+		pr, err := runFile(flag.Arg(0), *args)
 		if err != nil {
 			fatal(err)
 		}
@@ -186,7 +181,7 @@ func main() {
 
 // runFile ADE-compiles and executes one .mir program with remarks and
 // telemetry on, then joins them.
-func runFile(path, argList string, eng bench.Engine) (*ProgReport, error) {
+func runFile(path, argList string) (*ProgReport, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -207,7 +202,7 @@ func runFile(path, argList string, eng bench.Engine) (*ProgReport, error) {
 	rec := telemetry.NewRecorder()
 	iopts := interp.DefaultOptions()
 	iopts.Telemetry = rec
-	m, err := bench.NewMachine(prog, iopts, eng)
+	m, err := bench.NewMachine(prog, iopts, bench.EngineVM)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +219,7 @@ func runFile(path, argList string, eng bench.Engine) (*ProgReport, error) {
 	if _, err := m.Run("main", vals...); err != nil {
 		return nil, err
 	}
-	return join(path, eng, em.Remarks, rec.Result()), nil
+	return join(path, em.Remarks, rec.Result()), nil
 }
 
 // runProfile is the offline-replay path: no execution. The saved
@@ -259,7 +254,7 @@ func runProfile(path, profPath string) (*ProgReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := join(path, bench.EngineInterp, pgoRs, teleFromProfile(prof.For(hash)))
+	pr := join(path, pgoRs, teleFromProfile(prof.For(hash)))
 	pr.Engine = "profile(" + profPath + ")"
 	pr.Profile = verdict
 	pr.Suggestions = sugs
@@ -269,7 +264,7 @@ func runProfile(path, profPath string) (*ProgReport, error) {
 // runBench ADE-compiles and executes one suite benchmark, returning
 // the joined report and the run's collection-op total for the suite
 // aggregate.
-func runBench(s *bench.Spec, sc bench.Scale, eng bench.Engine) (*ProgReport, uint64, error) {
+func runBench(s *bench.Spec, sc bench.Scale) (*ProgReport, uint64, error) {
 	prog := s.Build("")
 	em := remarks.NewEmitter()
 	opts := core.DefaultOptions()
@@ -280,16 +275,16 @@ func runBench(s *bench.Spec, sc bench.Scale, eng bench.Engine) (*ProgReport, uin
 	rec := telemetry.NewRecorder()
 	iopts := interp.DefaultOptions()
 	iopts.Telemetry = rec
-	res, err := bench.ExecuteOn(s, prog, iopts, sc, eng)
+	res, err := bench.ExecuteOn(s, prog, iopts, sc, bench.EngineVM)
 	if err != nil {
 		return nil, 0, err
 	}
-	return join(s.Abbr, eng, em.Remarks, rec.Result()), res.Stats.CollOps(), nil
+	return join(s.Abbr, em.Remarks, rec.Result()), res.Stats.CollOps(), nil
 }
 
 // join pairs each enumeration class's remarks with the runtime
 // telemetry recorded at its sites and for its enumeration global.
-func join(name string, eng bench.Engine, rs []remarks.Remark, tele *telemetry.Telemetry) *ProgReport {
+func join(name string, rs []remarks.Remark, tele *telemetry.Telemetry) *ProgReport {
 	siteByKey := map[string]*telemetry.SiteStats{}
 	for _, ss := range tele.Sites {
 		siteByKey[ss.Key.String()] = ss
@@ -328,7 +323,7 @@ func join(name string, eng bench.Engine, rs []remarks.Remark, tele *telemetry.Te
 			}
 		}
 	}
-	pr := &ProgReport{Name: name, Engine: eng.String(), Remarks: rs, Telemetry: tele}
+	pr := &ProgReport{Name: name, Engine: bench.EngineVM.String(), Remarks: rs, Telemetry: tele}
 	for _, n := range order {
 		pr.Enums = append(pr.Enums, *byEnum[n])
 	}

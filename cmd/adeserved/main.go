@@ -9,7 +9,7 @@
 //
 //	adeserved                          # serve on :8372
 //	adeserved -addr :9000 -workers 8
-//	adeserved -selftest                # in-process load harness, then exit
+//	adeserved -chaos                   # in-process chaos harness, then exit
 //
 // Endpoints:
 //
@@ -65,12 +65,12 @@ func main() {
 		qMaxBackoff = flag.Duration("quarantine-max-backoff", def.BreakerMaxBackoff, "circuit breaker: open interval cap")
 		storeFault  = flag.String("store-fault", "", "inject a deterministic store I/O fault (write-fail:N|torn-write:N|corrupt-on-read:N) — tests only")
 
-		selftest   = flag.Bool("selftest", false, "run the in-process load harness (cold/hot/mixed phases) and exit")
-		chaos      = flag.Bool("chaos", false, "with -selftest: run the chaos harness (store faults + hard restarts) instead of the load phases")
-		stRequests = flag.Int("selftest-requests", 200, "selftest: requests per phase (chaos: total across epochs, min 500)")
-		stConc     = flag.Int("selftest-concurrency", 8, "selftest: concurrent clients")
+		chaos = flag.Bool("chaos", false, "run the in-process chaos harness (500 requests across store faults and hard restarts; -store sets its directory) and exit")
 	)
 	flag.Parse()
+	if *chaos {
+		os.Exit(runChaos(*storeDir))
+	}
 
 	cfg := def
 	cfg.Addr = *addr
@@ -95,14 +95,6 @@ func main() {
 	cfg.BreakerBackoff = *qBackoff
 	cfg.BreakerMaxBackoff = *qMaxBackoff
 	cfg.StoreFault = *storeFault
-
-	if *selftest {
-		cfg.AccessLog = nil
-		if *chaos {
-			os.Exit(runChaosSelftest(*stRequests, *stConc, *storeDir))
-		}
-		os.Exit(runSelftest(cfg, *stRequests, *stConc))
-	}
 
 	var logClose io.Closer
 	switch *accessLog {
@@ -148,75 +140,12 @@ func main() {
 	}
 }
 
-// runSelftest runs the load harness against an in-process handler and
-// prints the phase table; exit status 1 if the cache demonstrably did
-// not work (hot phase must be all hits, cold all misses).
-func runSelftest(cfg server.Config, requests, concurrency int) int {
-	s, err := server.New(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "selftest: %v\n", err)
-		return 1
-	}
-	defer s.Shutdown(context.Background())
-	phases, err := loadtest.Run(s.Handler(), loadtest.Config{
-		Requests:    requests,
-		Concurrency: concurrency,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "selftest: %v\n", err)
-		return 1
-	}
-	fmt.Printf("adeserved selftest: %d requests/phase, %d clients\n\n",
-		requests, concurrency)
-	fmt.Print(loadtest.Format(phases))
-	cs := s.CacheStats()
-	fmt.Printf("\ncache: %d hits, %d misses, %d evictions, %d entries, %.1f%% hit ratio\n",
-		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, 100*cs.HitRatio())
-	ok := true
-	for _, p := range phases {
-		if p.Errors > 0 {
-			fmt.Fprintf(os.Stderr, "selftest: phase %s had %d errors\n", p.Name, p.Errors)
-			ok = false
-		}
-		switch p.Name {
-		case "hot":
-			if p.CacheHits != p.Requests {
-				fmt.Fprintf(os.Stderr, "selftest: hot phase hit %d/%d — cache not working\n", p.CacheHits, p.Requests)
-				ok = false
-			}
-		case "cold":
-			if p.CacheHits != 0 {
-				fmt.Fprintf(os.Stderr, "selftest: cold phase hit the cache %d times — noCache broken\n", p.CacheHits)
-				ok = false
-			}
-		}
-	}
-	if !ok {
-		return 1
-	}
-	var cold, hot loadtest.Phase
-	for _, p := range phases {
-		if p.Name == "cold" {
-			cold = p
-		}
-		if p.Name == "hot" {
-			hot = p
-		}
-	}
-	if cold.ReqPerSec > 0 {
-		fmt.Printf("hot/cold throughput: %.2fx\n", hot.ReqPerSec/cold.ReqPerSec)
-	}
-	return 0
-}
-
-// runChaosSelftest runs the chaos harness: interleaved requests,
-// injected store faults, and hard server restarts against one durable
-// store directory. Exit status 1 if ANY answer was wrong, or if the
-// restarts demonstrably failed to recover state (no recovered hits).
-func runChaosSelftest(requests, concurrency int, storeDir string) int {
-	if requests < 500 {
-		requests = 500 // the acceptance floor: ≥500 interleaved requests
-	}
+// runChaos runs the chaos harness: 500 interleaved requests (its
+// default schedule), injected store faults, and hard server restarts
+// against one durable store directory. Exit status 1 if ANY answer was
+// wrong, or if the restarts demonstrably failed to recover state (no
+// recovered hits).
+func runChaos(storeDir string) int {
 	cleanup := false
 	if storeDir == "" {
 		d, err := os.MkdirTemp("", "adeserved-chaos-*")
@@ -227,11 +156,7 @@ func runChaosSelftest(requests, concurrency int, storeDir string) int {
 		storeDir = d
 		cleanup = true
 	}
-	rep, err := loadtest.RunChaos(loadtest.ChaosConfig{
-		Requests:    requests,
-		Concurrency: concurrency,
-		StoreDir:    storeDir,
-	})
+	rep, err := loadtest.RunChaos(loadtest.ChaosConfig{StoreDir: storeDir})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		return 1

@@ -1,14 +1,12 @@
 // Command memoir-run parses a textual MEMOIR program, optionally
-// applies ADE, executes its @main function on the instrumented
-// interpreter or the bytecode register VM, and reports the result,
-// output checksum and dynamic statistics.
+// applies ADE, executes its @main function on the bytecode register
+// VM, and reports the result, output checksum and dynamic statistics.
 //
 // Usage:
 //
 //	memoir-run program.mir
 //	memoir-run -ade -stats program.mir
 //	memoir-run -ade -args 10,20 program.mir   # scalar u64 args
-//	memoir-run -engine vm program.mir         # bytecode VM engine
 //	memoir-run -dump-bytecode program.mir     # print bytecode, don't run
 //	memoir-run -max-steps 100000 program.mir  # resource-budgeted run
 //	memoir-run -max-mem 1048576 -timeout 5s program.mir
@@ -17,8 +15,7 @@
 //
 // A run that exhausts a budget (-max-steps, -max-mem, -timeout) stops
 // with a structured error, prints the partial statistics accumulated
-// up to the interruption point — identical on either engine — and
-// exits 1.
+// up to the interruption point, and exits 1.
 package main
 
 import (
@@ -43,14 +40,13 @@ import (
 
 func main() {
 	var (
-		ade    = flag.Bool("ade", false, "apply Automatic Data Enumeration before running")
-		stats  = flag.Bool("stats", false, "print dynamic operation statistics")
-		args   = flag.String("args", "", "comma-separated u64 arguments for @main")
-		entry  = flag.String("entry", "main", "entry function")
-		engine = flag.String("engine", "interp", "execution engine: interp or vm (identical measurements)")
-		dump   = flag.Bool("dump-bytecode", false, "print the compiled bytecode and exit without running")
+		ade   = flag.Bool("ade", false, "apply Automatic Data Enumeration before running")
+		stats = flag.Bool("stats", false, "print dynamic operation statistics")
+		args  = flag.String("args", "", "comma-separated u64 arguments for @main")
+		entry = flag.String("entry", "main", "entry function")
+		dump  = flag.Bool("dump-bytecode", false, "print the compiled bytecode and exit without running")
 
-		maxSteps = flag.Uint64("max-steps", 0, "stop with a structured error after this many interpreted steps (0 = unlimited)")
+		maxSteps = flag.Uint64("max-steps", 0, "stop with a structured error after this many executed steps (0 = unlimited)")
 		maxMem   = flag.Int64("max-mem", 0, "stop with a structured error when modeled live bytes exceed this (0 = unlimited)")
 		timeout  = flag.Duration("timeout", 0, "stop with a structured error after this wall-clock duration (0 = none)")
 
@@ -61,10 +57,6 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: memoir-run [flags] program.mir")
 		os.Exit(2)
-	}
-	eng, err := bench.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -113,8 +105,7 @@ func main() {
 		iopts.Telemetry = rec
 	}
 	// emitTelemetry shares one emission path between -telemetry and
-	// -profile-out; both are valid at a budget interruption too (the
-	// recorder's partial fold is engine-identical like the stats).
+	// -profile-out; both are valid at a budget interruption too.
 	emitTelemetry := func() {
 		if rec == nil {
 			return
@@ -132,7 +123,7 @@ func main() {
 			}
 		}
 	}
-	m, err := bench.NewMachine(prog, iopts, eng)
+	m, err := bench.NewMachine(prog, iopts, bench.EngineVM)
 	if err != nil {
 		fatal(err)
 	}
@@ -155,13 +146,13 @@ func main() {
 			fatal(err)
 		}
 		// A budget interruption is a structured stop, not a crash: the
-		// partial statistics up to the interruption point are valid (and
-		// engine-identical), so report them before exiting nonzero.
+		// partial statistics up to the interruption point are valid, so
+		// report them before exiting nonzero.
 		m.FinalizeMem()
 		st := m.Stats()
 		fmt.Printf("interrupted: %v\n", err)
 		fmt.Printf("output: count=%d checksum=%d (partial)\n", st.EmitCount, st.EmitSum)
-		printStats(*stats, eng, elapsed, st)
+		printStats(*stats, elapsed, st)
 		emitTelemetry()
 		os.Exit(1)
 	}
@@ -169,15 +160,15 @@ func main() {
 	st := m.Stats()
 	fmt.Printf("result: %s\n", ret)
 	fmt.Printf("output: count=%d checksum=%d\n", st.EmitCount, st.EmitSum)
-	printStats(*stats, eng, elapsed, st)
+	printStats(*stats, elapsed, st)
 	emitTelemetry()
 }
 
-func printStats(on bool, eng bench.Engine, elapsed time.Duration, st *interp.Stats) {
+func printStats(on bool, elapsed time.Duration, st *interp.Stats) {
 	if !on {
 		return
 	}
-	fmt.Printf("engine: %s\n", eng)
+	fmt.Printf("engine: %s\n", bench.EngineVM)
 	fmt.Printf("wall: %v\n", elapsed)
 	fmt.Printf("steps: %d  sparse: %d  dense: %d  peak: %d bytes\n",
 		st.Steps, st.Sparse, st.Dense, st.PeakBytes)

@@ -58,7 +58,7 @@ func measure(s *bench.Spec, variant string, ade *core.Options) *run {
 			log.Fatal(err)
 		}
 	}
-	res, err := bench.Execute(s, prog, interp.DefaultOptions(), bench.ScaleSmall)
+	res, err := bench.ExecuteOn(s, prog, interp.DefaultOptions(), bench.ScaleSmall, bench.EngineVM)
 	if err != nil {
 		log.Fatal(err)
 	}

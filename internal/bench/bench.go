@@ -89,13 +89,6 @@ type Result struct {
 	Peak     int64
 }
 
-// Execute runs an already-built (and possibly ADE-transformed) program
-// on the benchmark's input at the given scale, using the interpreter
-// engine.
-func Execute(s *Spec, prog *ir.Program, opts interp.Options, sc Scale) (*Result, error) {
-	return ExecuteOn(s, prog, opts, sc, EngineInterp)
-}
-
 // ExecuteOn runs an already-built (and possibly ADE-transformed)
 // program on the benchmark's input at the given scale, on the chosen
 // execution engine. The measurement surface is engine-independent:
@@ -133,18 +126,21 @@ func ExecuteOn(s *Spec, prog *ir.Program, opts interp.Options, sc Scale, eng Eng
 }
 
 // CollectSiteProfile executes prog (untransformed) on the benchmark's
-// input and returns the run's telemetry as an adeprofile/v1 document
-// keyed by prog's pre-ADE hash — the durable profile the compiler
-// consumes through core.Options.SiteProfile.
+// input on the VM and returns the run's telemetry as an adeprofile/v1
+// document keyed by prog's pre-ADE hash — the durable profile the
+// compiler consumes through core.Options.SiteProfile. Profiles are
+// engine-identical, so the interpreter would record the same bytes.
 func CollectSiteProfile(s *Spec, prog *ir.Program, sc Scale) (*adeprofile.Profile, error) {
 	hash := ir.ProgramHash(prog)
 	rec := telemetry.NewRecorder()
 	opts := interp.DefaultOptions()
 	opts.Telemetry = rec
 	opts.MemSampleEvery = 1 << 30
-	ip := interp.New(prog, opts)
-	args := s.Input(ip, sc)
-	if _, err := ip.Run("main", args...); err != nil {
+	m, err := NewMachine(prog, opts, EngineVM)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", s.Abbr, err)
+	}
+	if _, err := m.Run("main", s.Input(m, sc)...); err != nil {
 		return nil, fmt.Errorf("%s: profiling run: %w", s.Abbr, err)
 	}
 	return adeprofile.FromTelemetry(hash, s.Abbr, rec.Result()), nil

@@ -33,7 +33,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestROITimingDecomposes(t *testing.T) {
 	s := Get("BFS")
 	prog := s.Build("")
-	res, err := Execute(s, prog, interp.DefaultOptions(), ScaleTest)
+	res, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleTest, EngineInterp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestROITimingDecomposes(t *testing.T) {
 func TestInputsDeterministic(t *testing.T) {
 	s := Get("SSSP")
 	prog := s.Build("")
-	r1, err := Execute(s, prog, interp.DefaultOptions(), ScaleTest)
+	r1, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleTest, EngineInterp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Execute(s, prog, interp.DefaultOptions(), ScaleTest)
+	r2, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleTest, EngineInterp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestInputsDeterministic(t *testing.T) {
 func TestScalesGrow(t *testing.T) {
 	s := Get("PR")
 	prog := s.Build("")
-	small, err := Execute(s, prog, interp.DefaultOptions(), ScaleTest)
+	small, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleTest, EngineInterp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Execute(s, prog, interp.DefaultOptions(), ScaleSmall)
+	big, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleSmall, EngineInterp)
 	if err != nil {
 		t.Fatal(err)
 	}

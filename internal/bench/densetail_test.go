@@ -44,11 +44,11 @@ func TestDenseTailStaticEnumReducesTranslations(t *testing.T) {
 				t.Fatalf("ADE (nostatic): %v", err)
 			}
 
-			rOn, err := bench.Execute(s, on, interp.DefaultOptions(), bench.ScaleTest)
+			rOn, err := bench.ExecuteOn(s, on, interp.DefaultOptions(), bench.ScaleTest, bench.EngineInterp)
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}
-			rOff, err := bench.Execute(s, off, interp.DefaultOptions(), bench.ScaleTest)
+			rOff, err := bench.ExecuteOn(s, off, interp.DefaultOptions(), bench.ScaleTest, bench.EngineInterp)
 			if err != nil {
 				t.Fatalf("execute (nostatic): %v", err)
 			}

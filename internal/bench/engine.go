@@ -11,9 +11,11 @@ import (
 )
 
 // Engine selects the execution engine: the tree-walking interpreter
-// (the measurement reference) or the bytecode register VM (the fast
-// engine). Both produce identical deterministic op counts, memory
-// peaks and output checksums; the VM only changes wall-clock time.
+// (the reference oracle that differential tests check the VM against)
+// or the bytecode register VM (the engine every figure, gate, report
+// and CLI runs on). Both produce identical deterministic op counts,
+// memory peaks and output checksums; the VM only changes wall-clock
+// time.
 type Engine int
 
 const (
@@ -29,17 +31,6 @@ func (e Engine) String() string {
 		return "vm"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine resolves an engine name as used by -engine flags.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "interp", "":
-		return EngineInterp, nil
-	case "vm":
-		return EngineVM, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want interp or vm)", s)
 }
 
 // Engines lists all engines, for matrix-style iteration.

@@ -34,7 +34,7 @@ func TestSuiteEquivalence(t *testing.T) {
 			if err := ir.Verify(base); err != nil {
 				t.Fatalf("baseline verify: %v", err)
 			}
-			ref, err := Execute(s, base, interp.DefaultOptions(), ScaleTest)
+			ref, err := ExecuteOn(s, base, interp.DefaultOptions(), ScaleTest, EngineInterp)
 			if err != nil {
 				t.Fatalf("baseline run: %v", err)
 			}
@@ -50,7 +50,7 @@ func TestSuiteEquivalence(t *testing.T) {
 				if err := ir.Verify(prog); err != nil {
 					t.Fatalf("%s: verify: %v\nreport:\n%s\n%s", cfg, err, rep, ir.Print(prog))
 				}
-				got, err := Execute(s, prog, interp.DefaultOptions(), ScaleTest)
+				got, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleTest, EngineInterp)
 				if err != nil {
 					t.Fatalf("%s: run: %v\nreport:\n%s\n%s", cfg, err, rep, ir.Print(prog))
 				}
@@ -92,7 +92,7 @@ func TestVariantsEquivalence(t *testing.T) {
 		s := s
 		t.Run(s.Abbr, func(t *testing.T) {
 			base := s.Build("")
-			ref, err := Execute(s, base, interp.DefaultOptions(), ScaleTest)
+			ref, err := ExecuteOn(s, base, interp.DefaultOptions(), ScaleTest, EngineInterp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestVariantsEquivalence(t *testing.T) {
 				if err := ir.Verify(prog); err != nil {
 					t.Fatalf("%s: verify: %v", v, err)
 				}
-				got, err := Execute(s, prog, interp.DefaultOptions(), ScaleTest)
+				got, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleTest, EngineInterp)
 				if err != nil {
 					t.Fatalf("%s: %v\n%s", v, err, rep)
 				}
@@ -124,7 +124,7 @@ func TestPGOEquivalence(t *testing.T) {
 		s := s
 		t.Run(s.Abbr, func(t *testing.T) {
 			base := s.Build("")
-			ref, err := Execute(s, base, interp.DefaultOptions(), ScaleTest)
+			ref, err := ExecuteOn(s, base, interp.DefaultOptions(), ScaleTest, EngineInterp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestPGOEquivalence(t *testing.T) {
 			if !strings.HasPrefix(rep.Profile, "weighted") {
 				t.Fatalf("profile not applied: %q", rep.Profile)
 			}
-			got, err := Execute(s, prog, interp.DefaultOptions(), ScaleTest)
+			got, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleTest, EngineInterp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,12 +163,12 @@ func TestSuiteSwissDefaults(t *testing.T) {
 		s := s
 		t.Run(s.Abbr, func(t *testing.T) {
 			base := s.Build("")
-			ref, err := Execute(s, base, interp.DefaultOptions(), ScaleTest)
+			ref, err := ExecuteOn(s, base, interp.DefaultOptions(), ScaleTest, EngineInterp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			swiss := s.Build("")
-			got, err := Execute(s, swiss, opts, ScaleTest)
+			got, err := ExecuteOn(s, swiss, opts, ScaleTest, EngineInterp)
 			if err != nil {
 				t.Fatalf("swiss run: %v", err)
 			}

@@ -105,7 +105,7 @@ func TestStaticEnumIntervalSoundness(t *testing.T) {
 			run: func(t *testing.T, p *ir.Program, rec *telemetry.Recorder) {
 				o := interp.DefaultOptions()
 				o.Telemetry = rec
-				if _, err := bench.Execute(s, p, o, bench.ScaleTest); err != nil {
+				if _, err := bench.ExecuteOn(s, p, o, bench.ScaleTest, bench.EngineInterp); err != nil {
 					t.Fatalf("execute: %v", err)
 				}
 			},

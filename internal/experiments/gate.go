@@ -9,13 +9,12 @@ import (
 
 	"memoir/internal/bench"
 	"memoir/internal/interp"
-	"memoir/internal/ir"
 )
 
-// The benchmark regression gate compares deterministic interpreter
-// op counts — not wall clock — against a checked-in baseline
+// The benchmark regression gate compares deterministic op counts —
+// not wall clock — against a checked-in baseline
 // (testdata/baseline_counts.json), so it is stable on noisy CI
-// runners. The interpreter and every collection implementation iterate
+// runners. Both engines and every collection implementation iterate
 // in deterministic order, making the counts exactly reproducible.
 
 // CountsSchema identifies the baseline file format.
@@ -47,13 +46,13 @@ func gateConfigs() []CompilerConfig {
 }
 
 // CollectCounts runs every benchmark under the gate configurations
-// once on the chosen engine and records the whole-program op counts.
-// The counts are engine-invariant — both engines produce the same
-// deterministic totals — so one baseline file gates both engines. bud
-// bounds each execution (the zero value imposes no limits); a budgeted
-// run that exhausts its budget fails with a structured error rather
-// than hanging CI.
-func CollectCounts(sc bench.Scale, eng bench.Engine, bud Budget) (*CountsFile, error) {
+// once on the VM and records the whole-program op counts. The counts
+// are engine-invariant (difftest pins the interpreter's to the VM's
+// exactly), so the baseline file also stands for the reference
+// engine. bud bounds each execution (the zero value imposes no
+// limits); a budgeted run that exhausts its budget fails with a
+// structured error rather than hanging CI.
+func CollectCounts(sc bench.Scale, bud Budget) (*CountsFile, error) {
 	out := &CountsFile{
 		Schema: CountsSchema,
 		Scale:  scaleName(sc),
@@ -66,7 +65,7 @@ func CollectCounts(sc bench.Scale, eng bench.Engine, bud Budget) (*CountsFile, e
 			if err != nil {
 				return nil, err
 			}
-			res, err := executeBudgetedOn(s, prog, interpOpts(cfg, false), sc, eng, bud)
+			res, err := executeBudgeted(s, prog, interpOpts(cfg, false), sc, bud)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", s.Abbr, cfg.Name, err)
 			}
@@ -177,17 +176,15 @@ func CompareCounts(baseline, current *CountsFile, tol float64) []string {
 	return fails
 }
 
-// Gate collects the current counts at sc on the chosen engine and
-// compares them against the baseline file, writing a verdict to w. The
-// baseline is engine-neutral: a baseline collected on either engine
-// gates runs on either engine. bud bounds each execution (zero = no
-// limits).
-func Gate(sc bench.Scale, baselinePath string, tol float64, eng bench.Engine, bud Budget, w io.Writer) error {
+// Gate collects the current counts at sc and compares them against
+// the baseline file, writing a verdict to w. bud bounds each execution
+// (zero = no limits).
+func Gate(sc bench.Scale, baselinePath string, tol float64, bud Budget, w io.Writer) error {
 	baseline, err := ReadCounts(baselinePath)
 	if err != nil {
 		return err
 	}
-	current, err := CollectCounts(sc, eng, bud)
+	current, err := CollectCounts(sc, bud)
 	if err != nil {
 		return err
 	}
@@ -201,14 +198,6 @@ func Gate(sc bench.Scale, baselinePath string, tol float64, eng bench.Engine, bu
 	fmt.Fprintf(w, "op-count gate: %d benchmarks x %d configs within %.0f%% of %s\n",
 		len(current.Counts), len(gateConfigs()), 100*tol, baselinePath)
 	return nil
-}
-
-// executeBudgetedOn is executeBudgeted with an explicit engine, for
-// the gate and report collectors.
-func executeBudgetedOn(s *bench.Spec, prog *ir.Program, o interp.Options, sc bench.Scale, eng bench.Engine, bud Budget) (*bench.Result, error) {
-	cancel := bud.apply(&o)
-	defer cancel()
-	return bench.ExecuteOn(s, prog, o, sc, eng)
 }
 
 func scaleName(sc bench.Scale) string {

@@ -32,20 +32,23 @@ type BenchRow struct {
 
 // BenchReport is the on-disk shape of `adebench -json` output.
 type BenchReport struct {
-	Schema string     `json:"schema"`
-	Scale  string     `json:"scale"`
+	Schema string `json:"schema"`
+	Scale  string `json:"scale"`
+	// Engine always reads "vm"; it stays so existing report readers
+	// keep parsing.
 	Engine string     `json:"engine"`
 	Rows   []BenchRow `json:"rows"`
 }
 
 // CollectBenchReport runs every benchmark under the gate
-// configurations (memoir baseline and full ADE) once and records one
-// row per cell. bud bounds each execution (zero = no limits).
-func CollectBenchReport(sc bench.Scale, eng bench.Engine, bud Budget) (*BenchReport, error) {
+// configurations (memoir baseline and full ADE) once on the VM and
+// records one row per cell. bud bounds each execution (zero = no
+// limits).
+func CollectBenchReport(sc bench.Scale, bud Budget) (*BenchReport, error) {
 	out := &BenchReport{
 		Schema: BenchReportSchema,
 		Scale:  scaleName(sc),
-		Engine: eng.String(),
+		Engine: bench.EngineVM.String(),
 	}
 	for _, s := range bench.All() {
 		for _, cfg := range gateConfigs() {
@@ -53,7 +56,7 @@ func CollectBenchReport(sc bench.Scale, eng bench.Engine, bud Budget) (*BenchRep
 			if err != nil {
 				return nil, err
 			}
-			res, err := executeBudgetedOn(s, prog, interpOpts(cfg, false), sc, eng, bud)
+			res, err := executeBudgeted(s, prog, interpOpts(cfg, false), sc, bud)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", s.Abbr, cfg.Name, err)
 			}

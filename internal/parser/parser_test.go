@@ -167,7 +167,7 @@ func TestRoundTripSuite(t *testing.T) {
 						t.Fatalf("ADE: %v", err)
 					}
 				}
-				ref, err := bench.Execute(s, prog, interp.DefaultOptions(), bench.ScaleTest)
+				ref, err := bench.ExecuteOn(s, prog, interp.DefaultOptions(), bench.ScaleTest, bench.EngineInterp)
 				if err != nil {
 					t.Fatalf("run original: %v", err)
 				}
@@ -179,7 +179,7 @@ func TestRoundTripSuite(t *testing.T) {
 				if err := ir.Verify(reparsed); err != nil {
 					t.Fatalf("verify reparsed: %v", err)
 				}
-				got, err := bench.Execute(s, reparsed, interp.DefaultOptions(), bench.ScaleTest)
+				got, err := bench.ExecuteOn(s, reparsed, interp.DefaultOptions(), bench.ScaleTest, bench.EngineInterp)
 				if err != nil {
 					t.Fatalf("run reparsed: %v", err)
 				}

@@ -1,7 +1,5 @@
-// Chaos mode: the crash-safety counterpart to the throughput phases.
-// Where Run measures how fast the daemon serves, RunChaos checks that
-// it never serves *wrong* under injected store faults and hard
-// restarts.
+// RunChaos checks that the daemon never serves *wrong* under injected
+// store faults and hard restarts.
 //
 // The harness precomputes ground-truth outputs for every program
 // variant on a pristine, store-less server, then drives a sequence of
@@ -172,7 +170,7 @@ func runChaosEpoch(s *server.Server, cfg ChaosConfig, truth []expected, perEpoch
 				if i%25 == 0 {
 					v = cfg.Programs + epoch
 				}
-				resp, err := chaosPost(h, request{Program: cfg.variantOf(v)})
+				resp, err := chaosPost(h, request{Program: variant(v)})
 				mu.Lock()
 				rep.Requests++
 				switch {
@@ -222,7 +220,7 @@ func groundTruth(cfg ChaosConfig, n int) ([]expected, error) {
 	h := s.Handler()
 	out := make([]expected, n)
 	for v := 0; v < n; v++ {
-		resp, err := chaosPost(h, request{Program: cfg.variantOf(v)})
+		resp, err := chaosPost(h, request{Program: variant(v)})
 		if err != nil {
 			return nil, fmt.Errorf("chaos: ground truth variant %d: %w", v, err)
 		}
@@ -234,9 +232,10 @@ func groundTruth(cfg ChaosConfig, n int) ([]expected, error) {
 	return out, nil
 }
 
-// chaosPost is like post but never folds an HTTP status into a Go
-// error: chaos classifies every structured response itself, and a 503
-// with a clean code is a legitimate answer, not a transport failure.
+// chaosPost sends one request and decodes the response without
+// folding an HTTP status into a Go error: chaos classifies every
+// structured response itself, and a 503 with a clean code is a
+// legitimate answer, not a transport failure.
 func chaosPost(h http.Handler, req request) (*response, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -255,14 +254,6 @@ func chaosPost(h http.Handler, req request) (*response, error) {
 		return nil, fmt.Errorf("bad response JSON (http %d): %w", w.Code, err)
 	}
 	return &resp, nil
-}
-
-// variantOf mints the v-th program variant from the default template
-// (chaos always uses the histogram kernel: its emit stream gives the
-// output checksum real discriminating power).
-func (c *ChaosConfig) variantOf(v int) string {
-	lc := Config{Program: DefaultProgram}
-	return lc.variant(v)
 }
 
 // FormatChaos renders the chaos report.

@@ -7,8 +7,8 @@ import (
 	"memoir/internal/server/loadtest"
 )
 
-// The chaos invariant end-to-end, scaled down for the unit tier (the
-// CLI selftest runs the full ≥500-request schedule): injected store
+// The chaos invariant end-to-end, scaled down for the unit tier
+// (`adeserved -chaos` runs the full ≥500-request schedule): injected store
 // faults and hard restarts must cost at most recompiles — never a
 // wrong answer.
 func TestChaosZeroWrongAnswers(t *testing.T) {

@@ -154,9 +154,13 @@ func TestRunColdThenHot(t *testing.T) {
 				t.Fatal("histogram kernel should form at least one enumeration class")
 			}
 
+			before := statsPhases(t, h)
 			hot, code := postJSON(t, h, "/v1/run", Request{Program: prog, Engine: engine})
 			if code != http.StatusOK || !hot.OK {
 				t.Fatalf("hot run failed: %d %+v", code, hot.Error)
+			}
+			if after := statsPhases(t, h); after != before {
+				t.Fatalf("/v1/stats phase counters advanced on a hot request: %+v -> %+v", before, after)
 			}
 			if !hot.Cache.Hit {
 				t.Fatal("second identical request must hit the cache")
@@ -174,6 +178,52 @@ func TestRunColdThenHot(t *testing.T) {
 				t.Fatalf("cached run diverged: cold=%+v/%+v hot=%+v/%+v", cold.Result, cold.Output, hot.Result, hot.Output)
 			}
 		})
+	}
+}
+
+// statsPhases reads the pipeline phase counters from GET /v1/stats.
+func statsPhases(t *testing.T, h http.Handler) phaseSnapshot {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var doc struct {
+		Phases phaseSnapshot `json:"phases"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("stats JSON: %v\n%s", err, w.Body.String())
+	}
+	return doc.Phases
+}
+
+// A noCache request after a hot one bypasses the artifact cache: it
+// reports a miss, runs every pipeline phase, answers identically and
+// leaves the cache's entry count unchanged.
+func TestNoCacheBypassesCache(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	if prime, _ := postJSON(t, h, "/v1/run", Request{Program: histProg}); !prime.OK {
+		t.Fatalf("prime: %+v", prime.Error)
+	}
+	hot, _ := postJSON(t, h, "/v1/run", Request{Program: histProg})
+	if !hot.OK || !hot.Cache.Hit {
+		t.Fatalf("hot request missed: %+v %+v", hot.Cache, hot.Error)
+	}
+	entries := s.CacheStats().Entries
+	bypass, code := postJSON(t, h, "/v1/run", Request{Program: histProg, NoCache: true})
+	if code != http.StatusOK || !bypass.OK {
+		t.Fatalf("noCache run failed: %d %+v", code, bypass.Error)
+	}
+	if bypass.Cache.Hit {
+		t.Fatal("noCache request reported a cache hit")
+	}
+	if !bypass.Phases.Parsed || !bypass.Phases.ADE || !bypass.Phases.Compiled {
+		t.Fatalf("noCache request must run all phases: %+v", bypass.Phases)
+	}
+	if got := s.CacheStats().Entries; got != entries {
+		t.Fatalf("noCache request changed the cache: %d -> %d entries", entries, got)
+	}
+	if *bypass.Output != *hot.Output || bypass.Result != hot.Result {
+		t.Fatalf("noCache answer diverged: %+v/%+v vs %+v/%+v", bypass.Result, bypass.Output, hot.Result, hot.Output)
 	}
 }
 

@@ -3,6 +3,7 @@ package vm_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
+	"memoir/internal/parser"
 	"memoir/internal/telemetry"
 	"memoir/internal/vm"
 )
@@ -180,6 +182,31 @@ func TestEngineParitySuite(t *testing.T) {
 					cfg)
 			}
 		})
+	}
+}
+
+// TestEngineParityColdMap extends the engine diff to the checked-in
+// profile-guided workload: on testdata/coldmap.mir, with the cold
+// branch off and on, both engines must agree on every measurement and
+// record byte-identical adeprofile documents.
+func TestEngineParityColdMap(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/coldmap.mir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *ir.Program {
+		p, err := parser.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, verbose := range []uint64{0, 1} {
+		inputFor := func(bench.Allocator) []interp.Val { return []interp.Val{interp.IntV(verbose)} }
+		for _, cfg := range parityConfigs() {
+			cfg.name = fmt.Sprintf("coldmap-verbose%d-%s", verbose, cfg.name)
+			assertParity(t, build, inputFor, cfg)
+		}
 	}
 }
 

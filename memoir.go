@@ -2,7 +2,7 @@
 // for Fast Collections" (CGO 2026): a MEMOIR-style compiler IR with
 // first-class SSA data collections, the Automatic Data Enumeration
 // (ADE) transformation, the full collection-implementation selection
-// space of the paper's Table I, and an instrumented interpreter that
+// space of the paper's Table I, and an instrumented bytecode VM that
 // stands in for native code generation.
 //
 // This package is the public façade. Typical use:
@@ -14,9 +14,10 @@
 // The building blocks live under internal/: the IR and builder
 // (internal/ir), the textual parser (internal/parser), the ADE pass
 // (internal/core), the collection implementations
-// (internal/collections), the interpreter (internal/interp), the
-// benchmark suite (internal/bench) and the evaluation harness
-// (internal/experiments). The cmd/ directory holds the adec compiler
+// (internal/collections), the bytecode compiler and VM
+// (internal/bytecode, internal/vm), the reference interpreter
+// (internal/interp), the benchmark suite (internal/bench) and the
+// evaluation harness (internal/experiments). The cmd/ directory holds the adec compiler
 // driver, the memoir-run executor and the adebench experiment runner.
 package memoir
 
@@ -42,7 +43,6 @@ type Program struct {
 	Report string
 
 	set, mapI collections.Impl
-	engine    Engine
 	// hash is the pre-ADE ir.ProgramHash captured by Parse, the key
 	// CollectProfile records under and WithProfile matches against.
 	hash string
@@ -52,30 +52,11 @@ type Program struct {
 type Option func(*config)
 
 type config struct {
-	ade    bool
-	opts   core.Options
-	set    collections.Impl
-	mapI   collections.Impl
-	engine Engine
+	ade  bool
+	opts core.Options
+	set  collections.Impl
+	mapI collections.Impl
 }
-
-// Engine selects the execution engine Run uses.
-type Engine int
-
-const (
-	// EngineInterp is the instrumented tree-walking interpreter, the
-	// measurement reference.
-	EngineInterp Engine = iota
-	// EngineVM lowers the program to register bytecode and runs it on
-	// the fast VM. All deterministic measurements (checksums, access
-	// counts, memory peaks) are identical to the interpreter's; only
-	// wall-clock time changes.
-	EngineVM
-)
-
-// WithEngine selects the execution engine for Run. The default is the
-// interpreter.
-func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithoutADE parses and verifies only (the MEMOIR baseline).
 func WithoutADE() Option { return func(c *config) { c.ade = false } }
@@ -120,7 +101,7 @@ func WithProfile(p *Profile) Option {
 	return func(c *config) { c.opts.SiteProfile = p }
 }
 
-// CollectProfile executes entry on the configured engine and returns
+// CollectProfile executes entry on the VM and returns
 // the run's profile. Profiles are keyed by the source's pre-ADE hash
 // and stable site keys, so a profile collected on any Compile of a
 // source guides any other Compile of the same source.
@@ -154,7 +135,7 @@ func Compile(src string, options ...Option) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog.set, prog.mapI, prog.engine = cfg.set, cfg.mapI, cfg.engine
+	prog.set, prog.mapI = cfg.set, cfg.mapI
 	if !cfg.ade {
 		return prog, nil
 	}
@@ -188,8 +169,7 @@ type Result struct {
 	Peak   int64
 }
 
-// Run executes entry on the configured engine with optional u64
-// arguments.
+// Run executes entry on the bytecode VM with optional u64 arguments.
 func (p *Program) Run(entry string, args ...uint64) (*Result, error) {
 	return p.run(nil, entry, args)
 }
@@ -208,30 +188,22 @@ func (p *Program) run(rec *telemetry.Recorder, entry string, args []uint64) (*Re
 	for i, a := range args {
 		vals[i] = interp.IntV(a)
 	}
-	var (
-		run      func(string, ...interp.Val) (interp.Val, error)
-		finalize func()
-		stats    *interp.Stats
-	)
-	switch p.engine {
-	case EngineVM:
-		bc, err := bytecode.Compile(p.IR)
-		if err != nil {
-			return nil, err
-		}
-		m := vm.New(bc, opts)
-		run, finalize, stats = m.Run, m.FinalizeMem, m.Stats
-	default:
-		ip := interp.New(p.IR, opts)
-		run, finalize, stats = ip.Run, ip.FinalizeMem, ip.Stats
+	bc, err := bytecode.Compile(p.IR)
+	if err != nil {
+		return nil, err
 	}
+	if err := bytecode.Verify(bc); err != nil {
+		return nil, err
+	}
+	m := vm.New(bc, opts)
 	start := time.Now()
-	ret, err := run(entry, vals...)
+	ret, err := m.Run(entry, vals...)
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
-	finalize()
+	m.FinalizeMem()
+	stats := m.Stats
 	return &Result{
 		Value:    ret.I,
 		Checksum: stats.EmitSum,

@@ -4,6 +4,10 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"memoir/internal/adeprofile"
+	"memoir/internal/interp"
+	"memoir/internal/telemetry"
 )
 
 const histSrc = `
@@ -88,10 +92,32 @@ func TestCompileOptions(t *testing.T) {
 	}
 }
 
-// TestWithEngine checks the façade's engine switch: the bytecode VM
-// must reproduce the interpreter's result and deterministic
+// runOnInterp executes p on the reference interpreter, recording
+// telemetry into rec when it is non-nil, and returns the result in the
+// façade's shape (Wall left zero).
+func runOnInterp(t *testing.T, p *Program, rec *telemetry.Recorder, args ...uint64) *Result {
+	t.Helper()
+	opts := interp.DefaultOptions()
+	opts.Telemetry = rec
+	ip := interp.New(p.IR, opts)
+	var vals []interp.Val
+	for _, a := range args {
+		vals = append(vals, interp.IntV(a))
+	}
+	ret, err := ip.Run("main", vals...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip.FinalizeMem()
+	st := ip.Stats
+	return &Result{Value: ret.I, Checksum: st.EmitSum, Outputs: st.EmitCount,
+		Sparse: st.Sparse, Dense: st.Dense, Peak: st.PeakBytes}
+}
+
+// TestRunMatchesInterpreter checks the façade's VM against the
+// reference interpreter: the same result and deterministic
 // measurements exactly, with and without ADE.
-func TestWithEngine(t *testing.T) {
+func TestRunMatchesInterpreter(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithoutADE()},
 		nil,
@@ -101,19 +127,16 @@ func TestWithEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pv, err := Compile(histSrc, append(opts, WithEngine(EngineVM))...)
+		pv, err := Compile(histSrc, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ri, err := pi.Run("main")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ri := runOnInterp(t, pi, nil)
 		rv, err := pv.Run("main")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ri.Wall, rv.Wall = 0, 0
+		rv.Wall = 0
 		if *ri != *rv {
 			t.Fatalf("engines disagree:\n  interp: %+v\n  vm:     %+v", ri, rv)
 		}
@@ -123,8 +146,8 @@ func TestWithEngine(t *testing.T) {
 // TestProfileRoundTrip drives the profile loop through the façade on
 // the FIM cold-map shape: a profile collected with verbose off must
 // stop the cold %vstats map from being enumerated without changing any
-// output, and a profile collected on the VM must equal the
-// interpreter's.
+// output, and the façade's profile (collected on the VM) must equal
+// the reference interpreter's.
 func TestProfileRoundTrip(t *testing.T) {
 	b, err := os.ReadFile("testdata/coldmap.mir")
 	if err != nil {
@@ -139,15 +162,13 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onVM, err := Compile(src, WithoutADE(), WithEngine(EngineVM))
+	ref, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vmProf, err := onVM.CollectProfile("main", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.Fingerprint() != vmProf.Fingerprint() {
+	rec := telemetry.NewRecorder()
+	runOnInterp(t, ref, rec, 0)
+	if prof.Fingerprint() != adeprofile.FromTelemetry(ref.hash, "", rec.Result()).Fingerprint() {
 		t.Fatal("interpreter and VM profiles differ")
 	}
 
