@@ -18,15 +18,24 @@ import (
 // every intermediate state an over-approximation, so stopping after a
 // fixed number of sweeps is sound.
 //
+// A fact is a dense vector with one slot per value of the function
+// whose type can carry a non-top interval (integer, bool and pointer
+// scalars); floats, strings and collections are always top. Each CFG
+// block owns one in and one out vector, reused across every pass and
+// round, so block transfers, edge refinements and joins copy and loop
+// over slots instead of allocating.
+//
 // On top of the per-value ranges the pass derives per-allocation-site
 // key/element summaries (the join of every inserted key's range),
 // which flow back into for-each key bindings and across `union`
 // edges, and interprocedural return summaries (context-insensitive,
 // parameters unknown) that flow through direct calls. Both summary
-// kinds start at top and are re-derived over a fixed number of whole-
-// program rounds: each round applies a monotone function to the
-// previous round's summaries, so every round's output remains an
-// over-approximation of the runtime behaviour.
+// kinds start at top and are re-derived over up to three whole-program
+// rounds, stopping once the summaries repeat: each round applies a
+// monotone function to the previous round's summaries, so every
+// round's output remains an over-approximation of the runtime
+// behaviour, and a round that reproduces its input summaries would be
+// repeated verbatim by the next.
 
 // Interval is an inclusive range [Lo, Hi] over unsigned 64-bit value
 // patterns. The full range is top (nothing known).
@@ -80,51 +89,45 @@ func meetIv(a, b Interval) (Interval, bool) {
 	return a, a.Lo <= a.Hi
 }
 
-// ivFact maps values to their interval at a program point. A nil fact
-// means the point is unreachable; a missing key means top. Only
-// intervals strictly tighter than top are stored.
-type ivFact map[*ir.Value]Interval
-
-func (f ivFact) clone() ivFact {
-	if f == nil {
-		return nil
+// intLike reports whether values of type t can carry a non-top
+// interval: integer, bool and pointer scalars.
+func intLike(t ir.Type) bool {
+	st, ok := t.(*ir.ScalarType)
+	if !ok {
+		return false
 	}
-	g := make(ivFact, len(f))
-	for k, v := range f {
-		g[k] = v
+	switch st.Kind {
+	case ir.F32, ir.F64, ir.Str, ir.Void:
+		return false
 	}
-	return g
-}
-
-func (f ivFact) get(v *ir.Value) Interval {
-	if iv, ok := f[v]; ok {
-		return iv
-	}
-	return TopInterval()
-}
-
-func (f ivFact) set(v *ir.Value, iv Interval) {
-	if iv.IsTop() {
-		delete(f, v)
-		return
-	}
-	f[v] = iv
+	return true
 }
 
 // constIv returns the interval of a constant value's bit pattern.
 func constIv(v *ir.Value) (Interval, bool) {
-	st, ok := v.Type.(*ir.ScalarType)
-	if !ok {
-		return Interval{}, false
-	}
-	switch st.Kind {
-	case ir.F32, ir.F64, ir.Str, ir.Void:
+	if !intLike(v.Type) {
 		return Interval{}, false
 	}
 	return Interval{v.ConstInt, v.ConstInt}, true
 }
 
-func evalVal(v *ir.Value, f ivFact) Interval {
+// ivFact holds the intervals of a function's indexed values at one
+// program point, at the slots its ivIndex assigns. A nil fact means
+// the point is unreachable.
+type ivFact []Interval
+
+// ivIndex assigns a fact slot to every non-constant value of a
+// function whose type is intLike. Values without a slot are top.
+type ivIndex map[*ir.Value]int32
+
+func (x ivIndex) set(f ivFact, v *ir.Value, iv Interval) {
+	if i, ok := x[v]; ok {
+		f[i] = iv
+	}
+}
+
+// eval returns the interval of v in f.
+func (x ivIndex) eval(f ivFact, v *ir.Value) Interval {
 	if v == nil || f == nil {
 		return TopInterval()
 	}
@@ -134,7 +137,10 @@ func evalVal(v *ir.Value, f ivFact) Interval {
 		}
 		return TopInterval()
 	}
-	return f.get(v)
+	if i, ok := x[v]; ok {
+		return f[i]
+	}
+	return TopInterval()
 }
 
 func isSignedType(t ir.Type) bool {
@@ -333,15 +339,10 @@ func cmpIv(kind ir.CmpKind, t ir.Type, a, b Interval) Interval {
 // castIv is the transfer function of OpCast: the engines mask integer
 // targets to their width.
 func castIv(to ir.Type, a Interval) Interval {
-	st, ok := to.(*ir.ScalarType)
-	if !ok {
+	if !intLike(to) {
 		return TopInterval()
 	}
-	switch st.Kind {
-	case ir.F32, ir.F64, ir.Str, ir.Void:
-		return TopInterval()
-	}
-	w := st.Bits()
+	w := to.(*ir.ScalarType).Bits()
 	if w >= 64 {
 		return a
 	}
@@ -406,6 +407,10 @@ type valIv struct {
 	iv Interval
 }
 
+// factSpan locates one instruction's recorded facts in
+// FuncIntervals.facts.
+type factSpan struct{ lo, hi int32 }
+
 // FuncIntervals holds the interval facts of one function, queryable at
 // instruction granularity (facts are flow-sensitive: branch-condition
 // refinement can make a value's range at a use tighter than at its
@@ -413,7 +418,8 @@ type valIv struct {
 type FuncIntervals struct {
 	Fn *ir.Func
 
-	atUse   map[*ir.Instr][]valIv
+	atUse   map[*ir.Instr]factSpan
+	facts   []valIv // non-top operand/result facts, grouped by instruction
 	conds   []CondFact
 	binds   map[*ir.ForEach][2]Interval // evaluated key/val binding ranges
 	sites   map[*ir.Instr]*SiteSummary
@@ -425,9 +431,11 @@ type FuncIntervals struct {
 // ValueAt returns the interval of v at instruction in (top when the
 // pass proved nothing, or the instruction is unreachable).
 func (fi *FuncIntervals) ValueAt(in *ir.Instr, v *ir.Value) Interval {
-	for _, e := range fi.atUse[in] {
-		if e.v == v {
-			return e.iv
+	if sp, ok := fi.atUse[in]; ok {
+		for _, e := range fi.facts[sp.lo:sp.hi] {
+			if e.v == v {
+				return e.iv
+			}
 		}
 	}
 	if v != nil && v.Kind == ir.VConst {
@@ -487,37 +495,50 @@ const analysisRounds = 3
 // every function of p.
 func IntervalsOf(p *ir.Program) *Intervals {
 	st := &progState{rets: map[string]Interval{}, binds: map[*ir.ForEach][2]Interval{}}
-	cfgs := map[*ir.Func]*CFG{}
-	uis := map[*ir.Func]*ir.UseInfo{}
-	for _, name := range p.Order {
-		fn := p.Funcs[name]
-		cfgs[fn] = NewCFG(fn)
-		uis[fn] = ir.ComputeUses(fn)
+	solvers := make([]*ivSolver, len(p.Order))
+	for i, name := range p.Order {
+		solvers[i] = newIvSolver(p.Funcs[name])
 	}
-	out := &Intervals{funcs: map[*ir.Func]*FuncIntervals{}}
+	out := &Intervals{funcs: make(map[*ir.Func]*FuncIntervals, len(solvers))}
 	for round := 0; round < analysisRounds; round++ {
-		for _, name := range p.Order {
-			fn := p.Funcs[name]
-			fi := analyzeFunc(fn, cfgs[fn], st)
-			deriveSites(fi, uis[fn])
-			out.funcs[fn] = fi
-			if fi.retSeen {
-				st.rets[fn.Name] = fi.ret
-			} else {
-				delete(st.rets, fn.Name)
+		// Every summary key is written once per round, so a round that
+		// changes no write ends in the state it started from, and the
+		// next round would recompute the same facts.
+		changed := false
+		for _, s := range solvers {
+			fi := s.run(st)
+			out.funcs[s.fn] = fi
+			if st.updateRet(fi) {
+				changed = true
 			}
-			for fe, kv := range fi.feSummaries() {
-				st.binds[fe] = kv
+			if st.updateBinds(fi) {
+				changed = true
 			}
+		}
+		if !changed {
+			break
 		}
 	}
 	return out
 }
 
-// feSummaries computes the key/val binding summary each for-each loop
-// should use next round, from the just-derived site summaries.
-func (fi *FuncIntervals) feSummaries() map[*ir.ForEach][2]Interval {
-	out := map[*ir.ForEach][2]Interval{}
+// updateRet publishes fi's return summary and reports whether it
+// changed.
+func (st *progState) updateRet(fi *FuncIntervals) bool {
+	old, had := st.rets[fi.Fn.Name]
+	if !fi.retSeen {
+		delete(st.rets, fi.Fn.Name)
+		return had
+	}
+	st.rets[fi.Fn.Name] = fi.ret
+	return !had || old != fi.ret
+}
+
+// updateBinds publishes the key/val binding summary each for-each
+// loop of fi should use next round, from the just-derived site
+// summaries, and reports whether any changed.
+func (st *progState) updateBinds(fi *FuncIntervals) bool {
+	changed := false
 	ir.WalkNodes(fi.Fn.Body, func(n ir.Node) {
 		fe, ok := n.(*ir.ForEach)
 		if !ok || len(fe.Coll.Path) != 0 || fe.Coll.Base == nil {
@@ -536,9 +557,13 @@ func (fi *FuncIntervals) feSummaries() map[*ir.ForEach][2]Interval {
 		if ct := ir.AsColl(alloc.Alloc); ct != nil && ct.Kind == ir.KSet {
 			val = key // set iteration binds the element to both
 		}
-		out[fe] = [2]Interval{key, val}
+		kv := [2]Interval{key, val}
+		if old, ok := st.binds[fe]; !ok || old != kv {
+			st.binds[fe] = kv
+			changed = true
+		}
 	})
-	return out
+	return changed
 }
 
 // ---------------------------------------------------------------
@@ -549,91 +574,168 @@ const (
 	narrowingPasses = 2
 )
 
+// ivSolver holds one function's CFG, fact index and fact buffers,
+// shared by every whole-program round.
 type ivSolver struct {
-	fn    *ir.Func
-	c     *CFG
-	st    *progState
-	in    []ivFact
-	out   []ivFact
-	bumps []int
-	fi    *FuncIntervals
-	rec   bool // final sweep: record per-instruction facts
+	fn *ir.Func
+	c  *CFG
+	ui *ir.UseInfo
+	ix ivIndex
+
+	// in/out[b] is nil while block b is unreachable, else inBuf/outBuf[b].
+	in, out       []ivFact
+	inBuf, outBuf []ivFact
+	edge          ivFact     // edgeFact's result
+	phiVals       []Interval // edgeFact's parallel phi copy
+	bumps         []int
+	work          []int
+	inWork        []bool
+	seen          []*ir.Value // values recorded for the current instruction
+
+	st  *progState
+	fi  *FuncIntervals
+	rec bool // final sweep: record per-instruction facts
 }
 
-func analyzeFunc(fn *ir.Func, c *CFG, st *progState) *FuncIntervals {
-	s := &ivSolver{
-		fn: fn, c: c, st: st,
-		in:    make([]ivFact, len(c.Blocks)),
-		out:   make([]ivFact, len(c.Blocks)),
-		bumps: make([]int, len(c.Blocks)),
-		fi: &FuncIntervals{
-			Fn:    fn,
-			atUse: map[*ir.Instr][]valIv{},
-			binds: map[*ir.ForEach][2]Interval{},
-			sites: map[*ir.Instr]*SiteSummary{},
-		},
+func newIvSolver(fn *ir.Func) *ivSolver {
+	c := NewCFG(fn)
+	ix := ivIndex{}
+	add := func(v *ir.Value) {
+		if v == nil || v.Kind == ir.VConst || !intLike(v.Type) {
+			return
+		}
+		if _, ok := ix[v]; !ok {
+			ix[v] = int32(len(ix))
+		}
 	}
+	for _, v := range fn.Params {
+		add(v)
+	}
+	var vals []*ir.Value
+	for _, b := range c.Blocks {
+		for _, ph := range b.Phis {
+			for _, r := range ph.Results {
+				add(r)
+			}
+		}
+		for _, step := range b.Steps {
+			vals = step.Defs(vals[:0])
+			for _, v := range vals {
+				add(v)
+			}
+		}
+	}
+
+	nb, n := len(c.Blocks), len(ix)
+	store := make([]Interval, (2*nb+1)*n)
+	slot := func(i int) ivFact { return store[i*n : (i+1)*n : (i+1)*n] }
+	s := &ivSolver{
+		fn: fn, c: c, ui: ir.ComputeUses(fn), ix: ix,
+		in:     make([]ivFact, nb),
+		out:    make([]ivFact, nb),
+		inBuf:  make([]ivFact, nb),
+		outBuf: make([]ivFact, nb),
+		edge:   slot(2 * nb),
+		bumps:  make([]int, nb),
+		inWork: make([]bool, nb),
+	}
+	for i := 0; i < nb; i++ {
+		s.inBuf[i], s.outBuf[i] = slot(i), slot(nb+i)
+	}
+	return s
+}
+
+// run analyses the function under the summaries in st.
+func (s *ivSolver) run(st *progState) *FuncIntervals {
+	for i := range s.in {
+		s.in[i], s.out[i], s.bumps[i] = nil, nil, 0
+	}
+	s.st = st
+	s.fi = &FuncIntervals{
+		Fn:    s.fn,
+		atUse: map[*ir.Instr]factSpan{},
+		binds: map[*ir.ForEach][2]Interval{},
+	}
+	s.rec = false
 	s.ascend()
 	for i := 0; i < narrowingPasses; i++ {
 		s.sweep()
 	}
 	s.rec = true
 	s.sweep()
+	deriveSites(s.fi, s.ui)
 	return s.fi
+}
+
+// topIn marks block id reachable with an all-top in-fact.
+func (s *ivSolver) topIn(id int) {
+	f := s.inBuf[id]
+	for i := range f {
+		f[i] = TopInterval()
+	}
+	s.in[id] = f
+}
+
+// transferOut recomputes block b's out-fact from its in-fact.
+func (s *ivSolver) transferOut(b *Block) {
+	in := s.in[b.ID]
+	if in == nil {
+		s.out[b.ID] = nil
+		return
+	}
+	out := s.outBuf[b.ID]
+	copy(out, in)
+	s.transferBlock(b, out)
+	s.out[b.ID] = out
 }
 
 // ascend runs the widening worklist pass to a post-fixpoint.
 func (s *ivSolver) ascend() {
 	entry := s.c.Entry
-	s.in[entry] = ivFact{}
-	work := []int{entry}
-	inWork := make([]bool, len(s.c.Blocks))
-	inWork[entry] = true
-	for len(work) > 0 {
-		id := work[0]
-		work = work[1:]
-		inWork[id] = false
+	s.topIn(entry)
+	work := append(s.work[:0], entry)
+	s.inWork[entry] = true
+	for head := 0; head < len(work); head++ {
+		id := work[head]
+		s.inWork[id] = false
 		b := s.c.Blocks[id]
-		out := s.transferBlock(b, s.in[id].clone())
-		s.out[id] = out
-		if out == nil {
-			continue
-		}
+		s.transferOut(b)
 		for k, sid := range b.Succs {
 			ef := s.edgeFact(b, k, sid)
 			if ef == nil {
 				continue
 			}
-			changed := false
+			changed := true
 			if s.in[sid] == nil {
-				s.in[sid] = ef
-				changed = true
+				s.in[sid] = s.inBuf[sid]
+				copy(s.in[sid], ef)
 			} else {
 				changed = s.joinInto(sid, ef)
 			}
-			if changed && !inWork[sid] {
+			if changed && !s.inWork[sid] {
 				work = append(work, sid)
-				inWork[sid] = true
+				s.inWork[sid] = true
 			}
 		}
 	}
+	s.work = work
 }
 
 // joinInto joins src into In[id], widening after repeated growth.
 func (s *ivSolver) joinInto(id int, src ivFact) bool {
 	dst := s.in[id]
+	widen := s.bumps[id] >= widenAfter
 	changed := false
-	for v, div := range dst {
-		siv := src.get(v)
-		j := joinIv(div, siv)
-		if j == div {
+	for i, d := range dst {
+		j := joinIv(d, src[i])
+		if j == d {
 			continue
 		}
 		changed = true
-		if s.bumps[id] >= widenAfter {
-			delete(dst, v) // widen straight to top
+		if widen {
+			dst[i] = TopInterval()
 		} else {
-			dst.set(v, j)
+			dst[i] = j
 		}
 	}
 	if changed {
@@ -659,35 +761,36 @@ func (s *ivSolver) sweep() {
 					continue
 				}
 				if in == nil {
-					in = ef
+					in = s.inBuf[b.ID]
+					copy(in, ef)
 				} else {
-					for v, div := range in {
-						in.set(v, joinIv(div, ef.get(v)))
+					for i, d := range in {
+						in[i] = joinIv(d, ef[i])
 					}
 				}
 			}
 			s.in[b.ID] = in
 		} else if s.in[b.ID] == nil {
-			s.in[b.ID] = ivFact{}
+			s.topIn(b.ID)
 		}
-		s.out[b.ID] = s.transferBlock(b, s.in[b.ID].clone())
+		s.transferOut(b)
 	}
 }
 
 // edgeFact computes the fact flowing from block b along its k-th
 // successor edge into block sid: branch-condition refinement, then the
-// positional phi assignments. Returns nil when the edge is proven
-// dead.
+// positional phi assignments. The result lives in s.edge until the
+// next call. Returns nil when the edge is proven dead.
 func (s *ivSolver) edgeFact(b *Block, k int, sid int) ivFact {
-	f := s.out[b.ID].clone()
-	if f == nil {
+	if s.out[b.ID] == nil {
 		return nil
 	}
+	f := s.edge
+	copy(f, s.out[b.ID])
 	// Condition refinement: a block ending in a StepCond branches to
 	// Succs[0] when true, Succs[1] when false.
 	if n := len(b.Steps); n > 0 && b.Steps[n-1].Kind == StepCond && len(b.Succs) == 2 {
-		f = refineCond(f, b.Steps[n-1].Cond, k == 0)
-		if f == nil {
+		if !s.ix.refineCond(f, b.Steps[n-1].Cond, k == 0) {
 			return nil
 		}
 	}
@@ -697,66 +800,66 @@ func (s *ivSolver) edgeFact(b *Block, k int, sid int) ivFact {
 		return f
 	}
 	// Phis are a parallel copy: evaluate all arguments first.
-	vals := make([]Interval, len(succ.Phis))
-	for i, ph := range succ.Phis {
+	vals := s.phiVals[:0]
+	for _, ph := range succ.Phis {
+		iv := TopInterval()
 		if j < len(ph.Args) {
-			vals[i] = evalVal(ph.Args[j].Base, f)
-		} else {
-			vals[i] = TopInterval()
+			iv = s.ix.eval(f, ph.Args[j].Base)
 		}
+		vals = append(vals, iv)
 	}
+	s.phiVals = vals
 	for i, ph := range succ.Phis {
 		if r := ph.Result(); r != nil {
-			f.set(r, vals[i])
+			s.ix.set(f, r, vals[i])
 		}
 	}
 	return f
 }
 
-// refineCond narrows f under the assumption that cond evaluates to
-// truth. Returns nil when the assumption contradicts the known range
-// (the edge is dead).
-func refineCond(f ivFact, cond *ir.Value, truth bool) ivFact {
-	if cond == nil || f == nil {
-		return f
+// refineCond narrows f in place under the assumption that cond
+// evaluates to truth. It reports false when the assumption contradicts
+// the known range (the edge is dead).
+func (x ivIndex) refineCond(f ivFact, cond *ir.Value, truth bool) bool {
+	if cond == nil {
+		return true
 	}
 	want := Interval{0, 0}
 	if truth {
 		want = Interval{1, 1}
 	}
-	cur := evalVal(cond, f)
-	m, ok := meetIv(cur, want)
+	m, ok := meetIv(x.eval(f, cond), want)
 	if !ok {
-		return nil
+		return false
 	}
 	if cond.Kind != ir.VConst {
-		f.set(cond, m)
+		x.set(f, cond, m)
 	}
 	d := cond.Def
 	if d == nil {
-		return f
+		return true
 	}
 	switch d.Op {
 	case ir.OpNot:
 		if len(d.Args) == 1 {
-			return refineCond(f, d.Args[0].Base, !truth)
+			return x.refineCond(f, d.Args[0].Base, !truth)
 		}
 	case ir.OpCmp:
 		if len(d.Args) == 2 && len(d.Args[0].Path) == 0 && len(d.Args[1].Path) == 0 {
-			return refineCmp(f, d, truth)
+			return x.refineCmp(f, d, truth)
 		}
 	}
-	return f
+	return true
 }
 
 // refineCmp narrows the operands of a comparison known to evaluate to
-// truth.
-func refineCmp(f ivFact, d *ir.Instr, truth bool) ivFact {
+// truth, reporting false when no operand values satisfy it.
+func (x ivIndex) refineCmp(f ivFact, d *ir.Instr, truth bool) bool {
 	av, bv := d.Args[0].Base, d.Args[1].Base
 	if av == nil || bv == nil {
-		return f
+		return true
 	}
-	a, b := evalVal(av, f), evalVal(bv, f)
+	a, b := x.eval(f, av), x.eval(f, bv)
 	kind := d.Cmp
 	if !truth {
 		switch kind {
@@ -775,7 +878,7 @@ func refineCmp(f ivFact, d *ir.Instr, truth bool) ivFact {
 		}
 	}
 	if kind != ir.CmpEq && kind != ir.CmpNe && !unsignedOrder(av.Type, a, b) {
-		return f
+		return true
 	}
 	na, nb, ok := a, b, true
 	switch kind {
@@ -786,44 +889,42 @@ func refineCmp(f ivFact, d *ir.Instr, truth bool) ivFact {
 		na, nb = shaveNe(a, b), shaveNe(b, a)
 	case ir.CmpLt:
 		if b.Hi == 0 || a.Lo == maxU64 {
-			return nil
+			return false
 		}
-		na, ok = meetNonEmpty(a, Interval{0, b.Hi - 1})
+		na, ok = meetIv(a, Interval{0, b.Hi - 1})
 		if ok {
-			nb, ok = meetNonEmpty(b, Interval{a.Lo + 1, maxU64})
+			nb, ok = meetIv(b, Interval{a.Lo + 1, maxU64})
 		}
 	case ir.CmpLe:
-		na, ok = meetNonEmpty(a, Interval{0, b.Hi})
+		na, ok = meetIv(a, Interval{0, b.Hi})
 		if ok {
-			nb, ok = meetNonEmpty(b, Interval{a.Lo, maxU64})
+			nb, ok = meetIv(b, Interval{a.Lo, maxU64})
 		}
 	case ir.CmpGt:
 		if a.Hi == 0 || b.Lo == maxU64 {
-			return nil
+			return false
 		}
-		nb, ok = meetNonEmpty(b, Interval{0, a.Hi - 1})
+		nb, ok = meetIv(b, Interval{0, a.Hi - 1})
 		if ok {
-			na, ok = meetNonEmpty(a, Interval{b.Lo + 1, maxU64})
+			na, ok = meetIv(a, Interval{b.Lo + 1, maxU64})
 		}
 	case ir.CmpGe:
-		nb, ok = meetNonEmpty(b, Interval{0, a.Hi})
+		nb, ok = meetIv(b, Interval{0, a.Hi})
 		if ok {
-			na, ok = meetNonEmpty(a, Interval{b.Lo, maxU64})
+			na, ok = meetIv(a, Interval{b.Lo, maxU64})
 		}
 	}
 	if !ok {
-		return nil
+		return false
 	}
-	if av != nil && av.Kind != ir.VConst {
-		f.set(av, na)
+	if av.Kind != ir.VConst {
+		x.set(f, av, na)
 	}
-	if bv != nil && bv.Kind != ir.VConst {
-		f.set(bv, nb)
+	if bv.Kind != ir.VConst {
+		x.set(f, bv, nb)
 	}
-	return f
+	return true
 }
-
-func meetNonEmpty(a, b Interval) (Interval, bool) { return meetIv(a, b) }
 
 // shaveNe tightens a under a != b: when b is a constant sitting on one
 // of a's bounds, the bound moves inward.
@@ -841,12 +942,9 @@ func shaveNe(a, b Interval) Interval {
 	return a
 }
 
-// transferBlock applies the block's steps to f, recording facts when
-// s.rec is set.
-func (s *ivSolver) transferBlock(b *Block, f ivFact) ivFact {
-	if f == nil {
-		return nil
-	}
+// transferBlock applies the block's steps to f in place, recording
+// facts when s.rec is set.
+func (s *ivSolver) transferBlock(b *Block, f ivFact) {
 	for _, step := range b.Steps {
 		switch step.Kind {
 		case StepInstr:
@@ -858,10 +956,10 @@ func (s *ivSolver) transferBlock(b *Block, f ivFact) ivFact {
 				key, val = kv[0], kv[1]
 			}
 			if fe.Key != nil {
-				f.set(fe.Key, key)
+				s.ix.set(f, fe.Key, key)
 			}
 			if fe.Val != nil {
-				f.set(fe.Val, val)
+				s.ix.set(f, fe.Val, val)
 			}
 			if s.rec {
 				s.fi.binds[fe] = [2]Interval{key, val}
@@ -870,69 +968,71 @@ func (s *ivSolver) transferBlock(b *Block, f ivFact) ivFact {
 			if s.rec {
 				loop := len(b.Succs) == 2 && b.Succs[0] <= b.ID
 				s.fi.conds = append(s.fi.conds, CondFact{
-					Cond: step.Cond, Iv: evalVal(step.Cond, f), Pos: step.Pos, Loop: loop,
+					Cond: step.Cond, Iv: s.ix.eval(f, step.Cond), Pos: step.Pos, Loop: loop,
 				})
 			}
 		}
 	}
-	return f
+}
+
+// record appends v's interval in f to the facts of the instruction
+// being recorded, once per value and only when it is tighter than top.
+func (s *ivSolver) record(v *ir.Value, f ivFact) {
+	if v == nil || v.Kind == ir.VConst {
+		return
+	}
+	for _, u := range s.seen {
+		if u == v {
+			return
+		}
+	}
+	s.seen = append(s.seen, v)
+	if iv := s.ix.eval(f, v); !iv.IsTop() {
+		s.fi.facts = append(s.fi.facts, valIv{v, iv})
+	}
 }
 
 func (s *ivSolver) transferInstr(in *ir.Instr, f ivFact) {
+	lo := len(s.fi.facts)
 	if s.rec {
-		var rec []valIv
-		seen := map[*ir.Value]bool{}
-		add := func(v *ir.Value) {
-			if v == nil || v.Kind == ir.VConst || seen[v] {
-				return
-			}
-			seen[v] = true
-			rec = append(rec, valIv{v, f.get(v)})
-		}
+		s.seen = s.seen[:0]
 		for _, a := range in.Args {
-			add(a.Base)
+			s.record(a.Base, f)
 			for _, ix := range a.Path {
 				if ix.Kind == ir.IdxValue {
-					add(ix.Val)
+					s.record(ix.Val, f)
 				}
 			}
 		}
-		defer func() {
-			for _, r := range in.Results {
-				add(r)
-			}
-			if rec != nil {
-				s.fi.atUse[in] = rec
-			}
-		}()
 	}
 
 	arg := func(i int) Interval {
 		if i >= len(in.Args) {
 			return TopInterval()
 		}
-		return evalVal(in.Args[i].Base, f)
+		return s.ix.eval(f, in.Args[i].Base)
 	}
+	set := func(v *ir.Value, iv Interval) { s.ix.set(f, v, iv) }
 	r := in.Result()
 	switch in.Op {
 	case ir.OpBin:
 		if r != nil && len(in.Args) == 2 && in.Args[0].Base != nil {
-			f.set(r, binIv(in.Bin, in.Args[0].Base.Type, arg(0), arg(1)))
+			set(r, binIv(in.Bin, in.Args[0].Base.Type, arg(0), arg(1)))
 		}
 	case ir.OpCmp:
 		if r != nil && len(in.Args) == 2 && in.Args[0].Base != nil {
-			f.set(r, cmpIv(in.Cmp, in.Args[0].Base.Type, arg(0), arg(1)))
+			set(r, cmpIv(in.Cmp, in.Args[0].Base.Type, arg(0), arg(1)))
 		}
 	case ir.OpNot:
 		if r != nil {
 			x := arg(0)
 			switch {
 			case x.Hi == 0:
-				f.set(r, Interval{1, 1})
+				set(r, Interval{1, 1})
 			case x.Lo >= 1 && x.Hi <= 1:
-				f.set(r, Interval{0, 0})
+				set(r, Interval{0, 0})
 			default:
-				f.set(r, Interval{0, 1})
+				set(r, Interval{0, 1})
 			}
 		}
 	case ir.OpSelect:
@@ -940,11 +1040,11 @@ func (s *ivSolver) transferInstr(in *ir.Instr, f ivFact) {
 			cond := arg(0)
 			switch {
 			case cond.Lo >= 1:
-				f.set(r, arg(1))
+				set(r, arg(1))
 			case cond.Hi == 0:
-				f.set(r, arg(2))
+				set(r, arg(2))
 			default:
-				f.set(r, joinIv(arg(1), arg(2)))
+				set(r, joinIv(arg(1), arg(2)))
 			}
 		}
 	case ir.OpCast:
@@ -953,18 +1053,18 @@ func (s *ivSolver) transferInstr(in *ir.Instr, f ivFact) {
 			if len(in.Args) == 1 && in.Args[0].Base != nil && !isFloatType(in.Args[0].Base.Type) {
 				src = arg(0)
 			}
-			f.set(r, castIv(in.CastTo, src))
+			set(r, castIv(in.CastTo, src))
 		}
 	case ir.OpHas:
 		if r != nil {
-			f.set(r, Interval{0, 1})
+			set(r, Interval{0, 1})
 		}
 	case ir.OpCall:
 		if r != nil {
 			if iv, ok := s.st.rets[in.Callee]; ok {
-				f.set(r, iv)
+				set(r, iv)
 			} else {
-				f.set(r, TopInterval())
+				set(r, TopInterval())
 			}
 		}
 	case ir.OpRet:
@@ -979,7 +1079,16 @@ func (s *ivSolver) transferInstr(in *ir.Instr, f ivFact) {
 		// Unmodelled producers (reads, sizes, enum ops, tuples, ...)
 		// yield top.
 		for _, res := range in.Results {
-			f.set(res, TopInterval())
+			set(res, TopInterval())
+		}
+	}
+
+	if s.rec {
+		for _, res := range in.Results {
+			s.record(res, f)
+		}
+		if hi := len(s.fi.facts); hi > lo {
+			s.fi.atUse[in] = factSpan{int32(lo), int32(hi)}
 		}
 	}
 }

@@ -275,6 +275,30 @@ func TestIntervalBranchRefinement(t *testing.T) {
 	}
 }
 
+// TestIntervalFloatCompareStaysTop: an ordered float comparison says
+// nothing about the operands' bit patterns (-1.0 < +0.0 holds, yet
+// +0.0 is the pattern 0), so refinement leaves float operands at top.
+func TestIntervalFloatCompareStaysTop(t *testing.T) {
+	src := `fn u64 @main(%a: f64, %b: f64): exported
+  %c := lt(%a, %b)
+  if %c:
+    %x := add(%a, %b)
+    %r := rem(%a, %b)
+  ret 0
+`
+	fn, fi := intervalsMain(t, src)
+	byName := valuesByName(fn)
+	x, r := instrByResult(t, fn, "x"), instrByResult(t, fn, "r")
+	for _, name := range []string{"a", "b"} {
+		if got := fi.ValueAt(x, byName[name]); !got.IsTop() {
+			t.Errorf("then-branch %%%s = %v, want top", name, got)
+		}
+	}
+	if got := fi.ValueAt(r, byName["r"]); !got.IsTop() {
+		t.Errorf("float rem %%r = %v, want top", got)
+	}
+}
+
 func TestIntervalConstantCondition(t *testing.T) {
 	src := `fn u64 @main(%a: u64): exported
   %c := lt(2, 1)

@@ -16,7 +16,7 @@ func (c *atomicCounter) Load() uint64 { return c.v.Load() }
 
 // PhaseCounters are the cumulative pipeline-phase execution counts.
 // They are the server-side ground truth for "the cache worked": a
-// hot-cache request advances none of them, and the CI smoke job
+// hot-cache request advances none of them, and TestRunColdThenHot
 // asserts exactly that between two identical requests.
 type PhaseCounters struct {
 	Parses     atomicCounter
@@ -42,8 +42,8 @@ func (p *PhaseCounters) snapshot() phaseSnapshot {
 // bucket upper bounds grow geometrically from 50µs to ~26s; the
 // percentile estimate returns the upper bound of the bucket the
 // requested quantile falls in (documented as an upper-bound
-// estimate in /v1/stats; the load harness computes exact client-side
-// percentiles for EXPERIMENTS.md).
+// estimate in /v1/stats; exact client-side percentiles come from
+// perfbench's serve-mixed workload).
 type latencyHist struct {
 	mu      sync.Mutex
 	bounds  []time.Duration

@@ -366,8 +366,8 @@ func (s *Server) persistProfile() {
 	}
 }
 
-// Handler returns the daemon's routing handler (also used by tests
-// and the in-process load harness via httptest).
+// Handler returns the daemon's routing handler (also used in process
+// by tests and perfbench's serve-mixed workload).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -400,8 +400,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// CacheStats exposes the artifact-cache counters (for the CLI
-// selftest summary).
+// CacheStats exposes the artifact-cache counters (for adeserved's
+// shutdown line, tests and perfbench).
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 
 // StoreStats exposes the durable-store counters; ok is false when no
