@@ -27,8 +27,7 @@ import (
 	"memoir/internal/collections"
 	"memoir/internal/core"
 	"memoir/internal/ir"
-	"memoir/internal/opt"
-	"memoir/internal/parser"
+	"memoir/internal/pipeline"
 	"memoir/internal/remarks"
 )
 
@@ -44,7 +43,6 @@ func main() {
 		sandbox   = flag.Bool("sandbox", false, "contain sub-pass failures: roll the program back to its untransformed state and continue instead of failing")
 		fuel      = flag.Int("fuel", -1, "stop after N rewrite units, for bisecting miscompiles (-1 = unlimited, 0 = none)")
 		parseOnly = flag.Bool("parse-only", false, "parse and verify only; do not transform")
-		cleanup   = flag.Bool("O", false, "run constant folding and dead-code elimination after ADE")
 		dump      = flag.Bool("dump-bytecode", false, "print the register bytecode for the (transformed) program instead of MEMOIR text")
 		remarksTo = flag.String("remarks", "", "write optimization remarks to `file` (\"-\" = stderr; .json suffix selects JSON)")
 		traceTo   = flag.String("trace", "", "write a Chrome trace_event JSON of the ADE sub-passes to `file`")
@@ -59,12 +57,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := parser.Parse(string(src))
+	prog, err := pipeline.Parse(string(src))
 	if err != nil {
 		fatal(err)
-	}
-	if err := ir.Verify(prog); err != nil {
-		fatal(fmt.Errorf("verify: %w", err))
 	}
 	// Suspect pragmas never change semantics but silently steer (or
 	// fail to steer) the pass; reject them up front.
@@ -101,7 +96,7 @@ func main() {
 		em = remarks.NewEmitter()
 		opts.Remarks = em
 	}
-	rep, err := core.Apply(prog, opts)
+	rep, err := pipeline.Transform(prog, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -133,38 +128,16 @@ func main() {
 			fatal(fmt.Errorf("trace: %w", err))
 		}
 	}
-	if err := ir.Verify(prog); err != nil {
-		fatal(fmt.Errorf("verify after ADE: %w", err))
-	}
 	if *report {
 		fmt.Fprint(os.Stderr, rep)
 	}
-	if *cleanup {
-		n := opt.Cleanup(prog)
-		if err := ir.Verify(prog); err != nil {
-			fatal(fmt.Errorf("verify after cleanup: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "cleanup: %d instructions folded or removed\n", n)
-	}
 	if *check || *dump {
-		bc, err := bytecode.Compile(prog)
-		if err != nil {
-			fatal(fmt.Errorf("bytecode: %w", err))
-		}
 		// The bytecode verifier closes the gap the IR verifier cannot
 		// see: a miscompile producing structurally bad bytecode dies
 		// here with a function+pc position instead of becoming a bad
 		// artifact.
-		if *dump {
-			for _, f := range bc.Funcs {
-				verdict := "ok"
-				if err := bytecode.VerifyFunc(bc, f); err != nil {
-					verdict = err.Error()
-				}
-				fmt.Printf(";; verify @%s: %s\n", f.Name, verdict)
-			}
-		}
-		if err := bytecode.Verify(bc); err != nil {
+		bc, err := pipeline.Compile(prog)
+		if err != nil {
 			fatal(err)
 		}
 		if *dump {

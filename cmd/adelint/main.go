@@ -30,6 +30,7 @@ import (
 	"memoir/internal/core"
 	"memoir/internal/ir"
 	"memoir/internal/parser"
+	"memoir/internal/pipeline"
 )
 
 func main() {
@@ -94,28 +95,38 @@ func (l *linter) report(label string, ds []Diag) {
 // Diag aliases the analysis diagnostic for brevity.
 type Diag = analysis.Diagnostic
 
-// lintSource parses and lints one textual program. Lint deliberately
-// does not require ir.Verify to pass: the diagnostics are designed to
+// parse reads one textual program for linting. Without ADE it
+// deliberately skips ir.Verify: the diagnostics are designed to
 // explain programs the verifier rejects (ADE001 covers its scope rule
-// with a stable code). Verification is enforced only before running
-// the ADE transformation itself. lineOff shifts reported lines (for
-// sources embedded inside another file).
+// with a stable code). With ADE the program goes through the compile
+// pipeline, which verifies before and after the transformation.
+func parse(src string, runADE bool) (*ir.Program, error) {
+	if !runADE {
+		return parser.Parse(src)
+	}
+	prog, err := pipeline.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := pipeline.Transform(prog, core.DefaultOptions()); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// lintSource parses and lints one textual program. lineOff shifts
+// reported lines (for sources embedded inside another file).
 func (l *linter) lintSource(label, src string, lineOff int, runADE bool) {
-	prog, err := parser.Parse(src)
+	prog, err := parse(src, runADE)
 	if err != nil {
 		l.fail(fmt.Errorf("%s: %w", label, err))
 		return
 	}
-	if runADE {
-		if err := ir.Verify(prog); err != nil {
-			l.fail(fmt.Errorf("%s: verify: %w", label, err))
-			return
-		}
-		if _, err := core.Apply(prog, core.DefaultOptions()); err != nil {
-			l.fail(fmt.Errorf("%s: ade: %w", label, err))
-			return
-		}
-	}
+	l.lint(label, prog, lineOff)
+}
+
+// lint reports the diagnostics of one parsed program.
+func (l *linter) lint(label string, prog *ir.Program, lineOff int) {
 	ds := analysis.Lint(prog)
 	for i := range ds {
 		if ds[i].Line > 0 {
@@ -145,8 +156,8 @@ func (l *linter) lintBench() {
 				label += "(" + variant + ")"
 			}
 			prog := s.Build(variant)
-			if _, err := core.Apply(prog, core.DefaultOptions()); err != nil {
-				l.fail(fmt.Errorf("%s: ade: %w", label, err))
+			if _, err := pipeline.Transform(prog, core.DefaultOptions()); err != nil {
+				l.fail(fmt.Errorf("%s: %w", label, err))
 				continue
 			}
 			l.lintSource(label, ir.Print(prog), 0, false)
@@ -180,12 +191,12 @@ func (l *linter) lintExamples(dir string) {
 			if !ok || lit.Kind != gotoken.STRING || !strings.HasPrefix(lit.Value, "`") {
 				return true
 			}
-			src := strings.Trim(lit.Value, "`")
-			if _, err := parser.Parse(src); err != nil {
+			prog, err := parse(strings.Trim(lit.Value, "`"), false)
+			if err != nil {
 				return true // not a MEMOIR program; skip
 			}
 			// Content line k sits at Go line(lit) + k - 1.
-			l.lintSource(path, src, fset.Position(lit.Pos()).Line-1, false)
+			l.lint(path, prog, fset.Position(lit.Pos()).Line-1)
 			linted++
 			return true
 		})

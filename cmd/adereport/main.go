@@ -35,7 +35,7 @@ import (
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
-	"memoir/internal/parser"
+	"memoir/internal/pipeline"
 	"memoir/internal/remarks"
 	"memoir/internal/stats"
 	"memoir/internal/telemetry"
@@ -186,17 +186,14 @@ func runFile(path, argList string) (*ProgReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := parser.Parse(string(src))
+	prog, err := pipeline.Parse(string(src))
 	if err != nil {
 		return nil, err
-	}
-	if err := ir.Verify(prog); err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
 	}
 	em := remarks.NewEmitter()
 	opts := core.DefaultOptions()
 	opts.Remarks = em
-	if _, err := core.Apply(prog, opts); err != nil {
+	if _, err := pipeline.Transform(prog, opts); err != nil {
 		return nil, err
 	}
 	rec := telemetry.NewRecorder()
@@ -231,16 +228,7 @@ func runProfile(path, profPath string) (*ProgReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := func() (*ir.Program, error) {
-		prog, err := parser.Parse(string(src))
-		if err != nil {
-			return nil, err
-		}
-		if err := ir.Verify(prog); err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
-		}
-		return prog, nil
-	}
+	build := func() (*ir.Program, error) { return pipeline.Parse(string(src)) }
 	prog, err := build()
 	if err != nil {
 		return nil, err
@@ -269,8 +257,8 @@ func runBench(s *bench.Spec, sc bench.Scale) (*ProgReport, uint64, error) {
 	em := remarks.NewEmitter()
 	opts := core.DefaultOptions()
 	opts.Remarks = em
-	if _, err := core.Apply(prog, opts); err != nil {
-		return nil, 0, fmt.Errorf("%s: ade: %w", s.Abbr, err)
+	if _, err := pipeline.Transform(prog, opts); err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", s.Abbr, err)
 	}
 	rec := telemetry.NewRecorder()
 	iopts := interp.DefaultOptions()

@@ -8,6 +8,7 @@ import (
 	"memoir/internal/adeprofile"
 	"memoir/internal/core"
 	"memoir/internal/ir"
+	"memoir/internal/pipeline"
 	"memoir/internal/remarks"
 	"memoir/internal/telemetry"
 )
@@ -73,7 +74,7 @@ func compileRemarks(build func() (*ir.Program, error), prof *adeprofile.Profile)
 	opts := core.DefaultOptions()
 	opts.Remarks = em
 	opts.SiteProfile = prof
-	rep, err := core.Apply(prog, opts)
+	rep, err := pipeline.Transform(prog, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -34,7 +34,7 @@ import (
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
-	"memoir/internal/parser"
+	"memoir/internal/pipeline"
 	"memoir/internal/telemetry"
 )
 
@@ -62,31 +62,25 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := parser.Parse(string(src))
+	prog, err := pipeline.Parse(string(src))
 	if err != nil {
 		fatal(err)
-	}
-	if err := ir.Verify(prog); err != nil {
-		fatal(fmt.Errorf("verify: %w", err))
 	}
 	// Profiles are keyed by the pre-ADE hash: the site keys survive the
 	// transform, so a profile collected on any configuration of this
 	// program guides any other.
 	progHash := ir.ProgramHash(prog)
 	if *ade {
-		rep, err := core.Apply(prog, core.DefaultOptions())
+		rep, err := pipeline.Transform(prog, core.DefaultOptions())
 		if err != nil {
 			fatal(err)
-		}
-		if err := ir.Verify(prog); err != nil {
-			fatal(fmt.Errorf("verify after ADE: %w", err))
 		}
 		fmt.Fprint(os.Stderr, rep)
 	}
 	if *dump {
-		bc, err := bytecode.Compile(prog)
+		bc, err := pipeline.Compile(prog)
 		if err != nil {
-			fatal(fmt.Errorf("bytecode: %w", err))
+			fatal(err)
 		}
 		fmt.Print(bytecode.Disasm(bc))
 		return

@@ -17,6 +17,7 @@ import (
 	"memoir/internal/bench"
 	"memoir/internal/core"
 	"memoir/internal/interp"
+	"memoir/internal/pipeline"
 )
 
 func main() {
@@ -54,7 +55,7 @@ type run struct {
 func measure(s *bench.Spec, variant string, ade *core.Options) *run {
 	prog := s.Build(variant)
 	if ade != nil {
-		if _, err := core.Apply(prog, *ade); err != nil {
+		if _, err := pipeline.Transform(prog, *ade); err != nil {
 			log.Fatal(err)
 		}
 	}

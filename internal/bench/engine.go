@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"memoir/internal/bytecode"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
+	"memoir/internal/pipeline"
 	"memoir/internal/vm"
 )
 
@@ -60,20 +60,14 @@ type Machine interface {
 }
 
 // NewMachine instantiates the chosen engine for prog. For the VM this
-// compiles the program to bytecode first.
+// compiles the program to verified bytecode first.
 func NewMachine(prog *ir.Program, opts interp.Options, eng Engine) (Machine, error) {
 	switch eng {
 	case EngineInterp:
 		return interpMachine{interp.New(prog, opts)}, nil
 	case EngineVM:
-		bc, err := bytecode.Compile(prog)
+		bc, err := pipeline.Compile(prog)
 		if err != nil {
-			return nil, err
-		}
-		// Every artifact the VM runs has passed the verifier: a compile
-		// bug surfaces here as a positioned error, not as a crash (or a
-		// silently wrong answer) mid-benchmark.
-		if err := bytecode.Verify(bc); err != nil {
 			return nil, err
 		}
 		return vmMachine{vm.New(bc, opts)}, nil

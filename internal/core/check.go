@@ -116,9 +116,8 @@ func checkPatchPoint(pp patchPoint) error {
 }
 
 // staticSites asserts the static-enum invariants: every applied site
-// carries a dense selection over its original integer key domain, its
-// proved range fits the configured limit, and the limit itself fits
-// the implementations' uint32 indexing.
+// carries a dense selection over its original integer key domain and
+// its proved range fits analysis.StaticDenseLimit.
 func (c *checkCtx) staticSites(stage string, static []staticSite) error {
 	if !c.on {
 		return nil
@@ -131,11 +130,8 @@ func (c *checkCtx) staticSites(stage string, static []staticSite) error {
 		if !integerKey(s.collType.Key) {
 			return c.errf(stage, "static site %s keeps non-integer key domain %v", s.name(), s.collType.Key)
 		}
-		if st.limit == 0 || st.limit > lookupKeyBound+1 {
-			return c.errf(stage, "static site %s has out-of-domain limit %d", s.name(), st.limit)
-		}
-		if !st.keys.Within(0, st.limit-1) {
-			return c.errf(stage, "static site %s proved range %s exceeds limit %d", s.name(), st.keys, st.limit)
+		if !st.keys.Within(0, analysis.StaticDenseLimit-1) {
+			return c.errf(stage, "static site %s proved range %s exceeds limit %d", s.name(), st.keys, analysis.StaticDenseLimit)
 		}
 		if s.escaped != "" {
 			return c.errf(stage, "static site %s is escaped (%s)", s.name(), s.escaped)

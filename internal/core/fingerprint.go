@@ -21,8 +21,8 @@ import (
 // the cache entirely for fault-injected requests).
 func (o Options) Fingerprint() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "rte=%t,prop=%t,share=%t,set=%s,map=%s,force=%t,static=%t,slimit=%d,check=%t,sandbox=%t,fuel=%d",
-		o.RTE, o.Propagation, o.Sharing, o.SetImpl, o.MapImpl, o.ForceAll, o.StaticEnum, o.StaticEnumLimit, o.Check, o.Sandbox, o.Fuel)
+	fmt.Fprintf(&sb, "rte=%t,prop=%t,share=%t,set=%s,map=%s,force=%t,static=%t,check=%t,sandbox=%t,fuel=%d",
+		o.RTE, o.Propagation, o.Sharing, o.SetImpl, o.MapImpl, o.ForceAll, o.StaticEnum, o.Check, o.Sandbox, o.Fuel)
 	if o.SiteProfile != nil {
 		// An adeprofile/v1 document can be large; cover it by the
 		// content hash of its canonical serialization (two compiles

@@ -57,18 +57,13 @@ type Options struct {
 	ForceAll bool
 
 	// StaticEnum enables static enumeration: when the interval
-	// analysis proves every key a site ever holds lies in a small
-	// dense range [0, StaticEnumLimit) — and every lookup key fits the
-	// dense implementations' 32-bit domain — the site gets the dense
-	// implementation directly, with no enumeration table and no
-	// enc/dec operations at all. The keys already are their own
-	// identifiers.
+	// analysis proves every key a site ever holds lies in the small
+	// dense range [0, analysis.StaticDenseLimit) — and every lookup
+	// key fits the dense implementations' 32-bit domain — the site
+	// gets the dense implementation directly, with no enumeration
+	// table and no enc/dec operations at all. The keys already are
+	// their own identifiers.
 	StaticEnum bool
-	// StaticEnumLimit bounds the proved key range a site may span and
-	// still be statically enumerated; 0 means the default
-	// (analysis.StaticDenseLimit). Values above 2^32 are clamped: the
-	// dense implementations index by uint32.
-	StaticEnumLimit uint64
 
 	// Check re-runs the IR verifier and the pipeline's own invariant
 	// checks between every ADE sub-pass (adec -check). Checks are pure

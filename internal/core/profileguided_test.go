@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"os"
@@ -8,6 +8,7 @@ import (
 
 	"memoir/internal/adeprofile"
 	"memoir/internal/bench"
+	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
 	"memoir/internal/parser"
@@ -77,17 +78,17 @@ func TestProfileGuidedColdMap(t *testing.T) {
 	prof := collectProfile(t, src, off)
 
 	static := ir.CloneProgram(src)
-	srep, err := Apply(static, DefaultOptions())
+	srep, err := core.Apply(static, core.DefaultOptions())
 	if err != nil {
 		t.Fatalf("static ADE: %v", err)
 	}
 
 	pgo := ir.CloneProgram(src)
 	em := remarks.NewEmitter()
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.SiteProfile = prof
 	opts.Remarks = em
-	prep, err := Apply(pgo, opts)
+	prep, err := core.Apply(pgo, opts)
 	if err != nil {
 		t.Fatalf("pgo ADE: %v", err)
 	}
@@ -155,17 +156,17 @@ func TestProfileStaleFallback(t *testing.T) {
 	src := parseFile(t, "coldmap.mir")
 
 	static := ir.CloneProgram(src)
-	if _, err := Apply(static, DefaultOptions()); err != nil {
+	if _, err := core.Apply(static, core.DefaultOptions()); err != nil {
 		t.Fatalf("static ADE: %v", err)
 	}
 
 	stale := adeprofile.FromTelemetry("deadbeefdeadbeefdeadbeefdeadbeef", "other", &telemetry.Telemetry{})
 	pgo := ir.CloneProgram(src)
 	em := remarks.NewEmitter()
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.SiteProfile = stale
 	opts.Remarks = em
-	rep, err := Apply(pgo, opts)
+	rep, err := core.Apply(pgo, opts)
 	if err != nil {
 		t.Fatalf("stale-profile ADE should not fail: %v", err)
 	}
@@ -197,13 +198,13 @@ func TestProfileStaleSiteKeys(t *testing.T) {
 		}
 	}
 	static := ir.CloneProgram(src)
-	if _, err := Apply(static, DefaultOptions()); err != nil {
+	if _, err := core.Apply(static, core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	pgo := ir.CloneProgram(src)
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.SiteProfile = prof
-	rep, err := Apply(pgo, opts)
+	rep, err := core.Apply(pgo, opts)
 	if err != nil {
 		t.Fatalf("ADE: %v", err)
 	}
@@ -264,7 +265,7 @@ func TestProfileImplSteering(t *testing.T) {
 	prof := collectProfile(t, prog)
 
 	static := ir.CloneProgram(prog)
-	if _, err := Apply(static, DefaultOptions()); err != nil {
+	if _, err := core.Apply(static, core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(ir.Print(static), "SparseBitSet") {
@@ -273,10 +274,10 @@ func TestProfileImplSteering(t *testing.T) {
 
 	pgo := ir.CloneProgram(prog)
 	em := remarks.NewEmitter()
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.SiteProfile = prof
 	opts.Remarks = em
-	if _, err := Apply(pgo, opts); err != nil {
+	if _, err := core.Apply(pgo, opts); err != nil {
 		t.Fatal(err)
 	}
 	text := ir.Print(pgo)

@@ -16,9 +16,9 @@ import (
 // the dense implementation directly, with no enumeration global, no
 // @enc/@dec/@add, and no table memory. The proof obligations are:
 //
-//   - every key ever inserted lies in [0, limit): the dense layout is
-//     genuinely dense, and inserted keys survive the implementations'
-//     uint32 indexing unchanged;
+//   - every key ever inserted lies in [0, analysis.StaticDenseLimit):
+//     the dense layout is genuinely dense, and inserted keys survive
+//     the implementations' uint32 indexing unchanged;
 //   - every key ever *looked up* (has/read/write/remove) fits in
 //     uint32: a 64-bit lookup key would otherwise truncate onto a
 //     present small key and turn a miss into a false hit;
@@ -36,22 +36,9 @@ const lookupKeyBound = 1<<32 - 1
 // staticSite records one applied static enumeration, for the report,
 // the remark, and the -check invariant.
 type staticSite struct {
-	s     *site
-	keys  analysis.Interval
-	limit uint64
-	impl  collections.Impl
-}
-
-// staticLimit resolves the configured dense bound.
-func staticLimit(opts Options) uint64 {
-	l := opts.StaticEnumLimit
-	if l == 0 {
-		l = analysis.StaticDenseLimit
-	}
-	if l > lookupKeyBound+1 {
-		l = lookupKeyBound + 1
-	}
-	return l
+	s    *site
+	keys analysis.Interval
+	impl collections.Impl
 }
 
 // staticEnumerate runs the static-enum sub-pass over every function,
@@ -61,7 +48,6 @@ func staticEnumerate(cx *adeCtx) []staticSite {
 	if !cx.opts.StaticEnum {
 		return nil
 	}
-	limit := staticLimit(cx.opts)
 	ivs := analysis.IntervalsOf(cx.prog)
 	var out []staticSite
 	for _, name := range cx.prog.Order {
@@ -72,7 +58,7 @@ func staticEnumerate(cx *adeCtx) []staticSite {
 		}
 		afi := ivs.Func(fn)
 		for _, s := range fi.sites {
-			keys, ok := staticDenseProof(s, afi, limit)
+			keys, ok := staticDenseProof(s, afi)
 			if !ok {
 				continue
 			}
@@ -81,7 +67,7 @@ func staticEnumerate(cx *adeCtx) []staticSite {
 			if !cx.fuel.take() {
 				continue
 			}
-			out = append(out, applyStaticDense(cx, s, keys, limit))
+			out = append(out, applyStaticDense(cx, s, keys))
 		}
 	}
 	return out
@@ -89,7 +75,7 @@ func staticEnumerate(cx *adeCtx) []staticSite {
 
 // staticDenseProof checks the proof obligations for one site and
 // returns the proved key range.
-func staticDenseProof(s *site, afi *analysis.FuncIntervals, limit uint64) (analysis.Interval, bool) {
+func staticDenseProof(s *site, afi *analysis.FuncIntervals) (analysis.Interval, bool) {
 	no := analysis.Interval{}
 	// Shape: a local, depth-0, non-escaping associative allocation with
 	// exactly one allocation instruction (merged multi-alloc roots are
@@ -115,7 +101,7 @@ func staticDenseProof(s *site, afi *analysis.FuncIntervals, limit uint64) (analy
 		return no, false
 	}
 	keys, seen := sum.KeyRange()
-	if !seen || !keys.Within(0, limit-1) {
+	if !seen || !keys.Within(0, analysis.StaticDenseLimit-1) {
 		return no, false
 	}
 	// Lookup keys must fit the implementations' uint32 domain.
@@ -163,7 +149,7 @@ func integerKey(t ir.Type) bool {
 // root type is deep-copied first, exactly like the transformer's
 // rewriteTypes, so type values shared with clones or other functions
 // are unaffected.
-func applyStaticDense(cx *adeCtx, s *site, keys analysis.Interval, limit uint64) staticSite {
+func applyStaticDense(cx *adeCtx, s *site, keys analysis.Interval) staticSite {
 	ct := copyCollType(s.collType)
 	ct.Sel = denseImpl(cx.opts, ct.Kind)
 	for _, a := range s.allocs {
@@ -174,13 +160,13 @@ func applyStaticDense(cx *adeCtx, s *site, keys analysis.Interval, limit uint64)
 	}
 	s.collType = ct
 	s.staticDense = true
-	st := staticSite{s: s, keys: keys, limit: limit, impl: ct.Sel}
+	st := staticSite{s: s, keys: keys, impl: ct.Sel}
 	if cx.remarksOn() {
 		r := cx.siteRemark(remarks.CodeStaticEnum, "static-enum", s)
 		r.Message = "keys provably dense: dense implementation selected statically, no enumeration table"
 		r.Args = []remarks.Arg{
 			{Key: "range", Val: keys.String()},
-			{Key: "limit", Val: fmt.Sprint(limit)},
+			{Key: "limit", Val: fmt.Sprint(analysis.StaticDenseLimit)},
 			{Key: "impl", Val: ct.Sel.String()},
 		}
 		cx.emit(r)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"memoir/internal/analysis"
 	"memoir/internal/faults"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
@@ -199,21 +200,21 @@ func TestStaticEnumProofRejections(t *testing.T) {
 	}
 }
 
-// TestStaticEnumLimit exercises the configurable bound: the proof is
-// against StaticEnumLimit, and 0 means the default.
+// TestStaticEnumLimit pins the dense bound at its boundary: keys in
+// [0, StaticDenseLimit-1] = [0, 1023] are statically enumerated, keys
+// in [0, StaticDenseLimit] are not.
 func TestStaticEnumLimit(t *testing.T) {
 	for _, tc := range []struct {
-		limit uint64
-		want  int
+		mod  uint64
+		want int
 	}{
-		{limit: 64, want: 2},      // exactly fits [0,63]
-		{limit: 63, want: 0},      // one short
-		{limit: 0, want: 2},       // default (1024) fits
-		{limit: 1 << 40, want: 2}, // clamped to the uint32 domain, still fits
+		{mod: analysis.StaticDenseLimit, want: 2},
+		{mod: analysis.StaticDenseLimit + 1, want: 0},
 	} {
-		got, _, _ := staticNames(t, staticDenseSrc, func(o *Options) { o.StaticEnumLimit = tc.limit })
+		src := strings.Replace(staticDenseSrc, "rem(%i, 64)", fmt.Sprintf("rem(%%i, %d)", tc.mod), 1)
+		got, _, _ := staticNames(t, src, nil)
 		if len(got) != tc.want {
-			t.Errorf("limit %d: Static = %v, want %d sites", tc.limit, got, tc.want)
+			t.Errorf("keys in [0,%d]: Static = %v, want %d sites", tc.mod-1, got, tc.want)
 		}
 	}
 }
@@ -265,7 +266,7 @@ func TestStaticEnumRemark(t *testing.T) {
 	for _, a := range rs[0].Args {
 		args[a.Key] = a.Val
 	}
-	if args["range"] == "" || args["limit"] != fmt.Sprint(staticLimit(opts)) || args["impl"] == "" {
+	if args["range"] == "" || args["limit"] != fmt.Sprint(analysis.StaticDenseLimit) || args["impl"] == "" {
 		t.Errorf("remark args incomplete: %v", rs[0].Args)
 	}
 	if rs[0].Pass != "static-enum" {

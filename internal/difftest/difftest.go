@@ -3,8 +3,9 @@
 // semantics-preserving. It runs every benchmark in internal/bench
 // under a configuration matrix — ADE off (reference) vs. ADE on,
 // crossed with collection-selection choices, sharing on/off and RTE
-// on/off — and asserts byte-identical canonical outputs, running
-// ir.Verify after every program-producing stage. A -seed-driven
+// on/off — and asserts byte-identical canonical outputs. Every cell is
+// transformed and lowered by internal/pipeline, the same verified
+// stage sequence production uses. A -seed-driven
 // random-program mode diffs the generator family behind internal/core's
 // fuzz tests. Results land in a machine-readable JSON report
 // (difftest-report.json) that CI uploads as an artifact.
@@ -28,11 +29,14 @@ import (
 	"sort"
 	"strings"
 
+	"memoir/internal/adeprofile"
 	"memoir/internal/bench"
 	"memoir/internal/collections"
 	"memoir/internal/core"
+	"memoir/internal/faults"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
+	"memoir/internal/pipeline"
 )
 
 // Config is one column of the differential matrix.
@@ -176,15 +180,56 @@ func interpOpts(c Config) interp.Options {
 	return o
 }
 
-// execute runs prog on s's input on the chosen engine and
-// canonicalizes the output.
-func execute(s *bench.Spec, prog *ir.Program, iopts interp.Options, sc bench.Scale, eng bench.Engine) (*outcome, error) {
+// source is one program the matrix diffs — a benchmark, a skeleton or
+// a generated seed. It supplies only how to build the untransformed
+// program and how to build @main's arguments on the engine that runs
+// it; every cell then goes through the same build and run.
+type source struct {
+	// name labels the source's in-harness profile.
+	name  string
+	build func() *ir.Program
+	input func(bench.Allocator) []interp.Val
+}
+
+// specSource is a suite benchmark at the given scale.
+func specSource(s *bench.Spec, sc bench.Scale) source {
+	return source{
+		name:  s.Abbr,
+		build: func() *ir.Program { return s.Build("") },
+		input: func(a bench.Allocator) []interp.Val { return s.Input(a, sc) },
+	}
+}
+
+// seqInput passes keys to @main as one Seq<u64>.
+func seqInput(keys []uint64) func(bench.Allocator) []interp.Val {
+	return func(a bench.Allocator) []interp.Val {
+		c := a.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+		for _, k := range keys {
+			c.Append(interp.IntV(k))
+		}
+		return []interp.Val{interp.CollV(c.(interp.Coll))}
+	}
+}
+
+// run executes prog on src's input on the chosen engine and
+// canonicalizes the output. An injected fault that fires while the
+// input is being built — before the engine's Run-boundary recovery
+// exists — surfaces as an error.
+func run(src source, prog *ir.Program, iopts interp.Options, eng bench.Engine) (o *outcome, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if f, ok := r.(*faults.InjectedFault); ok {
+				o, err = nil, fmt.Errorf("injected fault during input construction: %s", f.P.Name)
+				return
+			}
+			panic(r)
+		}
+	}()
 	m, err := bench.NewMachine(prog, iopts, eng)
 	if err != nil {
 		return nil, err
 	}
-	args := s.Input(m, sc)
-	ret, err := m.Run("main", args...)
+	ret, err := m.Run("main", src.input(m)...)
 	if err != nil {
 		return nil, err
 	}
@@ -198,6 +243,79 @@ func execute(s *bench.Spec, prog *ir.Program, iopts interp.Options, sc bench.Sca
 	return &outcome{
 		ret: ret.I, emitSum: st.EmitSum, emitCount: st.EmitCount,
 		canon: canon, stats: st,
+	}, nil
+}
+
+// reference runs src untransformed on the baseline hash
+// implementations on the interpreter: the semantics every cell must
+// reproduce.
+func reference(src source) (*outcome, error) {
+	return run(src, src.build(), interpOpts(Config{}), bench.EngineInterp)
+}
+
+// profile records the site profile of one untransformed VM run of src
+// through bench.CollectSiteProfile, the profile a PGO cell compiles
+// under. It is keyed by the pre-ADE hash, so it matches every fresh
+// build of src.
+func profile(src source) (*adeprofile.Profile, error) {
+	s := &bench.Spec{
+		Abbr:  src.name,
+		Input: func(a bench.Allocator, _ bench.Scale) []interp.Val { return src.input(a) },
+	}
+	return bench.CollectSiteProfile(s, src.build(), 0)
+}
+
+// build constructs the program for one matrix cell. ADE columns go
+// through the compile pipeline, which verifies the transformed
+// program; PGO columns first profile src and compile under that
+// profile. Mutate runs last and is verified here, since no pipeline
+// stage produced its output.
+func build(src source, c Config) (*ir.Program, *core.Report, error) {
+	prog := src.build()
+	var rep *core.Report
+	if c.ADE != nil {
+		a := *c.ADE
+		if c.PGO {
+			prof, err := profile(src)
+			if err != nil {
+				return nil, nil, fmt.Errorf("pgo profiling run: %w", err)
+			}
+			a.SiteProfile = prof
+		}
+		var err error
+		if rep, err = pipeline.Transform(prog, a); err != nil {
+			return nil, rep, err
+		}
+	}
+	if c.Mutate != nil {
+		c.Mutate(prog)
+		if err := ir.Verify(prog); err != nil {
+			return nil, rep, fmt.Errorf("post-mutate verify: %w", err)
+		}
+	}
+	return prog, rep, nil
+}
+
+// diffCell builds and runs one cell and compares its output with the
+// reference. A non-nil error is the cell's error entry; a non-nil
+// divergence carries only the config and the two outputs.
+func diffCell(src source, c Config, ref *outcome, iopts interp.Options) (*outcome, *core.Report, *Divergence, error) {
+	prog, rep, err := build(src, c)
+	if err != nil {
+		return nil, rep, nil, err
+	}
+	got, err := run(src, prog, iopts, c.Engine)
+	if err != nil {
+		return nil, rep, nil, err
+	}
+	if equalOutput(ref, got) {
+		return got, rep, nil, nil
+	}
+	return got, rep, &Divergence{
+		Config:  c.Name,
+		WantRet: ref.ret, GotRet: got.ret,
+		WantEmitSum: ref.emitSum, GotEmitSum: got.emitSum,
+		WantEmitCount: ref.emitCount, GotEmitCount: got.emitCount,
 	}, nil
 }
 
@@ -248,45 +366,6 @@ func equalOutput(a, b *outcome) bool {
 		}
 	}
 	return true
-}
-
-// buildProgram constructs, transforms, verifies and (optionally)
-// mutates the program for one matrix cell. ir.Verify runs after every
-// stage that produces a program: the build, the ADE pass, and the
-// fault injection. PGO cells first profile an untransformed run of a
-// fresh build on the same input — the adeprofile is keyed by the
-// pre-ADE hash, so it matches the build being transformed.
-func buildProgram(s *bench.Spec, c Config, sc bench.Scale) (*ir.Program, *core.Report, error) {
-	prog := s.Build("")
-	if err := ir.Verify(prog); err != nil {
-		return nil, nil, fmt.Errorf("build verify: %w", err)
-	}
-	var rep *core.Report
-	if c.ADE != nil {
-		a := *c.ADE
-		if c.PGO {
-			prof, err := bench.CollectSiteProfile(s, s.Build(""), sc)
-			if err != nil {
-				return nil, nil, fmt.Errorf("pgo profiling run: %w", err)
-			}
-			a.SiteProfile = prof
-		}
-		var err error
-		rep, err = core.Apply(prog, a)
-		if err != nil {
-			return nil, rep, fmt.Errorf("ade: %w", err)
-		}
-		if err := ir.Verify(prog); err != nil {
-			return nil, rep, fmt.Errorf("post-ade verify: %w", err)
-		}
-	}
-	if c.Mutate != nil {
-		c.Mutate(prog)
-		if err := ir.Verify(prog); err != nil {
-			return nil, rep, fmt.Errorf("post-mutate verify: %w", err)
-		}
-	}
-	return prog, rep, nil
 }
 
 // entryFor fills a report entry from an outcome.
@@ -378,7 +457,7 @@ func Run(o RunOptions) (*Report, error) {
 		br := BenchReport{Abbr: s.Abbr}
 		// The reference semantics: untransformed program on the
 		// baseline hash implementations, on the interpreter.
-		ref, err := execute(s, s.Build(""), interpOpts(Config{}), o.Scale, bench.EngineInterp)
+		ref, err := reference(specSource(s, o.Scale))
 		if err != nil {
 			return nil, fmt.Errorf("%s: reference run: %w", s.Abbr, err)
 		}
@@ -448,23 +527,14 @@ func twinDivergence(got *outcome, twins map[string]*outcome, c Config, abbr stri
 
 // runCell runs one (benchmark, config) cell against the reference.
 func runCell(s *bench.Spec, c Config, ref *outcome, sc bench.Scale) (Entry, *outcome, *Divergence) {
-	prog, rep, err := buildProgram(s, c, sc)
-	if err != nil {
-		return Entry{Config: c.Name, Engine: c.Engine.String(), Error: err.Error()}, nil, nil
-	}
-	got, err := execute(s, prog, interpOpts(c), sc, c.Engine)
+	got, rep, div, err := diffCell(specSource(s, sc), c, ref, interpOpts(c))
 	if err != nil {
 		return Entry{Config: c.Name, Engine: c.Engine.String(), Error: err.Error()}, nil, nil
 	}
 	e := entryFor(c, got, rep)
-	if !equalOutput(ref, got) {
+	if div != nil {
 		e.Diverged = true
-		return e, got, &Divergence{
-			Bench: s.Abbr, Config: c.Name,
-			WantRet: ref.ret, GotRet: got.ret,
-			WantEmitSum: ref.emitSum, GotEmitSum: got.emitSum,
-			WantEmitCount: ref.emitCount, GotEmitCount: got.emitCount,
-		}
+		div.Bench = s.Abbr
 	}
-	return e, got, nil
+	return e, got, div
 }

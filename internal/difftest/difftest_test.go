@@ -2,11 +2,13 @@ package difftest
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"memoir/internal/bench"
 	"memoir/internal/core"
+	"memoir/internal/faults"
 	"memoir/internal/ir"
 )
 
@@ -304,6 +306,43 @@ func TestRandomDiffClean(t *testing.T) {
 	}
 	if rpt.Random == nil || len(rpt.Random.Entries) != 5*len(rpt.Configs) {
 		t.Fatalf("random entries missing: %+v", rpt.Random)
+	}
+}
+
+// TestPGOCellsMatchProfile: in the random-program mode and the fault
+// sweep the ade-pgo column compiles under a profile recorded for the
+// program it transforms, exactly like the benchmark mode, instead of
+// being the ade column under another name.
+func TestPGOCellsMatchProfile(t *testing.T) {
+	var pgo Config
+	for _, c := range Matrix() {
+		if c.Name == "ade-pgo" {
+			pgo = c
+		}
+	}
+	if !pgo.PGO {
+		t.Fatal("matrix has no ade-pgo column")
+	}
+	check := func(what string, src source, c Config) {
+		t.Helper()
+		_, rep, err := build(src, c)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !strings.HasPrefix(rep.Profile, "weighted") {
+			t.Errorf("%s: report.Profile = %q, want weighted", what, rep.Profile)
+		}
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		check(fmt.Sprintf("seed %d", seed), seedSource(seed), pgo)
+	}
+	for _, name := range []string{"pass-panic:transform", "enum-corrupt:1"} {
+		pt, err := faults.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, _ := faulted(pgo, pt, 0)
+		check("fault sweep "+name, specSource(bench.Get("BFS"), bench.ScaleTest), fc)
 	}
 }
 

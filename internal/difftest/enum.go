@@ -3,16 +3,10 @@ package difftest
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
-	"memoir/internal/adeprofile"
-	"memoir/internal/bench"
-	"memoir/internal/core"
 	"memoir/internal/faults"
-	"memoir/internal/interp"
 	"memoir/internal/ir"
-	"memoir/internal/telemetry"
 )
 
 // Skeletal program enumeration (adediff -enum), after Zhang/Sun/Su's
@@ -548,11 +542,7 @@ func RunEnum(o EnumOptions) (*Report, error) {
 	rpt.Enum = er
 
 	for _, sk := range skels {
-		base := sk.Build()
-		if err := ir.Verify(base); err != nil {
-			return nil, fmt.Errorf("%s: generated program invalid: %w", sk.ID, err)
-		}
-		ref, err := runEnumProgram(base, interpOpts(Config{}), bench.EngineInterp, faults.Point{})
+		ref, err := reference(sk.source())
 		if err != nil {
 			return nil, fmt.Errorf("%s: reference run: %w", sk.ID, err)
 		}
@@ -589,109 +579,32 @@ func RunEnum(o EnumOptions) (*Report, error) {
 	return rpt, nil
 }
 
-// runEnumProgram executes a skeleton program on the fixed EnumInput on
-// the chosen engine and canonicalizes the output. A non-zero fault
-// point installs a fresh runtime injector; injected panics raised
-// before the engine's Run-boundary recovery exists (input
-// construction) surface as errors here.
-func runEnumProgram(p *ir.Program, iopts interp.Options, eng bench.Engine, fpt faults.Point) (o *outcome, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if f, ok := r.(*faults.InjectedFault); ok {
-				o, err = nil, fmt.Errorf("injected fault during input construction: %s", f.P.Name)
-				return
-			}
-			panic(r)
-		}
-	}()
-	if fpt.Name != "" && fpt.Kind != faults.PassPanic {
-		iopts.Faults = faults.NewInjector(fpt)
-	}
-	m, err := bench.NewMachine(p, iopts, eng)
-	if err != nil {
-		return nil, err
-	}
-	c := m.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
-	for _, k := range EnumInput() {
-		c.Append(interp.IntV(k))
-	}
-	ret, err := m.Run("main", interp.CollV(c.(interp.Coll)))
-	if err != nil {
-		return nil, err
-	}
-	out := m.RecordedOutput()
-	canon := make([]uint64, len(out))
-	for i, v := range out {
-		canon[i] = v.Bits()
-	}
-	sort.Slice(canon, func(i, j int) bool { return canon[i] < canon[j] })
-	st := m.Stats()
-	return &outcome{
-		ret: ret.I, emitSum: st.EmitSum, emitCount: st.EmitCount,
-		canon: canon, stats: st,
-	}, nil
-}
-
-// enumSiteProfile profiles one untransformed interpreter run of the
-// skeleton on the fixed EnumInput — the in-harness profile a PGO
-// matrix cell compiles under.
-func enumSiteProfile(sk Skeleton) (*adeprofile.Profile, error) {
-	prog := sk.Build()
-	hash := ir.ProgramHash(prog)
-	rec := telemetry.NewRecorder()
-	iopts := interpOpts(Config{})
-	iopts.Telemetry = rec
-	if _, err := runEnumProgram(prog, iopts, bench.EngineInterp, faults.Point{}); err != nil {
-		return nil, err
-	}
-	return adeprofile.FromTelemetry(hash, sk.ID, rec.Result()), nil
+// source is the skeleton's program on the fixed EnumInput.
+func (sk Skeleton) source() source {
+	return source{name: sk.ID, build: sk.Build, input: seqInput(EnumInput())}
 }
 
 // runEnumCell builds, transforms and runs one (skeleton, config) cell
-// against the reference.
+// against the reference, with fpt (when named) injected: compile-time
+// points run sandboxed, since the sweep's claim is containment, not a
+// crashed harness; runtime points get a fresh injector.
 func runEnumCell(sk Skeleton, c Config, ref *outcome, fpt faults.Point) (EnumEntry, *outcome, *Divergence) {
 	ent := EnumEntry{Skeleton: sk.ID, Config: c.Name, Engine: c.Engine.String()}
-	prog := sk.Build()
-	if c.ADE != nil {
-		a := *c.ADE
-		if c.PGO {
-			prof, err := enumSiteProfile(sk)
-			if err != nil {
-				ent.Error = "pgo profiling run: " + err.Error()
-				return ent, nil, nil
-			}
-			a.SiteProfile = prof
-		}
-		if fpt.Kind == faults.PassPanic && fpt.Name != "" {
-			// Compile-time faults run sandboxed: the sweep's claim is
-			// containment, not a crashed harness.
-			a.Sandbox = true
-			a.Faults = faults.NewInjector(fpt)
-		}
-		if _, err := core.Apply(prog, a); err != nil {
-			ent.Error = "ade: " + err.Error()
-			return ent, nil, nil
-		}
-		if err := ir.Verify(prog); err != nil {
-			ent.Error = "post-ade verify: " + err.Error()
-			return ent, nil, nil
+	iopts := interpOpts(c)
+	if fpt.Name != "" {
+		if fpt.Kind == faults.PassPanic {
+			c, _ = faulted(c, fpt, 0)
+		} else {
+			iopts.Faults = faults.NewInjector(fpt)
 		}
 	}
-	got, err := runEnumProgram(prog, interpOpts(c), c.Engine, fpt)
+	got, _, div, err := diffCell(sk.source(), c, ref, iopts)
 	if err != nil {
 		ent.Error = err.Error()
 		return ent, nil, nil
 	}
-	if !equalOutput(ref, got) {
-		ent.Diverged = true
-		return ent, got, &Divergence{
-			Config:  c.Name,
-			WantRet: ref.ret, GotRet: got.ret,
-			WantEmitSum: ref.emitSum, GotEmitSum: got.emitSum,
-			WantEmitCount: ref.emitCount, GotEmitCount: got.emitCount,
-		}
-	}
-	return ent, got, nil
+	ent.Diverged = div != nil
+	return ent, got, div
 }
 
 // reduceSkeleton shrinks a diverging cell: replay every proper prefix
@@ -712,11 +625,7 @@ func reduceSkeleton(sk Skeleton, c Config, fpt faults.Point) string {
 // enumCellFails reports whether the (skeleton, config) cell diverges
 // or errors — the reduction probe.
 func enumCellFails(sk Skeleton, c Config, fpt faults.Point) bool {
-	base := sk.Build()
-	if ir.Verify(base) != nil {
-		return false
-	}
-	ref, err := runEnumProgram(base, interpOpts(Config{}), bench.EngineInterp, faults.Point{})
+	ref, err := reference(sk.source())
 	if err != nil {
 		return false
 	}

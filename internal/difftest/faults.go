@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"memoir/internal/bench"
-	"memoir/internal/core"
 	"memoir/internal/faults"
-	"memoir/internal/ir"
 )
 
 // Fault-sweep cell outcomes. Every outcome except FaultUnexpected is a
@@ -91,7 +89,7 @@ func RunFaults(o FaultOptions) (*Report, error) {
 	for _, s := range specs {
 		// The healthy reference: untransformed program, baseline hash
 		// implementations, interpreter, no faults.
-		ref, err := execute(s, s.Build(""), interpOpts(Config{}), o.Scale, bench.EngineInterp)
+		ref, err := reference(specSource(s, o.Scale))
 		if err != nil {
 			return nil, fmt.Errorf("%s: reference run: %w", s.Abbr, err)
 		}
@@ -125,21 +123,14 @@ func RunFaults(o FaultOptions) (*Report, error) {
 }
 
 // runFaultCell runs one (benchmark, config) cell with pt injected and
-// classifies the outcome. The whole cell runs under its own recover:
-// an injected allocation failure can fire while the harness itself is
-// building the benchmark input through the engine's Allocator — before
-// the engine's Run-boundary recovery exists — and that containment is
-// the harness's job. Any non-injected payload reaching this recover is
-// a genuine containment escape and classifies as "unexpected".
+// classifies the outcome. An injected fault is contained when it is
+// rolled back, crashes as an error, or degrades the output; a panic
+// reaching this cell's recover escaped every recovery layer and
+// classifies as "unexpected".
 func runFaultCell(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc bench.Scale) (cell FaultCell) {
 	cell = FaultCell{Fault: pt.Name, Bench: s.Abbr, Config: c.Name, FirstBadRewrite: -1}
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(*faults.InjectedFault); ok {
-				cell.Outcome = FaultCrash
-				cell.Detail = "injected fault panicked during input construction"
-				return
-			}
 			cell.Outcome = FaultUnexpected
 			cell.Detail = fmt.Sprintf("escaped panic: %v", r)
 		}
@@ -151,7 +142,9 @@ func runFaultCell(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc ben
 		return cell
 	}
 
-	prog, rep, compileInj, err := buildFaulted(s, c, pt, 0)
+	src := specSource(s, sc)
+	fc, compileInj := faulted(c, pt, 0)
+	prog, rep, err := build(src, fc)
 	if err != nil {
 		// The sandbox is on for every fault-sweep ADE column; an error
 		// here means it failed to absorb the fault.
@@ -166,11 +159,11 @@ func runFaultCell(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc ben
 		runInj = faults.NewInjector(pt)
 		iopts.Faults = runInj
 	}
-	got, err := execute(s, prog, iopts, sc, c.Engine)
+	got, err := run(src, prog, iopts, c.Engine)
 	if err != nil {
 		cell.Outcome = FaultCrash
 		cell.Detail = err.Error()
-		cell.FirstBadRewrite = bisectFault(s, c, pt, ref, sc)
+		cell.FirstBadRewrite = bisectFault(src, c, pt, ref)
 		return cell
 	}
 
@@ -190,22 +183,19 @@ func runFaultCell(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc ben
 	cell.Outcome = FaultDegraded
 	cell.Detail = fmt.Sprintf("ret %d vs %d, emits (%d,%d) vs (%d,%d)",
 		got.ret, ref.ret, got.emitCount, got.emitSum, ref.emitCount, ref.emitSum)
-	cell.FirstBadRewrite = bisectFault(s, c, pt, ref, sc)
+	cell.FirstBadRewrite = bisectFault(src, c, pt, ref)
 	return cell
 }
 
-// buildFaulted builds and transforms the cell's program with the
-// compile-time half of the fault applied. Every ADE column runs
-// sandboxed — the sweep's claim is that faults degrade, not crash.
-// fuel is passed through to Options.Fuel for bisection probes: 0 means
-// unlimited (the cell itself), negative means no rewrites at all.
-func buildFaulted(s *bench.Spec, c Config, pt faults.Point, fuel int) (*ir.Program, *core.Report, *faults.Injector, error) {
-	prog := s.Build("")
-	if err := ir.Verify(prog); err != nil {
-		return nil, nil, nil, fmt.Errorf("build verify: %w", err)
-	}
+// faulted returns c with the compile-time half of pt applied to its
+// ADE options, and the injector it installed (nil for runtime points).
+// Every ADE column runs sandboxed — the sweep's claim is that faults
+// degrade, not crash. fuel is passed through to Options.Fuel for
+// bisection probes: 0 means unlimited (the cell itself), negative
+// means no rewrites at all.
+func faulted(c Config, pt faults.Point, fuel int) (Config, *faults.Injector) {
 	if c.ADE == nil {
-		return prog, nil, nil, nil
+		return c, nil
 	}
 	a := *c.ADE
 	a.Sandbox = true
@@ -215,14 +205,8 @@ func buildFaulted(s *bench.Spec, c Config, pt faults.Point, fuel int) (*ir.Progr
 		inj = faults.NewInjector(pt)
 		a.Faults = inj
 	}
-	rep, err := core.Apply(prog, a)
-	if err != nil {
-		return nil, rep, inj, fmt.Errorf("sandboxed ade: %w", err)
-	}
-	if err := ir.Verify(prog); err != nil {
-		return nil, rep, inj, fmt.Errorf("post-ade verify: %w", err)
-	}
-	return prog, rep, inj, nil
+	c.ADE = &a
+	return c, inj
 }
 
 // bisectFault triages a "crash" or "degraded" cell on an ADE column:
@@ -232,18 +216,17 @@ func buildFaulted(s *bench.Spec, c Config, pt faults.Point, fuel int) (*ir.Progr
 // the first faulty rewrite index, 0 if even the untransformed program
 // misbehaves under this fault, or -1 when bisection does not apply
 // (baseline column, or the healthy run performs no rewrites).
-func bisectFault(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc bench.Scale) int {
+func bisectFault(src source, c Config, pt faults.Point, ref *outcome) int {
 	if c.ADE == nil {
 		return -1
 	}
 	// The healthy unlimited run bounds the search: its rewrite count is
 	// the bisection's upper end.
-	healthy := s.Build("")
-	rep, err := core.Apply(healthy, *c.ADE)
+	_, rep, err := build(src, c)
 	if err != nil || rep.Rewrites == 0 {
 		return -1
 	}
-	if faultProbe(s, c, pt, ref, sc, 0) {
+	if faultProbe(src, c, pt, ref, 0) {
 		return 0
 	}
 	// Invariant: probe(lo) is good, probe(hi) is bad. hi starts at the
@@ -251,7 +234,7 @@ func bisectFault(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc benc
 	lo, hi := 0, rep.Rewrites
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		if faultProbe(s, c, pt, ref, sc, mid) {
+		if faultProbe(src, c, pt, ref, mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -262,18 +245,14 @@ func bisectFault(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc benc
 
 // faultProbe replays the cell with the first k rewrites only and a
 // fresh injector, reporting whether the fault's effect (crash or wrong
-// output) appears. Panics during input construction count as bad.
-func faultProbe(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc bench.Scale, k int) (bad bool) {
-	defer func() {
-		if recover() != nil {
-			bad = true
-		}
-	}()
+// output) appears.
+func faultProbe(src source, c Config, pt faults.Point, ref *outcome, k int) bool {
 	fuel := k
 	if k == 0 {
 		fuel = -1 // core convention: negative fuel permits no rewrites
 	}
-	prog, _, _, err := buildFaulted(s, c, pt, fuel)
+	fc, _ := faulted(c, pt, fuel)
+	prog, _, err := build(src, fc)
 	if err != nil {
 		return true
 	}
@@ -281,7 +260,7 @@ func faultProbe(s *bench.Spec, c Config, pt faults.Point, ref *outcome, sc bench
 	if pt.Kind != faults.PassPanic {
 		iopts.Faults = faults.NewInjector(pt)
 	}
-	got, err := execute(s, prog, iopts, sc, c.Engine)
+	got, err := run(src, prog, iopts, c.Engine)
 	if err != nil {
 		return true
 	}

@@ -3,9 +3,7 @@ package difftest
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"memoir/internal/bench"
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
@@ -30,32 +28,14 @@ type RandomOptions struct {
 	Verbose io.Writer
 }
 
-// runGenerated executes a generated program on the family's canonical
-// input on the chosen engine and canonicalizes the output.
-func runGenerated(p *ir.Program, seed int64, iopts interp.Options, eng bench.Engine) (*outcome, error) {
-	m, err := bench.NewMachine(p, iopts, eng)
-	if err != nil {
-		return nil, err
+// seedSource is the generated program for seed on the family's
+// canonical input.
+func seedSource(seed int64) source {
+	return source{
+		name:  fmt.Sprintf("seed%d", seed),
+		build: func() *ir.Program { return core.GenerateProgram(seed) },
+		input: seqInput(core.FuzzInput(seed)),
 	}
-	c := m.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
-	for _, k := range core.FuzzInput(seed) {
-		c.Append(interp.IntV(k))
-	}
-	ret, err := m.Run("main", interp.CollV(c.(interp.Coll)))
-	if err != nil {
-		return nil, err
-	}
-	out := m.RecordedOutput()
-	canon := make([]uint64, len(out))
-	for i, v := range out {
-		canon[i] = v.Bits()
-	}
-	sort.Slice(canon, func(i, j int) bool { return canon[i] < canon[j] })
-	st := m.Stats()
-	return &outcome{
-		ret: ret.I, emitSum: st.EmitSum, emitCount: st.EmitCount,
-		canon: canon, stats: st,
-	}, nil
 }
 
 // RunRandom diffs randomly generated IR programs (the generator family
@@ -81,11 +61,7 @@ func RunRandom(o RandomOptions) (*Report, error) {
 	rr := &RandomReport{Seed: o.Seed, Count: o.Count}
 	for _, j := range seeds {
 		seed := o.Seed + int64(j)
-		base := core.GenerateProgram(seed)
-		if err := ir.Verify(base); err != nil {
-			return nil, fmt.Errorf("seed %d: generated program invalid: %w", seed, err)
-		}
-		ref, err := runGenerated(base, seed, interpOpts(Config{}), bench.EngineInterp)
+		ref, err := reference(seedSource(seed))
 		if err != nil {
 			return nil, fmt.Errorf("seed %d: reference run: %w", seed, err)
 		}
@@ -116,40 +92,19 @@ func RunRandom(o RandomOptions) (*Report, error) {
 
 // runRandomCell diffs one (seed, config) cell against the reference.
 func runRandomCell(seed int64, c Config, ref *outcome) (RandomEntry, *outcome, *Divergence) {
-	prog := core.GenerateProgram(seed)
-	if c.ADE != nil {
-		if _, err := core.Apply(prog, *c.ADE); err != nil {
-			return RandomEntry{Seed: seed, Config: c.Name, Engine: c.Engine.String(), Error: err.Error()}, nil, nil
-		}
-		if err := ir.Verify(prog); err != nil {
-			return RandomEntry{Seed: seed, Config: c.Name, Engine: c.Engine.String(), Error: "post-ade verify: " + err.Error()}, nil, nil
-		}
-	}
-	if c.Mutate != nil {
-		c.Mutate(prog)
-		if err := ir.Verify(prog); err != nil {
-			return RandomEntry{Seed: seed, Config: c.Name, Engine: c.Engine.String(), Error: "post-mutate verify: " + err.Error()}, nil, nil
-		}
-	}
-	got, err := runGenerated(prog, seed, interpOpts(c), c.Engine)
+	e := RandomEntry{Seed: seed, Config: c.Name, Engine: c.Engine.String()}
+	got, _, div, err := diffCell(seedSource(seed), c, ref, interpOpts(c))
 	if err != nil {
-		return RandomEntry{Seed: seed, Config: c.Name, Engine: c.Engine.String(), Error: err.Error()}, nil, nil
+		e.Error = err.Error()
+		return e, nil, nil
 	}
-	e := RandomEntry{
-		Seed: seed, Config: c.Name, Engine: c.Engine.String(),
-		Ret: got.ret, EmitSum: got.emitSum,
-		Enc: got.stats.Counts[interp.ImplEnum][interp.OKEnc],
-		Dec: got.stats.Counts[interp.ImplEnum][interp.OKDec],
-		Add: got.stats.Counts[interp.ImplEnum][interp.OKAdd],
-	}
-	if !equalOutput(ref, got) {
+	e.Ret, e.EmitSum = got.ret, got.emitSum
+	e.Enc = got.stats.Counts[interp.ImplEnum][interp.OKEnc]
+	e.Dec = got.stats.Counts[interp.ImplEnum][interp.OKDec]
+	e.Add = got.stats.Counts[interp.ImplEnum][interp.OKAdd]
+	if div != nil {
 		e.Diverged = true
-		return e, got, &Divergence{
-			Seed: seed, Config: c.Name,
-			WantRet: ref.ret, GotRet: got.ret,
-			WantEmitSum: ref.emitSum, GotEmitSum: got.emitSum,
-			WantEmitCount: ref.emitCount, GotEmitCount: got.emitCount,
-		}
+		div.Seed = seed
 	}
-	return e, got, nil
+	return e, got, div
 }

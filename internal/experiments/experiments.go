@@ -27,6 +27,7 @@ import (
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
+	"memoir/internal/pipeline"
 	"memoir/internal/stats"
 )
 
@@ -144,11 +145,8 @@ func buildProgram(s *bench.Spec, cfg CompilerConfig, sc bench.Scale) (*ir.Progra
 			}
 			opts.SiteProfile = prof
 		}
-		if _, err := core.Apply(prog, opts); err != nil {
+		if _, err := pipeline.Transform(prog, opts); err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", s.Abbr, cfg.Name, err)
-		}
-		if err := ir.Verify(prog); err != nil {
-			return nil, fmt.Errorf("%s/%s: verify: %w", s.Abbr, cfg.Name, err)
 		}
 	}
 	return prog, nil

@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"memoir/internal/interp"
+	"memoir/internal/pipeline"
 )
 
 // Stable machine-readable error codes. These are a wire format:
@@ -66,6 +67,29 @@ func (e *APIError) Error() string { return e.Code + ": " + e.Message }
 
 func apiErr(code string, status int, msg string) *APIError {
 	return &APIError{Code: code, Status: status, Message: msg}
+}
+
+// mapCompileError classifies a compile-pipeline failure by the stage
+// that failed: a program the client can fix is a 400, a program ADE
+// rejects is a 422, and any failure after ADE is a compiler bug.
+//
+//	parse, verify → 400 parse-error / verify-error
+//	ade           → 422 ade-error
+//	anything else → 500 internal-error
+func mapCompileError(err error) *APIError {
+	var pe *pipeline.Error
+	if !errors.As(err, &pe) {
+		return apiErr(CodeInternal, http.StatusInternalServerError, err.Error())
+	}
+	switch pe.Stage {
+	case pipeline.StageParse:
+		return apiErr(CodeParseError, http.StatusBadRequest, pe.Err.Error())
+	case pipeline.StageVerify:
+		return apiErr(CodeVerifyError, http.StatusBadRequest, pe.Err.Error())
+	case pipeline.StageADE:
+		return apiErr(CodeADEError, http.StatusUnprocessableEntity, pe.Err.Error())
+	}
+	return apiErr(CodeInternal, http.StatusInternalServerError, pe.Error())
 }
 
 // MapRunError classifies an execution error from either engine into

@@ -33,11 +33,10 @@ import (
 	"time"
 
 	"memoir/internal/bytecode"
-	"memoir/internal/core"
 	"memoir/internal/faults"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
-	"memoir/internal/parser"
+	"memoir/internal/pipeline"
 	"memoir/internal/remarks"
 	"memoir/internal/server/cache"
 	"memoir/internal/server/store"
@@ -316,19 +315,13 @@ func (s *Server) recoverStore() {
 // canonical text — parse, IR verify, bytecode compile, bytecode
 // verify — without re-running ADE (the text is already post-ADE).
 func materialize(e *store.Entry) (*artifact, error) {
-	prog, err := parser.Parse(e.Program)
+	prog, err := pipeline.Parse(e.Program)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+		return nil, err
 	}
-	if err := ir.Verify(prog); err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
-	}
-	bc, err := bytecode.Compile(prog)
+	bc, err := pipeline.Compile(prog)
 	if err != nil {
-		return nil, fmt.Errorf("bytecode: %w", err)
-	}
-	if err := bytecode.Verify(bc); err != nil {
-		return nil, fmt.Errorf("bytecode verify: %w", err)
+		return nil, err
 	}
 	return &artifact{
 		key:      cache.Key{ProgramHash: e.ProgramHash, OptionsFP: e.OptionsFP},
@@ -619,12 +612,9 @@ func (s *Server) compileThroughCache(req *Request) (*artifact, PhaseInfo, bool, 
 
 	phases.Parsed = true
 	s.phases.Parses.Add(1)
-	prog, err := parser.Parse(req.Program)
+	prog, err := pipeline.Parse(req.Program)
 	if err != nil {
-		return nil, phases, false, false, apiErr(CodeParseError, http.StatusBadRequest, err.Error())
-	}
-	if err := ir.Verify(prog); err != nil {
-		return nil, phases, false, false, apiErr(CodeVerifyError, http.StatusBadRequest, err.Error())
+		return nil, phases, false, false, mapCompileError(err)
 	}
 	key := cache.Key{ProgramHash: ir.ProgramHash(prog), OptionsFP: fp}
 	if !bypass {
@@ -668,29 +658,21 @@ func (s *Server) compileThroughCache(req *Request) (*artifact, PhaseInfo, bool, 
 			em = remarks.NewEmitter()
 			opts.Remarks = em
 		}
-		rep, err := core.Apply(prog, opts)
+		rep, err := pipeline.Transform(prog, opts)
 		if err != nil {
-			return nil, phases, false, false, apiErr(CodeADEError, http.StatusUnprocessableEntity, err.Error())
-		}
-		if err := ir.Verify(prog); err != nil {
-			// A verify failure after ADE is a compiler bug, not a
-			// client error.
-			return nil, phases, false, false, apiErr(CodeInternal, http.StatusInternalServerError, "verify after ADE: "+err.Error())
+			return nil, phases, false, false, mapCompileError(err)
 		}
 		art.degraded = rep.Degraded
 		art.classes = len(rep.Classes)
 	}
 	phases.Compiled = true
 	s.phases.Compiles.Add(1)
-	bc, err := bytecode.Compile(prog)
-	if err != nil {
-		return nil, phases, false, false, apiErr(CodeInternal, http.StatusInternalServerError, "bytecode: "+err.Error())
-	}
 	// Never cache an artifact the verifier rejects: a bad compile dies
 	// here, once, instead of being replayed from the cache on every
 	// subsequent request.
-	if err := bytecode.Verify(bc); err != nil {
-		return nil, phases, false, false, apiErr(CodeInternal, http.StatusInternalServerError, err.Error())
+	bc, err := pipeline.Compile(prog)
+	if err != nil {
+		return nil, phases, false, false, mapCompileError(err)
 	}
 	art.bc = bc
 	art.size = artifactSize(req.Program, bc)

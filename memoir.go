@@ -13,7 +13,8 @@
 //
 // The building blocks live under internal/: the IR and builder
 // (internal/ir), the textual parser (internal/parser), the ADE pass
-// (internal/core), the collection implementations
+// (internal/core), the stage sequence that verifies every stage's
+// output (internal/pipeline), the collection implementations
 // (internal/collections), the bytecode compiler and VM
 // (internal/bytecode, internal/vm), the reference interpreter
 // (internal/interp), the benchmark suite (internal/bench) and the
@@ -22,16 +23,14 @@
 package memoir
 
 import (
-	"fmt"
 	"time"
 
 	"memoir/internal/adeprofile"
-	"memoir/internal/bytecode"
 	"memoir/internal/collections"
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
-	"memoir/internal/parser"
+	"memoir/internal/pipeline"
 	"memoir/internal/telemetry"
 	"memoir/internal/vm"
 )
@@ -115,12 +114,9 @@ func (p *Program) CollectProfile(entry string, args ...uint64) (*Profile, error)
 
 // Parse reads a textual MEMOIR program without transforming it.
 func Parse(src string) (*Program, error) {
-	p, err := parser.Parse(src)
+	p, err := pipeline.Parse(src)
 	if err != nil {
 		return nil, err
-	}
-	if err := ir.Verify(p); err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
 	}
 	return &Program{IR: p, hash: ir.ProgramHash(p)}, nil
 }
@@ -139,12 +135,9 @@ func Compile(src string, options ...Option) (*Program, error) {
 	if !cfg.ade {
 		return prog, nil
 	}
-	rep, err := core.Apply(prog.IR, cfg.opts)
+	rep, err := pipeline.Transform(prog.IR, cfg.opts)
 	if err != nil {
 		return nil, err
-	}
-	if err := ir.Verify(prog.IR); err != nil {
-		return nil, fmt.Errorf("verify after ADE: %w", err)
 	}
 	prog.Report = rep.String()
 	return prog, nil
@@ -188,11 +181,8 @@ func (p *Program) run(rec *telemetry.Recorder, entry string, args []uint64) (*Re
 	for i, a := range args {
 		vals[i] = interp.IntV(a)
 	}
-	bc, err := bytecode.Compile(p.IR)
+	bc, err := pipeline.Compile(p.IR)
 	if err != nil {
-		return nil, err
-	}
-	if err := bytecode.Verify(bc); err != nil {
 		return nil, err
 	}
 	m := vm.New(bc, opts)
