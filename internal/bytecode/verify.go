@@ -212,6 +212,11 @@ func (v *verifier) structure() error {
 			if err := v.checkArgList(pc, in.Aux2); err != nil {
 				return err
 			}
+			callee := v.p.Funcs[in.Aux]
+			if n := len(v.f.ArgLists[in.Aux2]); n != len(callee.ParamRegs) {
+				return v.errf(pc, "call of @%s passes %d arguments, callee takes %d",
+					callee.Name, n, len(callee.ParamRegs))
+			}
 			if in.Dst >= 0 {
 				if err := v.checkReg(pc, "destination", in.Dst); err != nil {
 					return err

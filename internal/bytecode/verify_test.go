@@ -155,6 +155,11 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			f := mainOf(bc)
 			f.Code[findOp(t, f, bytecode.OpCall)].Aux = int32(len(bc.Funcs))
 		}, "function table"},
+		{"call-arity-mismatch", func(t *testing.T, bc *bytecode.Prog) {
+			f := mainOf(bc)
+			aux2 := f.Code[findOp(t, f, bytecode.OpCall)].Aux2
+			f.ArgLists[aux2] = append(f.ArgLists[aux2], f.ArgLists[aux2][0])
+		}, "passes 2 arguments, callee takes 1"},
 		{"foreach-body-inverted", func(t *testing.T, bc *bytecode.Prog) {
 			f := mainOf(bc)
 			in := &f.Code[findOp(t, f, bytecode.OpForEach)]

@@ -1,7 +1,5 @@
 package collections
 
-import "unsafe"
-
 // BitMap is a dense map over enumerated keys (Table I row Map/BitMap):
 // a contiguous value array indexed directly by the key, with a
 // presence bitset. Reads, writes, inserts and removes are a single
@@ -106,8 +104,7 @@ func (m *BitMap[V]) WordCount() int { return len(m.present.Words()) }
 
 // Bytes models the storage footprint: k·(1+bits(T)).
 func (m *BitMap[V]) Bytes() int64 {
-	var zero V
-	return int64(cap(m.vals))*int64(unsafe.Sizeof(zero)) + m.present.Bytes()
+	return int64(cap(m.vals))*elemBytes[V]() + m.present.Bytes()
 }
 
 // Kind reports the implementation.

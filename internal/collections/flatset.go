@@ -1,9 +1,6 @@
 package collections
 
-import (
-	"sort"
-	"unsafe"
-)
+import "sort"
 
 // FlatSet is a sorted-array set (Table I row Set/FlatSet): O(log n)
 // membership, O(n) insert/remove shifts, exactly n·bits(T) storage,
@@ -44,7 +41,7 @@ func (s *FlatSet[K]) Insert(k K) bool {
 		return false
 	}
 	var zero K
-	s.elems = append(s.elems, zero)
+	s.elems = append(grow(s.elems, len(s.elems)+1), zero)
 	copy(s.elems[i+1:], s.elems[i:])
 	s.elems[i] = k
 	return true
@@ -105,10 +102,7 @@ func (s *FlatSet[K]) UnionWith(other *FlatSet[K]) {
 }
 
 // Bytes models the storage footprint: n·bits(T).
-func (s *FlatSet[K]) Bytes() int64 {
-	var zero K
-	return int64(cap(s.elems)) * int64(unsafe.Sizeof(zero))
-}
+func (s *FlatSet[K]) Bytes() int64 { return int64(cap(s.elems)) * elemBytes[K]() }
 
 // Kind reports the implementation.
 func (s *FlatSet[K]) Kind() Impl { return ImplFlatSet }

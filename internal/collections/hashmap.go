@@ -1,7 +1,5 @@
 package collections
 
-import "unsafe"
-
 // HashMap is an open-addressing hash table with linear probing and
 // tombstone deletion — the general-purpose baseline map (Table I row
 // Map/HashMap). Expected O(1) read, write, insert and remove.
@@ -151,10 +149,8 @@ func (m *HashMap[K, V]) Clear() {
 
 // Bytes models the storage footprint.
 func (m *HashMap[K, V]) Bytes() int64 {
-	var zeroK K
-	var zeroV V
-	return int64(len(m.keys))*int64(unsafe.Sizeof(zeroK)) +
-		int64(len(m.vals))*int64(unsafe.Sizeof(zeroV)) +
+	return int64(len(m.keys))*elemBytes[K]() +
+		int64(len(m.vals))*elemBytes[V]() +
 		int64(len(m.state))
 }
 

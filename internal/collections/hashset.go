@@ -1,7 +1,5 @@
 package collections
 
-import "unsafe"
-
 // Slot states for the open-addressing tables.
 const (
 	slotEmpty uint8 = iota
@@ -147,8 +145,7 @@ func (s *HashSet[K]) Clear() {
 
 // Bytes models the storage footprint: key array plus state bytes.
 func (s *HashSet[K]) Bytes() int64 {
-	var zero K
-	return int64(len(s.keys))*int64(unsafe.Sizeof(zero)) + int64(len(s.state))
+	return int64(len(s.keys))*elemBytes[K]() + int64(len(s.state))
 }
 
 // Kind reports the implementation.

@@ -1,7 +1,5 @@
 package collections
 
-import "unsafe"
-
 // Seq is a resizable array, the only sequence implementation in the
 // selection space (Table I row Seq<T>/Array). Reads and writes are
 // O(1); positional insert and remove are O(n).
@@ -28,14 +26,14 @@ func (s *Seq[T]) Set(i int, v T) { s.elems[i] = v }
 
 // Append adds v at the end and returns its index.
 func (s *Seq[T]) Append(v T) int {
-	s.elems = append(s.elems, v)
+	s.elems = append(grow(s.elems, len(s.elems)+1), v)
 	return len(s.elems) - 1
 }
 
 // InsertAt inserts v before index i (i may equal Len to append).
 func (s *Seq[T]) InsertAt(i int, v T) {
 	var zero T
-	s.elems = append(s.elems, zero)
+	s.elems = append(grow(s.elems, len(s.elems)+1), zero)
 	copy(s.elems[i+1:], s.elems[i:])
 	s.elems[i] = v
 }
@@ -62,10 +60,7 @@ func (s *Seq[T]) Iterate(f func(i int, v T) bool) {
 func (s *Seq[T]) Slice() []T { return s.elems }
 
 // Bytes models the storage footprint: capacity times element size.
-func (s *Seq[T]) Bytes() int64 {
-	var zero T
-	return int64(cap(s.elems)) * int64(unsafe.Sizeof(zero))
-}
+func (s *Seq[T]) Bytes() int64 { return int64(cap(s.elems)) * elemBytes[T]() }
 
 // Kind reports the implementation.
 func (s *Seq[T]) Kind() Impl { return ImplArray }

@@ -1,7 +1,5 @@
 package collections
 
-import "unsafe"
-
 // SwissMap is a Swiss-table map (Table I row Map/SwissMap): the same
 // group-probed control-byte layout as SwissSet with a parallel value
 // array.
@@ -159,11 +157,9 @@ func (m *SwissMap[K, V]) Clear() {
 // Bytes models the storage footprint: control byte + key + value per
 // slot (the 1+bits(K)+bits(T) of Table I).
 func (m *SwissMap[K, V]) Bytes() int64 {
-	var zeroK K
-	var zeroV V
 	return int64(len(m.ctrl)) +
-		int64(len(m.keys))*int64(unsafe.Sizeof(zeroK)) +
-		int64(len(m.vals))*int64(unsafe.Sizeof(zeroV))
+		int64(len(m.keys))*elemBytes[K]() +
+		int64(len(m.vals))*elemBytes[V]()
 }
 
 // Kind reports the implementation.

@@ -1,7 +1,5 @@
 package collections
 
-import "unsafe"
-
 // SwissSet is a Swiss-table set: open addressing over groups of 8
 // slots whose 7-bit hash fingerprints are matched a word at a time
 // (Table I row Set/SwissSet). Expected O(1) insert and remove with
@@ -143,8 +141,7 @@ func (s *SwissSet[K]) Clear() {
 // Bytes models the storage footprint: one control byte plus one key
 // per slot (the 1+bits(T) of Table I).
 func (s *SwissSet[K]) Bytes() int64 {
-	var zero K
-	return int64(len(s.ctrl)) + int64(len(s.keys))*int64(unsafe.Sizeof(zero))
+	return int64(len(s.ctrl)) + int64(len(s.keys))*elemBytes[K]()
 }
 
 // Kind reports the implementation.

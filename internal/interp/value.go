@@ -19,6 +19,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"memoir/internal/collections"
 	"memoir/internal/ir"
@@ -28,23 +29,34 @@ import (
 type ValKind uint8
 
 const (
-	VInt ValKind = iota // integers, bools, ptr, idx (bits in I)
-	VFloat
-	VStr
-	VColl  // collection handle in C
-	VEnum  // enumeration handle in E
-	VTuple // tuple in T
+	VInt   ValKind = iota // integers, bools, ptr, idx (bits in I)
+	VFloat                // float bits in I
+	VStr                  // string in ref
+	VColl                 // collection handle in ref
+	VEnum                 // enumeration handle in ref
+	VTuple                // tuple fields in ref
 )
 
-// Val is a runtime value, kept compact (48 bytes) because the
-// interpreter copies it constantly: floats live as bits in I, and
-// collection handles, enumerations and tuples share the ref slot.
+// Val is a runtime value, kept compact (32 bytes, two pointer words)
+// because both engines copy it constantly: floats live as bits in I,
+// and strings, collection handles, enumerations and tuples share the
+// ref slot. The memory model does not see this layout: collections
+// charge ValModelBytes per element (see ModeledBytes).
 type Val struct {
 	K   ValKind
 	I   uint64
-	S   string
 	ref any
 }
+
+// ValModelBytes is the modeled storage size of one Val element, the
+// unit every collection's Bytes() charges for a Val slot. It is fixed
+// independently of the Go layout so a representation change cannot
+// move the memory columns of Figures 5c, 8 and 10.
+const ValModelBytes = 48
+
+// ModeledBytes reports ValModelBytes; collections read it through a
+// nil *Val, so the receiver is never dereferenced.
+func (*Val) ModeledBytes() int64 { return ValModelBytes }
 
 // IntV returns an integer value.
 func IntV(x uint64) Val { return Val{K: VInt, I: x} }
@@ -53,7 +65,13 @@ func IntV(x uint64) Val { return Val{K: VInt, I: x} }
 func FloatV(x float64) Val { return Val{K: VFloat, I: math.Float64bits(x)} }
 
 // StrV returns a string value.
-func StrV(s string) Val { return Val{K: VStr, S: s} }
+func StrV(s string) Val { return Val{K: VStr, ref: s} }
+
+// Str returns the string payload ("" if not a string).
+func (v Val) Str() string {
+	s, _ := v.ref.(string)
+	return s
+}
 
 // CollV returns a collection handle value.
 func CollV(c Coll) Val { return Val{K: VColl, ref: c} }
@@ -108,7 +126,7 @@ func (v Val) Bits() uint64 {
 	case VInt, VFloat:
 		return v.I // float bits already live in I
 	case VStr:
-		return collections.HashString(v.S)
+		return collections.HashString(v.Str())
 	default:
 		return 0
 	}
@@ -120,7 +138,7 @@ func (v Val) Bits() uint64 {
 func HashVal(v Val) uint64 {
 	switch v.K {
 	case VStr:
-		return collections.HashString(v.S)
+		return collections.HashString(v.Str())
 	default:
 		return collections.Mix64(v.Bits())
 	}
@@ -137,7 +155,7 @@ func EqVal(a, b Val) bool {
 	case VFloat:
 		return a.Flt() == b.Flt()
 	case VStr:
-		return a.S == b.S
+		return a.Str() == b.Str()
 	}
 	return false
 }
@@ -155,13 +173,7 @@ func CmpVal(a, b Val) int {
 		}
 		return 0
 	case VStr:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		}
-		return 0
+		return strings.Compare(a.Str(), b.Str())
 	default:
 		switch {
 		case a.I < b.I:
@@ -180,7 +192,7 @@ func (v Val) String() string {
 	case VFloat:
 		return fmt.Sprintf("%g", v.Flt())
 	case VStr:
-		return fmt.Sprintf("%q", v.S)
+		return fmt.Sprintf("%q", v.Str())
 	case VColl:
 		return fmt.Sprintf("coll<%v,%d>", v.Coll().Impl(), v.Coll().Len())
 	case VEnum:

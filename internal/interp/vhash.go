@@ -1,10 +1,6 @@
 package interp
 
-import (
-	"unsafe"
-
-	"memoir/internal/collections"
-)
+import "memoir/internal/collections"
 
 // This file holds Val-specialized twins of the generic open-addressing
 // tables in internal/collections. The generic HashMap/HashSet reach
@@ -29,8 +25,6 @@ const vLoadNum, vLoadDen = 3, 4 // grow at 75% occupancy (full + tombstones)
 // SlotFull marks a live slot in the state arrays returned by States:
 // the contract behind the VM's inlined table iteration.
 const SlotFull = vSlotFull
-
-var valBytes = int64(unsafe.Sizeof(Val{}))
 
 // ValMap is collections.HashMap[Val, Val] with the hash inlined: the
 // runtime table behind Map{HashMap} values on both engines.
@@ -172,7 +166,7 @@ func (m *ValMap) Clear() {
 
 // Bytes models the storage footprint.
 func (m *ValMap) Bytes() int64 {
-	return int64(len(m.keys))*valBytes + int64(len(m.vals))*valBytes + int64(len(m.state))
+	return int64(len(m.keys))*ValModelBytes + int64(len(m.vals))*ValModelBytes + int64(len(m.state))
 }
 
 // Kind reports the implementation.
@@ -303,7 +297,7 @@ func (s *ValSet) Clear() {
 
 // Bytes models the storage footprint: key array plus state bytes.
 func (s *ValSet) Bytes() int64 {
-	return int64(len(s.keys))*valBytes + int64(len(s.state))
+	return int64(len(s.keys))*ValModelBytes + int64(len(s.state))
 }
 
 // Kind reports the implementation.
@@ -393,5 +387,5 @@ func (m *valU32Map) Put(k Val, v uint32) {
 }
 
 func (m *valU32Map) Bytes() int64 {
-	return int64(len(m.keys))*valBytes + int64(len(m.vals))*4 + int64(len(m.state))
+	return int64(len(m.keys))*ValModelBytes + int64(len(m.vals))*4 + int64(len(m.state))
 }

@@ -72,7 +72,7 @@ func workloads() []workload {
 	return out
 }
 
-func sameVal(a, b Val) bool { return a.K == b.K && a.I == b.I && a.S == b.S }
+func sameVal(a, b Val) bool { return a.K == b.K && a.I == b.I && a.Str() == b.Str() }
 
 // entries collects an Iterate-style traversal in order.
 func entries[V any](iter func(func(k Val, v V) bool)) (ks []Val, vs []V) {

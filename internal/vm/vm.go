@@ -200,20 +200,32 @@ func (m *VM) Run(name string, args ...interp.Val) (ret interp.Val, err error) {
 			ret, err = interp.Val{}, interp.RecoveredError(r, f.Name, m.Stats.Steps)
 		}
 	}()
-	return m.call(f, args)
-}
-
-func (m *VM) call(f *bytecode.Func, args []interp.Val) (interp.Val, error) {
-	if len(args) != len(f.ParamRegs) {
-		return interp.Val{}, m.errf(f, "called with %d args, want %d", len(args), len(f.ParamRegs))
+	if err := m.checkArity(f, len(args)); err != nil {
+		return interp.Val{}, err
 	}
-	fr := make([]interp.Val, f.FrameLen)
-	copy(fr[f.NumSlots:], f.Consts)
+	fr := newFrame(f)
 	for i, r := range f.ParamRegs {
 		fr[r] = args[i]
 	}
-	ret, _, err := m.run(f, fr, 0, int32(len(f.Code)))
+	ret, _, err = m.run(f, fr, 0, int32(len(f.Code)))
 	return ret, err
+}
+
+// checkArity rejects a call of f with n arguments. The verifier
+// already rejects such a call in verified bytecode.
+func (m *VM) checkArity(f *bytecode.Func, n int) error {
+	if n != len(f.ParamRegs) {
+		return m.errf(f, "called with %d args, want %d", n, len(f.ParamRegs))
+	}
+	return nil
+}
+
+// newFrame returns a fresh register frame for f with its constants
+// loaded; the caller writes the parameters.
+func newFrame(f *bytecode.Func) []interp.Val {
+	fr := make([]interp.Val, f.FrameLen)
+	copy(fr[f.NumSlots:], f.Consts)
+	return fr
 }
 
 // get reads an operand: a plain register, or a register followed by a
@@ -623,19 +635,20 @@ dispatch:
 		case bytecode.OpCall:
 			callee := m.Prog.Funcs[in.Aux]
 			list := f.ArgLists[in.Aux2]
-			args := make([]interp.Val, len(list))
+			if err = m.checkArity(callee, len(list)); err != nil {
+				goto out
+			}
+			cfr := newFrame(callee)
 			for i, o := range list {
-				var v interp.Val
-				if v, err = m.get(f, fr, o); err != nil {
+				if cfr[callee.ParamRegs[i]], err = m.get(f, fr, o); err != nil {
 					goto out
 				}
-				args[i] = v
 			}
 			st.Steps += steps
 			st.Counts[collections.ImplNone][interp.OKScalar] += nscalar
 			steps, nscalar = 0, 0
 			var ret interp.Val
-			if ret, err = m.call(callee, args); err != nil {
+			if ret, _, err = m.run(callee, cfr, 0, int32(len(callee.Code))); err != nil {
 				goto out
 			}
 			budget = math.MaxUint64

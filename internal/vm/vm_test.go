@@ -210,6 +210,83 @@ func TestEngineParityColdMap(t *testing.T) {
 	}
 }
 
+// stringsSrc builds a 600-word Seq<str> from an 8-entry word table,
+// counts the words in a Map<str,u64> and collects the distinct words in
+// a Set<str>: every string lives in the value's ref slot, and every
+// table hashes, compares and orders strings.
+const stringsSrc = `fn u64 @main(): exported
+  %t0 := new Seq<str>()
+  %t1 := insert(%t0, end, "alpha")
+  %t2 := insert(%t1, end, "beta")
+  %t3 := insert(%t2, end, "gamma")
+  %t4 := insert(%t3, end, "delta")
+  %t5 := insert(%t4, end, "")
+  %t6 := insert(%t5, end, "alphabet")
+  %t7 := insert(%t6, end, "Beta")
+  %t8 := insert(%t7, end, "delta ")
+  %words := new Seq<str>()
+  do:
+    %i := phi(0, %i1)
+    %w0 := phi(%words, %w1)
+    %h := mul(%i, 2654435761)
+    %j := rem(%h, 8)
+    %w := read(%t8, %j)
+    %w1 := insert(%w0, end, %w)
+    %i1 := add(%i, 1)
+    %more := lt(%i1, 600)
+  while %more
+  %wF := phi(%w0)
+  %hist := new Map<str,u64>()
+  for [%k, %v] in %wF:
+    %hist0 := phi(%hist, %hist3)
+    %c := has(%hist0, %v)
+    if %c:
+      %f := read(%hist0, %v)
+    else:
+      %hist1 := insert(%hist0, %v)
+    %f0 := phi(%f, 0)
+    %hist2 := phi(%hist0, %hist1)
+    %f1 := add(%f0, 1)
+    %hist3 := write(%hist2, %v, %f1)
+  %histF := phi(%hist0)
+  %seen := new Set<str>()
+  for [%w2, %n] in %histF:
+    %s0 := phi(%seen, %s1)
+    %s1 := insert(%s0, %w2)
+    emit(%w2)
+    emit(%n)
+  %sF := phi(%s0)
+  for [%w3, %u] in %sF:
+    emit(%w3)
+  %z := size(%sF)
+  ret %z
+`
+
+// TestEngineParityStrings diffs the engines on a string-keyed Map and
+// Set under every parity configuration: return value, emitted strings
+// and counts, op counts and the memory model must be identical.
+func TestEngineParityStrings(t *testing.T) {
+	build := func() *ir.Program {
+		p, err := parser.Parse(stringsSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	noInput := func(bench.Allocator) []interp.Val { return nil }
+	for _, cfg := range parityConfigs() {
+		cfg.name = "strings-" + cfg.name
+		assertParity(t, build, noInput, cfg)
+	}
+	ret, out, _, _, err := runOn(t, bench.EngineVM, build, noInput, parityConfigs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ret.I != 8 || len(out) != 24 {
+		t.Fatalf("ret=%v, %d outputs; want 8 distinct words, 24 outputs", ret, len(out))
+	}
+}
+
 // TestEngineParityMemSampleEveryGrow stresses the growth-sampled
 // memory model: with MemSampleEvery=1 every growth event samples, so
 // any divergence in the engines' growth-event sequences shows up as a
