@@ -54,9 +54,10 @@ func (m *BitMap[V]) Put(k uint32, v V) {
 // Has reports whether k is present.
 func (m *BitMap[V]) Has(k uint32) bool { return m.present.Has(k) }
 
-// Words exposes the presence bitmap's backing words so callers can
-// inline the Iterate scan; the words must not be mutated.
-func (m *BitMap[V]) Words() []uint64 { return m.present.Words() }
+// Present exposes the presence bitset so callers can test membership
+// and inline the Iterate scan without knowing V; it must not be
+// mutated.
+func (m *BitMap[V]) Present() *BitSet { return &m.present }
 
 // At returns the value stored under k, which must be present.
 func (m *BitMap[V]) At(k uint32) V { return m.vals[k] }
@@ -98,13 +99,9 @@ func (m *BitMap[V]) Clear() {
 	m.present.Clear()
 }
 
-// WordCount reports the number of presence-bitset words, the unit of
-// iteration scan work.
-func (m *BitMap[V]) WordCount() int { return len(m.present.Words()) }
-
 // Bytes models the storage footprint: k·(1+bits(T)).
 func (m *BitMap[V]) Bytes() int64 {
-	return int64(cap(m.vals))*elemBytes[V]() + m.present.Bytes()
+	return int64(cap(m.vals))*ElemBytes[V]() + m.present.Bytes()
 }
 
 // Kind reports the implementation.

@@ -102,7 +102,7 @@ func (s *FlatSet[K]) UnionWith(other *FlatSet[K]) {
 }
 
 // Bytes models the storage footprint: n·bits(T).
-func (s *FlatSet[K]) Bytes() int64 { return int64(cap(s.elems)) * elemBytes[K]() }
+func (s *FlatSet[K]) Bytes() int64 { return int64(cap(s.elems)) * ElemBytes[K]() }
 
 // Kind reports the implementation.
 func (s *FlatSet[K]) Kind() Impl { return ImplFlatSet }

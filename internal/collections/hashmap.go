@@ -149,8 +149,8 @@ func (m *HashMap[K, V]) Clear() {
 
 // Bytes models the storage footprint.
 func (m *HashMap[K, V]) Bytes() int64 {
-	return int64(len(m.keys))*elemBytes[K]() +
-		int64(len(m.vals))*elemBytes[V]() +
+	return int64(len(m.keys))*ElemBytes[K]() +
+		int64(len(m.vals))*ElemBytes[V]() +
 		int64(len(m.state))
 }
 

@@ -145,7 +145,7 @@ func (s *HashSet[K]) Clear() {
 
 // Bytes models the storage footprint: key array plus state bytes.
 func (s *HashSet[K]) Bytes() int64 {
-	return int64(len(s.keys))*elemBytes[K]() + int64(len(s.state))
+	return int64(len(s.keys))*ElemBytes[K]() + int64(len(s.state))
 }
 
 // Kind reports the implementation.

@@ -3,7 +3,7 @@ package collections
 import "unsafe"
 
 // The memory model is kept independent of the Go layout in two ways:
-// element sizes come from elemBytes rather than from the Go type's
+// element sizes come from ElemBytes rather than from the Go type's
 // size alone, and growable arrays take their capacity from grownCap
 // rather than from append, whose capacity the allocator rounds up to a
 // size class that depends on the element's Go size. Together they keep
@@ -14,9 +14,11 @@ import "unsafe"
 // Go size, such as the interpreter's runtime value.
 type modeledSizer interface{ ModeledBytes() int64 }
 
-// elemBytes is the modeled size of one T element: ModeledBytes when T
-// declares one, its Go size otherwise.
-func elemBytes[T any]() int64 {
+// ElemBytes is the modeled size of one T element: ModeledBytes when T
+// declares one, its Go size otherwise. It is exported for the
+// interpreter's specialised hash tables, which charge their value
+// arrays by the same rule.
+func ElemBytes[T any]() int64 {
 	var p *T
 	if m, ok := any(p).(modeledSizer); ok {
 		return m.ModeledBytes()

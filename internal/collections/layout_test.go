@@ -1,12 +1,14 @@
 package collections_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
 
 	"memoir/internal/collections"
 	"memoir/internal/interp"
+	"memoir/internal/ir"
 )
 
 // wide is a plain element with the modeled size of interp.Val: the
@@ -14,10 +16,14 @@ import (
 type wide = [6]uint64
 
 // TestValLayout pins the runtime value at two pointer words plus the
-// kind/bits header, and its modeled size at 48 bytes.
+// kind/bits header, an unboxed element at one word, and the modeled
+// size of both at 48 bytes.
 func TestValLayout(t *testing.T) {
 	if got := unsafe.Sizeof(interp.Val{}); got != 32 {
 		t.Errorf("unsafe.Sizeof(interp.Val{}) = %d, want 32", got)
+	}
+	if got := unsafe.Sizeof(interp.Word(0)); got != 8 {
+		t.Errorf("unsafe.Sizeof(interp.Word(0)) = %d, want 8", got)
 	}
 	if got := unsafe.Sizeof(wide{}); got != interp.ValModelBytes {
 		t.Errorf("unsafe.Sizeof(wide{}) = %d, want %d", got, interp.ValModelBytes)
@@ -51,11 +57,14 @@ func layoutOps(seed int64, n int) []layoutOp {
 }
 
 // family is one collection under test: apply runs an op, bytes
-// reports the modeled footprint.
+// reports the modeled footprint. twin names the generic family over
+// the wide element it must match; empty means the family of its own
+// name.
 type family struct {
 	name  string
 	apply func(layoutOp)
 	bytes func() int64
+	twin  string
 }
 
 // keyed is the op driver of a set or map: kinds 0 and 2 add the key,
@@ -97,13 +106,13 @@ func families[E any](mk func(uint64) E, hash func(E) uint64, eq func(E, E) bool,
 			default:
 				seq.Clear()
 			}
-		}, seq.Bytes},
-		{"FlatSet", keyed(func(k uint64) { flat.Insert(mk(k)) }, func(k uint64) { flat.Remove(mk(k)) }, flat.Clear), flat.Bytes},
-		{"HashSet", keyed(func(k uint64) { hs.Insert(mk(k)) }, func(k uint64) { hs.Remove(mk(k)) }, hs.Clear), hs.Bytes},
-		{"SwissSet", keyed(func(k uint64) { ss.Insert(mk(k)) }, func(k uint64) { ss.Remove(mk(k)) }, ss.Clear), ss.Bytes},
-		{"HashMap", keyed(func(k uint64) { hm.Put(mk(k), mk(k)) }, func(k uint64) { hm.Remove(mk(k)) }, hm.Clear), hm.Bytes},
-		{"SwissMap", keyed(func(k uint64) { sm.Put(mk(k), mk(k)) }, func(k uint64) { sm.Remove(mk(k)) }, sm.Clear), sm.Bytes},
-		{"BitMap", keyed(func(k uint64) { bm.Put(uint32(k), mk(k)) }, func(k uint64) { bm.Remove(uint32(k)) }, bm.Clear), bm.Bytes},
+		}, seq.Bytes, ""},
+		{"FlatSet", keyed(func(k uint64) { flat.Insert(mk(k)) }, func(k uint64) { flat.Remove(mk(k)) }, flat.Clear), flat.Bytes, ""},
+		{"HashSet", keyed(func(k uint64) { hs.Insert(mk(k)) }, func(k uint64) { hs.Remove(mk(k)) }, hs.Clear), hs.Bytes, ""},
+		{"SwissSet", keyed(func(k uint64) { ss.Insert(mk(k)) }, func(k uint64) { ss.Remove(mk(k)) }, ss.Clear), ss.Bytes, ""},
+		{"HashMap", keyed(func(k uint64) { hm.Put(mk(k), mk(k)) }, func(k uint64) { hm.Remove(mk(k)) }, hm.Clear), hm.Bytes, ""},
+		{"SwissMap", keyed(func(k uint64) { sm.Put(mk(k), mk(k)) }, func(k uint64) { sm.Remove(mk(k)) }, sm.Clear), sm.Bytes, ""},
+		{"BitMap", keyed(func(k uint64) { bm.Put(uint32(k), mk(k)) }, func(k uint64) { bm.Remove(uint32(k)) }, bm.Clear), bm.Bytes, ""},
 	}
 }
 
@@ -124,30 +133,109 @@ func byName(fams []family, name string) family {
 	panic("no family " + name)
 }
 
-// TestBytesLayoutIndependent drives every family over interp.Val and
-// over the 48-byte wide element with the same operation sequence and
-// requires identical Bytes() after every operation. The interpreter's
-// specialised ValMap and ValSet run beside generic HashMap and HashSet
-// instances over wide elements.
+func wordFamilies() []family {
+	return families(
+		func(k uint64) interp.Word { return interp.Word(k) },
+		func(w interp.Word) uint64 { return collections.Mix64(uint64(w)) },
+		func(a, b interp.Word) bool { return a == b },
+		func(a, b interp.Word) int { return collections.CmpUint64(uint64(a), uint64(b)) })
+}
+
+// floatBits is the float whose bits are k: it hashes like the integer
+// k, so tombstone reuse, and with it Bytes(), follows the wide twin.
+func floatBits(k uint64) interp.Val { return interp.FloatV(math.Float64frombits(k)) }
+
+// runtimeFamilies are the interpreter's own tables, over Val and Word
+// keys, and its runtime collections in each element storage NewCollFor
+// picks, each named with its generic twin.
+func runtimeFamilies() []family {
+	vm, vs := &interp.ValMap[interp.Val]{}, &interp.ValMap[struct{}]{}
+	wm, wv, ws := &interp.WordMap[interp.Word]{}, &interp.WordMap[interp.Val]{}, &interp.WordMap[struct{}]{}
+	w := func(k uint64) interp.Word { return interp.Word(k) }
+	fams := []family{
+		{"ValMap", keyed(func(k uint64) { vm.Put(interp.IntV(k), interp.IntV(k)) },
+			func(k uint64) { vm.Remove(interp.IntV(k)) }, vm.Clear), vm.Bytes, "HashMap"},
+		{"ValMap[struct{}]", keyed(func(k uint64) { vs.Put(interp.IntV(k), struct{}{}) },
+			func(k uint64) { vs.Remove(interp.IntV(k)) }, vs.Clear), vs.Bytes, "HashSet"},
+		{"WordMap[Word]", keyed(func(k uint64) { wm.Put(w(k), w(k)) }, func(k uint64) { wm.Remove(w(k)) }, wm.Clear), wm.Bytes, "HashMap"},
+		{"WordMap[Val]", keyed(func(k uint64) { wv.Put(w(k), interp.IntV(k)) }, func(k uint64) { wv.Remove(w(k)) }, wv.Clear), wv.Bytes, "HashMap"},
+		{"WordMap[struct{}]", keyed(func(k uint64) { ws.Put(w(k), struct{}{}) }, func(k uint64) { ws.Remove(w(k)) }, ws.Clear), ws.Bytes, "HashSet"},
+	}
+	newColl := func(ct *ir.CollType) interp.Coll {
+		return interp.NewCollFor(ct, collections.ImplHashSet, collections.ImplHashMap)
+	}
+	bitMap := ir.MapOf(ir.TIdx, ir.TU64)
+	bitMap.Sel = collections.ImplBitMap
+	for _, m := range []struct {
+		name string
+		ct   *ir.CollType
+		key  func(uint64) interp.Val
+		twin string
+	}{
+		{"Map<u64,u64>", ir.MapOf(ir.TU64, ir.TU64), interp.IntV, "HashMap"},
+		{"Map<u64,str>", ir.MapOf(ir.TU64, ir.TStr), interp.IntV, "HashMap"},
+		{"Map<f64,f64>", ir.MapOf(ir.TF64, ir.TF64), floatBits, "HashMap"},
+		{"Map{BitMap}<idx,u64>", bitMap, interp.IntV, "BitMap"},
+	} {
+		c := newColl(m.ct).(interp.RMap)
+		key := m.key
+		fams = append(fams, family{m.name, keyed(func(k uint64) { c.Put(key(k), key(k)) },
+			func(k uint64) { c.Remove(key(k)) }, c.Clear), c.Bytes, m.twin})
+	}
+	for _, ct := range []*ir.CollType{ir.SetOf(ir.TU64), ir.SetOf(ir.TF64)} {
+		c := newColl(ct).(interp.RSet)
+		key := interp.IntV
+		if ct.Key == ir.TF64 {
+			key = floatBits
+		}
+		fams = append(fams, family{ct.String(), keyed(func(k uint64) { c.Insert(key(k)) },
+			func(k uint64) { c.Remove(key(k)) }, c.Clear), c.Bytes, "HashSet"})
+	}
+	for _, ct := range []*ir.CollType{ir.SeqOf(ir.TU64), ir.SeqOf(ir.TF64), ir.SeqOf(ir.TStr)} {
+		s := newColl(ct).(interp.RSeq)
+		fams = append(fams, family{ct.String(), func(op layoutOp) {
+			v := interp.IntV(op.key)
+			switch op.kind {
+			case 0:
+				s.Append(v)
+			case 1:
+				s.InsertAt(int(op.key)%(s.Len()+1), v)
+			case 2:
+				if s.Len() > 0 {
+					s.RemoveAt(int(op.key) % s.Len())
+				}
+			default:
+				s.Clear()
+			}
+		}, s.Bytes, "Seq"})
+	}
+	return fams
+}
+
+// TestBytesLayoutIndependent drives every family over interp.Val, over
+// the unboxed interp.Word and over the 48-byte wide element with the
+// same operation sequence and requires identical Bytes() after every
+// operation. The interpreter's specialised tables and its runtime
+// collections, boxed and unboxed, run beside their generic twins over
+// wide elements.
 func TestBytesLayoutIndependent(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		vm, vs := &interp.ValMap{}, &interp.ValSet{}
-		vals := append(families(interp.IntV, interp.HashVal, interp.EqVal, interp.CmpVal),
-			family{"ValMap", keyed(func(k uint64) { vm.Put(interp.IntV(k), interp.IntV(k)) },
-				func(k uint64) { vm.Remove(interp.IntV(k)) }, vm.Clear), vm.Bytes},
-			family{"ValSet", keyed(func(k uint64) { vs.Insert(interp.IntV(k)) },
-				func(k uint64) { vs.Remove(interp.IntV(k)) }, vs.Clear), vs.Bytes})
-		twins := wideFamilies()
-		wides := append(wideFamilies(), byName(twins, "HashMap"), byName(twins, "HashSet"))
-
+		var under []family
+		under = append(under, families(interp.IntV, interp.HashVal, interp.EqVal, interp.CmpVal)...)
+		under = append(under, wordFamilies()...)
+		under = append(under, runtimeFamilies()...)
 		ops := layoutOps(seed, 4000)
-		for i := range vals {
-			v, w := vals[i], wides[i]
+		for _, v := range under {
+			twin := v.twin
+			if twin == "" {
+				twin = v.name
+			}
+			w := byName(wideFamilies(), twin)
 			for n, op := range ops {
 				v.apply(op)
 				w.apply(op)
 				if vb, wb := v.bytes(), w.bytes(); vb != wb {
-					t.Fatalf("seed %d %s vs %s: after op %d %+v, Bytes() = %d over Val, %d over [6]uint64",
+					t.Fatalf("seed %d %s vs %s: after op %d %+v, Bytes() = %d, %d over [6]uint64",
 						seed, v.name, w.name, n, op, vb, wb)
 				}
 			}

@@ -60,7 +60,7 @@ func (s *Seq[T]) Iterate(f func(i int, v T) bool) {
 func (s *Seq[T]) Slice() []T { return s.elems }
 
 // Bytes models the storage footprint: capacity times element size.
-func (s *Seq[T]) Bytes() int64 { return int64(cap(s.elems)) * elemBytes[T]() }
+func (s *Seq[T]) Bytes() int64 { return int64(cap(s.elems)) * ElemBytes[T]() }
 
 // Kind reports the implementation.
 func (s *Seq[T]) Kind() Impl { return ImplArray }

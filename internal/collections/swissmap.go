@@ -158,8 +158,8 @@ func (m *SwissMap[K, V]) Clear() {
 // slot (the 1+bits(K)+bits(T) of Table I).
 func (m *SwissMap[K, V]) Bytes() int64 {
 	return int64(len(m.ctrl)) +
-		int64(len(m.keys))*elemBytes[K]() +
-		int64(len(m.vals))*elemBytes[V]()
+		int64(len(m.keys))*ElemBytes[K]() +
+		int64(len(m.vals))*ElemBytes[V]()
 }
 
 // Kind reports the implementation.

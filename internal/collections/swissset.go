@@ -141,7 +141,7 @@ func (s *SwissSet[K]) Clear() {
 // Bytes models the storage footprint: one control byte plus one key
 // per slot (the 1+bits(T) of Table I).
 func (s *SwissSet[K]) Bytes() int64 {
-	return int64(len(s.ctrl)) + int64(len(s.keys))*elemBytes[K]()
+	return int64(len(s.ctrl)) + int64(len(s.keys))*ElemBytes[K]()
 }
 
 // Kind reports the implementation.

@@ -283,7 +283,7 @@ func CountIterSetup(st *Stats, rec *telemetry.Recorder, c Coll) {
 			rec.CollOp(c, telemetry.OpIterWord, n)
 		}
 	case *RMapBit:
-		n := uint64(c.M.WordCount())
+		n := uint64(len(c.Words()))
 		st.Count(collections.ImplBitMap, OKIterWord, n)
 		if rec != nil {
 			rec.CollOp(c, telemetry.OpIterWord, n)

@@ -41,7 +41,9 @@ const (
 // because both engines copy it constantly: floats live as bits in I,
 // and strings, collection handles, enumerations and tuples share the
 // ref slot. The memory model does not see this layout: collections
-// charge ValModelBytes per element (see ModeledBytes).
+// charge ValModelBytes per element (see ModeledBytes). Collections of
+// non-string scalars do not store Vals at all but their payload bits,
+// as Words.
 type Val struct {
 	K   ValKind
 	I   uint64
@@ -57,6 +59,48 @@ const ValModelBytes = 48
 // ModeledBytes reports ValModelBytes; collections read it through a
 // nil *Val, so the receiver is never dereferenced.
 func (*Val) ModeledBytes() int64 { return ValModelBytes }
+
+// Word is the unboxed storage of one scalar collection element: the
+// payload bits of a Val whose kind the collection records once (VInt
+// or VFloat), chosen from the IR element type at allocation (see
+// NewCollFor). A Word array is pointer-free, so the garbage collector
+// never scans it. Word keeps the modeled size of the Val it replaces,
+// so storing elements unboxed moves no Bytes().
+type Word uint64
+
+// ModeledBytes reports ValModelBytes, like (*Val).ModeledBytes.
+func (*Word) ModeledBytes() int64 { return ValModelBytes }
+
+// word unboxes a scalar value; the kind is the collection's to keep.
+func (v Val) word() Word { return Word(v.I) }
+
+// Val reboxes a stored word as a value of kind k.
+func (w Word) Val(k ValKind) Val { return Val{K: k, I: uint64(w)} }
+
+// wordKind reports whether elements of type t are stored as Words and
+// the kind they carry: every scalar but str and void.
+func wordKind(t ir.Type) (ValKind, bool) {
+	st, ok := t.(*ir.ScalarType)
+	if !ok {
+		return 0, false
+	}
+	switch st.Kind {
+	case ir.Void, ir.Str:
+		return 0, false
+	case ir.F32, ir.F64:
+		return VFloat, true
+	}
+	return VInt, true
+}
+
+// wordKey reports whether keys of type t go in word-keyed hash tables:
+// integer kinds only, whose EqVal is bit equality. Float keys stay in
+// the Val tables because EqVal compares them as IEEE values (+0 equals
+// -0, NaN equals nothing), which bit equality would not reproduce.
+func wordKey(t ir.Type) bool {
+	k, ok := wordKind(t)
+	return ok && k == VInt
+}
 
 // IntV returns an integer value.
 func IntV(x uint64) Val { return Val{K: VInt, I: x} }
@@ -135,14 +179,22 @@ func (v Val) Bits() uint64 {
 // HashVal and EqVal parameterize the generic hash containers over Val;
 // they are exported so the bytecode VM instantiates identical
 // containers.
+// Floats hash -0 as +0, since EqVal holds them equal; NaN hashes by
+// its bits and, being unequal to itself, is never found again.
 func HashVal(v Val) uint64 {
 	switch v.K {
 	case VStr:
 		return collections.HashString(v.Str())
-	default:
-		return collections.Mix64(v.Bits())
+	case VFloat:
+		if v.I == negZeroBits {
+			return collections.Mix64(0)
+		}
 	}
+	return collections.Mix64(v.Bits())
 }
+
+// negZeroBits is the bit pattern of -0.0.
+const negZeroBits = 1 << 63
 
 // EqVal reports scalar value equality.
 func EqVal(a, b Val) bool {

@@ -2,16 +2,30 @@ package interp
 
 import "memoir/internal/collections"
 
-// This file holds Val-specialized twins of the generic open-addressing
-// tables in internal/collections. The generic HashMap/HashSet reach
-// their hash and equality through function pointers, which costs an
-// indirect call per probe; the tables below inline HashVal/EqVal into
-// the probe loop instead. Everything observable is kept bit-identical
-// to collections.HashMap[Val,·]/HashSet[Val] instantiated with
-// HashVal/EqVal: the same slot states, load factor, initial capacity,
-// growth schedule, probe sequence, tombstone handling and storage
-// model — so op counts, the memory model and even iteration order are
-// indistinguishable between the two table families.
+// This file holds the open-addressing tables behind Map{HashMap} and
+// Set{HashSet} values on both engines and behind the encode half of
+// runtime enumerations. They are twins of the generic tables in
+// internal/collections with the hash and equality inlined into the
+// probe loop: the generic HashMap/HashSet reach theirs through
+// function pointers, which costs an indirect call per probe. There is
+// one table per key representation:
+//
+//   - ValMap[V] keys on boxed Vals, hashed with HashVal and compared
+//     with EqVal: strings, floats and every non-scalar key.
+//   - WordMap[V] keys on unboxed integer Words, hashed with Mix64 and
+//     compared with ==.
+//
+// A set is a table with struct{} values, which are charged zero
+// modeled bytes, so its footprint is that of collections.HashSet.
+//
+// Everything observable is bit-identical to collections.HashMap
+// instantiated with the matching hash and equality (HashVal/EqVal, or
+// Mix64/== over uint64): the same slot states, load factor, initial
+// capacity, growth schedule, probe sequence, tombstone handling and
+// storage model. HashVal of an integer Val is Mix64 of its bits, so a
+// WordMap fed the keys of a ValMap fed IntVs also puts them in the
+// same slots: op counts, the memory model and iteration order cannot
+// tell the families apart.
 
 // Slot states and load factor, mirroring internal/collections.
 const (
@@ -26,17 +40,30 @@ const vLoadNum, vLoadDen = 3, 4 // grow at 75% occupancy (full + tombstones)
 // the contract behind the VM's inlined table iteration.
 const SlotFull = vSlotFull
 
-// ValMap is collections.HashMap[Val, Val] with the hash inlined: the
-// runtime table behind Map{HashMap} values on both engines.
-type ValMap struct {
+// rehashCap is the slot count a table of capacity c holding n live
+// entries rehashes to: 8 when empty, double when live entries
+// dominate, otherwise the same size, which flushes tombstones.
+func rehashCap(c, n int) int {
+	switch {
+	case c == 0:
+		return 8
+	case n*vLoadDen >= c*vLoadNum/2:
+		return 2 * c
+	}
+	return c
+}
+
+// ValMap is collections.HashMap[Val, V] with HashVal and EqVal
+// inlined.
+type ValMap[V any] struct {
 	keys  []Val
-	vals  []Val
+	vals  []V
 	state []uint8
 	n     int
 	used  int
 }
 
-func (m *ValMap) find(k Val) (idx int, found bool) {
+func (m *ValMap[V]) find(k Val) (idx int, found bool) {
 	if len(m.keys) == 0 {
 		return -1, false
 	}
@@ -63,17 +90,11 @@ func (m *ValMap) find(k Val) (idx int, found bool) {
 	}
 }
 
-func (m *ValMap) grow() {
-	newCap := 8
-	if len(m.keys) > 0 {
-		newCap = len(m.keys)
-		if m.n*vLoadDen >= len(m.keys)*vLoadNum/2 {
-			newCap = len(m.keys) * 2
-		}
-	}
+func (m *ValMap[V]) grow() {
+	newCap := rehashCap(len(m.keys), m.n)
 	oldKeys, oldVals, oldState := m.keys, m.vals, m.state
 	m.keys = make([]Val, newCap)
-	m.vals = make([]Val, newCap)
+	m.vals = make([]V, newCap)
 	m.state = make([]uint8, newCap)
 	m.n, m.used = 0, 0
 	for i, st := range oldState {
@@ -84,23 +105,25 @@ func (m *ValMap) grow() {
 }
 
 // Get returns the value stored under k.
-func (m *ValMap) Get(k Val) (Val, bool) {
+func (m *ValMap[V]) Get(k Val) (V, bool) {
 	idx, found := m.find(k)
 	if !found {
-		return Val{}, false
+		var zero V
+		return zero, false
 	}
 	return m.vals[idx], true
 }
 
-// Put stores v under k, overwriting any previous value.
-func (m *ValMap) Put(k, v Val) {
+// Put stores v under k, overwriting any previous value, and reports
+// whether k was newly added.
+func (m *ValMap[V]) Put(k Val, v V) bool {
 	if len(m.keys) == 0 || (m.used+1)*vLoadDen > len(m.keys)*vLoadNum {
 		m.grow()
 	}
 	idx, found := m.find(k)
 	if found {
 		m.vals[idx] = v
-		return
+		return false
 	}
 	if m.state[idx] != vSlotTomb {
 		m.used++
@@ -109,32 +132,34 @@ func (m *ValMap) Put(k, v Val) {
 	m.vals[idx] = v
 	m.state[idx] = vSlotFull
 	m.n++
+	return true
 }
 
 // Has reports whether k is present.
-func (m *ValMap) Has(k Val) bool {
+func (m *ValMap[V]) Has(k Val) bool {
 	_, found := m.find(k)
 	return found
 }
 
 // Remove deletes k, reporting whether it was present.
-func (m *ValMap) Remove(k Val) bool {
+func (m *ValMap[V]) Remove(k Val) bool {
 	idx, found := m.find(k)
 	if !found {
 		return false
 	}
+	var zero V
 	m.keys[idx] = Val{}
-	m.vals[idx] = Val{}
+	m.vals[idx] = zero
 	m.state[idx] = vSlotTomb
 	m.n--
 	return true
 }
 
 // Len returns the number of entries.
-func (m *ValMap) Len() int { return m.n }
+func (m *ValMap[V]) Len() int { return m.n }
 
 // Iterate calls f for each entry until f returns false.
-func (m *ValMap) Iterate(f func(k, v Val) bool) {
+func (m *ValMap[V]) Iterate(f func(k Val, v V) bool) {
 	for i, st := range m.state {
 		if st == vSlotFull {
 			if !f(m.keys[i], m.vals[i]) {
@@ -149,176 +174,43 @@ func (m *ValMap) Iterate(f func(k, v Val) bool) {
 // reading entries through SlotAt. Iterate ranges over this same
 // array while reading keys/vals live, so the split reproduces its
 // behaviour under mid-iteration mutation exactly.
-func (m *ValMap) States() []uint8 { return m.state }
+func (m *ValMap[V]) States() []uint8 { return m.state }
 
 // SlotAt returns the entry in slot i, which must be SlotFull.
-func (m *ValMap) SlotAt(i int) (Val, Val) { return m.keys[i], m.vals[i] }
+func (m *ValMap[V]) SlotAt(i int) (Val, V) { return m.keys[i], m.vals[i] }
 
 // Clear removes all entries, keeping capacity.
-func (m *ValMap) Clear() {
-	for i := range m.state {
-		m.state[i] = vSlotEmpty
-		m.keys[i] = Val{}
-		m.vals[i] = Val{}
-	}
+func (m *ValMap[V]) Clear() {
+	clear(m.state)
+	clear(m.keys)
+	clear(m.vals)
 	m.n, m.used = 0, 0
 }
 
-// Bytes models the storage footprint.
-func (m *ValMap) Bytes() int64 {
-	return int64(len(m.keys))*ValModelBytes + int64(len(m.vals))*ValModelBytes + int64(len(m.state))
+// Bytes models the storage footprint: key and value arrays plus state
+// bytes.
+func (m *ValMap[V]) Bytes() int64 {
+	return int64(len(m.keys))*ValModelBytes +
+		int64(len(m.vals))*collections.ElemBytes[V]() +
+		int64(len(m.state))
 }
 
-// Kind reports the implementation.
-func (m *ValMap) Kind() collections.Impl { return collections.ImplHashMap }
-
-// ValSet is collections.HashSet[Val] with the hash inlined: the
-// runtime table behind Set{HashSet} values on both engines.
-type ValSet struct {
-	keys  []Val
+// WordMap is collections.HashMap[uint64, V] hashed with Mix64, over
+// unboxed integer keys.
+type WordMap[V any] struct {
+	keys  []Word
+	vals  []V
 	state []uint8
 	n     int
 	used  int
 }
 
-func (s *ValSet) find(k Val) (idx int, found bool) {
-	if len(s.keys) == 0 {
-		return -1, false
-	}
-	mask := uint64(len(s.keys) - 1)
-	i := HashVal(k) & mask
-	firstTomb := -1
-	for {
-		switch s.state[i] {
-		case vSlotEmpty:
-			if firstTomb >= 0 {
-				return firstTomb, false
-			}
-			return int(i), false
-		case vSlotTomb:
-			if firstTomb < 0 {
-				firstTomb = int(i)
-			}
-		default:
-			if EqVal(s.keys[i], k) {
-				return int(i), true
-			}
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *ValSet) grow() {
-	newCap := 8
-	if len(s.keys) > 0 {
-		// Double only when live entries dominate; otherwise rehashing
-		// at the same size flushes tombstones.
-		newCap = len(s.keys)
-		if s.n*vLoadDen >= len(s.keys)*vLoadNum/2 {
-			newCap = len(s.keys) * 2
-		}
-	}
-	oldKeys, oldState := s.keys, s.state
-	s.keys = make([]Val, newCap)
-	s.state = make([]uint8, newCap)
-	s.n, s.used = 0, 0
-	for i, st := range oldState {
-		if st == vSlotFull {
-			s.Insert(oldKeys[i])
-		}
-	}
-}
-
-// Has reports whether k is in the set.
-func (s *ValSet) Has(k Val) bool {
-	_, found := s.find(k)
-	return found
-}
-
-// Insert adds k, reporting whether it was newly added.
-func (s *ValSet) Insert(k Val) bool {
-	if len(s.keys) == 0 || (s.used+1)*vLoadDen > len(s.keys)*vLoadNum {
-		s.grow()
-	}
-	idx, found := s.find(k)
-	if found {
-		return false
-	}
-	if s.state[idx] != vSlotTomb {
-		s.used++
-	}
-	s.keys[idx] = k
-	s.state[idx] = vSlotFull
-	s.n++
-	return true
-}
-
-// Remove deletes k, reporting whether it was present.
-func (s *ValSet) Remove(k Val) bool {
-	idx, found := s.find(k)
-	if !found {
-		return false
-	}
-	s.keys[idx] = Val{}
-	s.state[idx] = vSlotTomb
-	s.n--
-	return true
-}
-
-// Len returns the number of elements.
-func (s *ValSet) Len() int { return s.n }
-
-// Iterate calls f for each element until f returns false.
-func (s *ValSet) Iterate(f func(k Val) bool) {
-	for i, st := range s.state {
-		if st == vSlotFull {
-			if !f(s.keys[i]) {
-				return
-			}
-		}
-	}
-}
-
-// States exposes the slot-state array for inlined iteration; see
-// (*ValMap).States.
-func (s *ValSet) States() []uint8 { return s.state }
-
-// SlotAt returns the element in slot i, which must be SlotFull.
-func (s *ValSet) SlotAt(i int) Val { return s.keys[i] }
-
-// Clear removes all elements, keeping capacity.
-func (s *ValSet) Clear() {
-	for i := range s.state {
-		s.state[i] = vSlotEmpty
-		s.keys[i] = Val{}
-	}
-	s.n, s.used = 0, 0
-}
-
-// Bytes models the storage footprint: key array plus state bytes.
-func (s *ValSet) Bytes() int64 {
-	return int64(len(s.keys))*ValModelBytes + int64(len(s.state))
-}
-
-// Kind reports the implementation.
-func (s *ValSet) Kind() collections.Impl { return collections.ImplHashSet }
-
-// valU32Map is collections.HashMap[Val, uint32] with the hash
-// inlined: the encode half of runtime enumerations.
-type valU32Map struct {
-	keys  []Val
-	vals  []uint32
-	state []uint8
-	n     int
-	used  int
-}
-
-func (m *valU32Map) find(k Val) (idx int, found bool) {
+func (m *WordMap[V]) find(k Word) (idx int, found bool) {
 	if len(m.keys) == 0 {
 		return -1, false
 	}
 	mask := uint64(len(m.keys) - 1)
-	i := HashVal(k) & mask
+	i := collections.Mix64(uint64(k)) & mask
 	firstTomb := -1
 	for {
 		switch m.state[i] {
@@ -332,7 +224,7 @@ func (m *valU32Map) find(k Val) (idx int, found bool) {
 				firstTomb = int(i)
 			}
 		default:
-			if EqVal(m.keys[i], k) {
+			if m.keys[i] == k {
 				return int(i), true
 			}
 		}
@@ -340,17 +232,11 @@ func (m *valU32Map) find(k Val) (idx int, found bool) {
 	}
 }
 
-func (m *valU32Map) grow() {
-	newCap := 8
-	if len(m.keys) > 0 {
-		newCap = len(m.keys)
-		if m.n*vLoadDen >= len(m.keys)*vLoadNum/2 {
-			newCap = len(m.keys) * 2
-		}
-	}
+func (m *WordMap[V]) grow() {
+	newCap := rehashCap(len(m.keys), m.n)
 	oldKeys, oldVals, oldState := m.keys, m.vals, m.state
-	m.keys = make([]Val, newCap)
-	m.vals = make([]uint32, newCap)
+	m.keys = make([]Word, newCap)
+	m.vals = make([]V, newCap)
 	m.state = make([]uint8, newCap)
 	m.n, m.used = 0, 0
 	for i, st := range oldState {
@@ -360,22 +246,26 @@ func (m *valU32Map) grow() {
 	}
 }
 
-func (m *valU32Map) Get(k Val) (uint32, bool) {
+// Get returns the value stored under k.
+func (m *WordMap[V]) Get(k Word) (V, bool) {
 	idx, found := m.find(k)
 	if !found {
-		return 0, false
+		var zero V
+		return zero, false
 	}
 	return m.vals[idx], true
 }
 
-func (m *valU32Map) Put(k Val, v uint32) {
+// Put stores v under k, overwriting any previous value, and reports
+// whether k was newly added.
+func (m *WordMap[V]) Put(k Word, v V) bool {
 	if len(m.keys) == 0 || (m.used+1)*vLoadDen > len(m.keys)*vLoadNum {
 		m.grow()
 	}
 	idx, found := m.find(k)
 	if found {
 		m.vals[idx] = v
-		return
+		return false
 	}
 	if m.state[idx] != vSlotTomb {
 		m.used++
@@ -384,8 +274,62 @@ func (m *valU32Map) Put(k Val, v uint32) {
 	m.vals[idx] = v
 	m.state[idx] = vSlotFull
 	m.n++
+	return true
 }
 
-func (m *valU32Map) Bytes() int64 {
-	return int64(len(m.keys))*ValModelBytes + int64(len(m.vals))*4 + int64(len(m.state))
+// Has reports whether k is present.
+func (m *WordMap[V]) Has(k Word) bool {
+	_, found := m.find(k)
+	return found
+}
+
+// Remove deletes k, reporting whether it was present.
+func (m *WordMap[V]) Remove(k Word) bool {
+	idx, found := m.find(k)
+	if !found {
+		return false
+	}
+	var zero V
+	m.keys[idx] = 0
+	m.vals[idx] = zero
+	m.state[idx] = vSlotTomb
+	m.n--
+	return true
+}
+
+// Len returns the number of entries.
+func (m *WordMap[V]) Len() int { return m.n }
+
+// Iterate calls f for each entry until f returns false.
+func (m *WordMap[V]) Iterate(f func(k Word, v V) bool) {
+	for i, st := range m.state {
+		if st == vSlotFull {
+			if !f(m.keys[i], m.vals[i]) {
+				return
+			}
+		}
+	}
+}
+
+// States exposes the slot-state array for inlined iteration; see
+// (*ValMap).States.
+func (m *WordMap[V]) States() []uint8 { return m.state }
+
+// SlotAt returns the entry in slot i, which must be SlotFull.
+func (m *WordMap[V]) SlotAt(i int) (Word, V) { return m.keys[i], m.vals[i] }
+
+// Clear removes all entries, keeping capacity.
+func (m *WordMap[V]) Clear() {
+	clear(m.state)
+	clear(m.keys)
+	clear(m.vals)
+	m.n, m.used = 0, 0
+}
+
+// Bytes models the storage footprint; a Word key is charged like the
+// Val it replaces.
+func (m *WordMap[V]) Bytes() int64 {
+	return int64(len(m.keys))*ValModelBytes +
+		int64(len(m.vals))*collections.ElemBytes[V]() +
+		int64(len(m.state))
 }

@@ -267,11 +267,10 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 			case *interp.RMapBit:
 				m.Stats.Count(collections.ImplBitMap, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
-				v, ok := c.M.Get(uint32(key.I))
-				if !ok {
+				if !c.HasKey(key) {
 					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
 				}
-				cur = v
+				cur = c.At(uint32(key.I))
 			case *interp.RMapHash:
 				m.Stats.Count(collections.ImplHashMap, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
@@ -290,12 +289,12 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 				cur = v
 			case *interp.RSeqArr:
 				i := int(key.I)
-				if i < 0 || i >= c.S.Len() {
-					return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.S.Len())
+				if i < 0 || i >= c.Len() {
+					return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
 				}
 				m.Stats.Count(collections.ImplArray, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
-				cur = c.S.Get(i)
+				cur = c.Get(i)
 			case interp.RSeq:
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
@@ -347,20 +346,23 @@ type iterState struct {
 	contPC int32 // resume pc once the loop completes
 	retHi  int32 // enclosing segment's hi to restore
 	count  *uint64
-	tcount *uint64      // telemetry per-element counter, nil when off
-	idx    int          // seq position / hash slot cursor
-	wi     int          // dense word index
-	w      uint64       // remaining bits of the current word
-	elems  []interp.Val // seq backing storage
-	words  []uint64     // dense presence words
-	state  []uint8      // hash slot states
-	bm     *collections.BitMap[interp.Val]
-	vmap   *interp.ValMap
-	vset   *interp.ValSet
+	tcount *uint64         // telemetry per-element counter, nil when off
+	idx    int             // seq position / hash slot cursor
+	wi     int             // dense word index
+	w      uint64          // remaining bits of the current word
+	elems  []interp.Val    // seq backing storage
+	welems []interp.Word   // unboxed seq backing storage
+	ek     interp.ValKind  // kind of the welems
+	words  []uint64        // dense presence words
+	state  []uint8         // hash slot states
+	bm     *interp.RMapBit // entries read live through At / SlotAt
+	hmap   *interp.RMapHash
+	hset   *interp.RSetHash
 }
 
 const (
 	itSeq uint8 = iota
+	itSeqWord
 	itDense
 	itHashMap
 	itHashSet
@@ -412,6 +414,17 @@ dispatch:
 					pc = it.bodyLo
 					continue dispatch
 				}
+			case itSeqWord:
+				if it.idx < len(it.welems) {
+					*it.count++
+					if it.tcount != nil {
+						*it.tcount++
+					}
+					fr[it.kReg], fr[it.vReg] = interp.IntV(uint64(it.idx)), it.welems[it.idx].Val(it.ek)
+					it.idx++
+					pc = it.bodyLo
+					continue dispatch
+				}
 			case itDense:
 				for it.w == 0 && it.wi+1 < len(it.words) {
 					it.wi++
@@ -443,7 +456,7 @@ dispatch:
 						if it.tcount != nil {
 							*it.tcount++
 						}
-						fr[it.kReg], fr[it.vReg] = it.vmap.SlotAt(i)
+						fr[it.kReg], fr[it.vReg] = it.hmap.SlotAt(i)
 						pc = it.bodyLo
 						continue dispatch
 					}
@@ -457,7 +470,7 @@ dispatch:
 						if it.tcount != nil {
 							*it.tcount++
 						}
-						k := it.vset.SlotAt(i)
+						k := it.hset.SlotAt(i)
 						fr[it.kReg], fr[it.vReg] = k, k
 						pc = it.bodyLo
 						continue dispatch
@@ -541,8 +554,14 @@ dispatch:
 			// keep accumulating — the body runs in this same frame.
 			switch c := coll.(type) {
 			case *interp.RSeqArr:
-				iters = append(iters, iterState{kind: itSeq, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, elems: c.S.Slice()})
+				it := iterState{kind: itSeq, kReg: kReg, vReg: vReg,
+					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount}
+				var ws []interp.Word
+				it.elems, ws, it.ek = c.Elems()
+				if ws != nil {
+					it.kind, it.welems = itSeqWord, ws
+				}
+				iters = append(iters, it)
 				pc, hi = bodyHi, bodyHi
 			case *interp.RSetBits:
 				iters = append(iters, iterState{kind: itDense, kReg: kReg, vReg: vReg,
@@ -550,15 +569,15 @@ dispatch:
 				pc, hi = bodyHi, bodyHi
 			case *interp.RMapBit:
 				iters = append(iters, iterState{kind: itDense, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, wi: -1, words: c.M.Words(), bm: c.M})
+					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, wi: -1, words: c.Words(), bm: c})
 				pc, hi = bodyHi, bodyHi
 			case *interp.RMapHash:
 				iters = append(iters, iterState{kind: itHashMap, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, state: c.States(), vmap: &c.ValMap})
+					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, state: c.States(), hmap: c})
 				pc, hi = bodyHi, bodyHi
 			case *interp.RSetHash:
 				iters = append(iters, iterState{kind: itHashSet, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, state: c.States(), vset: &c.ValSet})
+					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, state: c.States(), hset: c})
 				pc, hi = bodyHi, bodyHi
 			default:
 				// Callback path: the body runs in nested frames
@@ -721,7 +740,9 @@ dispatch:
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
-				v, ok = c.M.Get(uint32(key.I))
+				if ok = c.HasKey(key); ok {
+					v = c.At(uint32(key.I))
+				}
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
@@ -756,13 +777,13 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RSeqArr:
 				i := int(key.I)
-				if i < 0 || i >= c.S.Len() {
-					err = m.errf(f, "seq read index %d out of range [0,%d)", i, c.S.Len())
+				if i < 0 || i >= c.Len() {
+					err = m.errf(f, "seq read index %d out of range [0,%d)", i, c.Len())
 					goto out
 				}
 				st.Count(collections.ImplArray, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
-				fr[in.Dst] = c.S.Get(i)
+				fr[in.Dst] = c.Get(i)
 			case interp.RSeq:
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
@@ -833,7 +854,7 @@ dispatch:
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKHas, 1)
 				m.tcoll(c, interp.OKHas, 1)
-				has = c.M.Has(uint32(key.I))
+				has = c.HasKey(key)
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKHas, 1)
 				m.tcoll(c, interp.OKHas, 1)
@@ -884,11 +905,11 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKWrite, 1)
-				if !c.M.Has(uint32(key.I)) {
+				if !c.HasKey(key) {
 					err = m.errf(f, "write to missing key %v (insert first)", key)
 					goto out
 				}
-				c.M.Put(uint32(key.I), val)
+				c.Put(key, val)
 				m.tcoll(c, interp.OKWrite, 1)
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKWrite, 1)
@@ -1001,12 +1022,12 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKInsert, 1)
-				if !c.M.Has(uint32(key.I)) {
+				if !c.HasKey(key) {
 					zv := interp.ZeroVal(c.ElemType(), m.NewColl)
 					if m.tele != nil {
 						m.tele.TrackInner(zv.Ref(), c)
 					}
-					c.M.Put(uint32(key.I), zv)
+					c.Put(key, zv)
 				}
 				m.tcoll(c, interp.OKInsert, 1)
 			case *interp.RMapHash:
@@ -1053,7 +1074,7 @@ dispatch:
 			case *interp.RSeqArr:
 				st.Count(collections.ImplArray, interp.OKInsert, 1)
 				m.tcoll(c, interp.OKInsert, 1)
-				c.S.Append(val)
+				c.Append(val)
 			case interp.RSeq:
 				st.Count(c.Impl(), interp.OKInsert, 1)
 				m.tcoll(c, interp.OKInsert, 1)

@@ -287,6 +287,129 @@ func TestEngineParityStrings(t *testing.T) {
 	}
 }
 
+// floatsSrc keeps f64 elements in every unboxed storage: a Seq<f64>, a
+// Map<u64,f64> (a word-keyed HashMap by default, a BitMap once ADE
+// enumerates its keys) and a Set<f64> holding both signed zeros, which
+// EqVal holds equal. It then takes the boxed path with a
+// Map<u64,Seq<u64>> and a Map<u64,str>.
+const floatsSrc = `fn u64 @main(): exported
+  %xs := new Seq<f64>()
+  %keys := new Seq<u64>()
+  do:
+    %i := phi(0, %i1)
+    %s0 := phi(%xs, %s1)
+    %q0 := phi(%keys, %q1)
+    %f := cast<f64>(%i)
+    %g := mul(%f, 0.25)
+    %s1 := insert(%s0, end, %g)
+    %h := mul(%i, 2654435761)
+    %r := rem(%h, 97)
+    %k := mul(%r, 982451653)
+    %q1 := insert(%q0, end, %k)
+    %i1 := add(%i, 1)
+    %more := lt(%i1, 300)
+  while %more
+  %sF := phi(%s0)
+  %qF := phi(%q0)
+
+  roi
+
+  %m := new Map<u64,f64>()
+  for [%j, %key] in %qF:
+    %m0 := phi(%m, %m3)
+    %x := read(%sF, %j)
+    %c := has(%m0, %key)
+    if %c:
+      %old := read(%m0, %key)
+    else:
+      %m1 := insert(%m0, %key)
+    %old0 := phi(%old, 0.0)
+    %m2 := phi(%m0, %m1)
+    %new := add(%old0, %x)
+    %m3 := write(%m2, %key, %new)
+  %mF := phi(%m0)
+  for [%k2, %v2] in %mF:
+    %got := read(%mF, %k2)
+    %sum := add(%got, %v2)
+    emit(%sum)
+
+  %zs := new Set<f64>()
+  for [%j3, %x3] in %sF:
+    %z0 := phi(%zs, %z2)
+    %neg := mul(%x3, -1.0)
+    %z1 := insert(%z0, %x3)
+    %z2 := insert(%z1, %neg)
+  %zF := phi(%z0)
+  for [%z, %u] in %zF:
+    emit(%z)
+  %negzero := mul(0.0, -1.0)
+  %hz := has(%zF, %negzero)
+  emit(%hz)
+  %zn := size(%zF)
+  emit(%zn)
+
+  %adj := new Map<u64,Seq<u64>>()
+  %names := new Map<u64,str>()
+  for [%j4, %key4] in %qF:
+    %a0 := phi(%adj, %a3)
+    %b0 := phi(%names, %b3)
+    %c4 := has(%a0, %key4)
+    if %c4:
+    else:
+      %a1 := insert(%a0, %key4)
+      %b1 := insert(%b0, %key4)
+      %b2 := write(%b1, %key4, "first")
+    %a2 := phi(%a0, %a1)
+    %b3 := phi(%b0, %b2)
+    %a3 := insert(%a2[%key4], end, %j4)
+  %adjF := phi(%a0)
+  %namesF := phi(%b0)
+  for [%k5, %l5] in %adjF:
+    %len := size(%l5)
+    %last := sub(%len, 1)
+    %e := read(%l5, %last)
+    %nm := read(%namesF, %k5)
+    emit(%e)
+    emit(%nm)
+  %n := size(%mF)
+  ret %n
+`
+
+// TestEngineParityFloats diffs the engines on floatsSrc under every
+// parity configuration, and requires the return value and the emit
+// count and checksum to be the same in all of them: with ADE on or off
+// and whichever set implementation holds the zeros.
+func TestEngineParityFloats(t *testing.T) {
+	build := func() *ir.Program {
+		p, err := parser.Parse(floatsSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	noInput := func(bench.Allocator) []interp.Val { return nil }
+	var want *interp.Stats
+	for _, cfg := range parityConfigs() {
+		cfg.name = "floats-" + cfg.name
+		assertParity(t, build, noInput, cfg)
+		ret, _, st, _, err := runOn(t, bench.EngineVM, build, noInput, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		if ret.I != 97 || st.EmitCount != 892 {
+			t.Errorf("%s: ret %v, %d emits; want 97 keys, 892 emits", cfg.name, ret, st.EmitCount)
+		}
+		if want == nil {
+			want = st
+		} else if st.EmitSum != want.EmitSum {
+			t.Errorf("%s: emit checksum %x, baseline %x", cfg.name, st.EmitSum, want.EmitSum)
+		}
+		if bm := st.Counts[collections.ImplBitMap][interp.OKWrite]; (cfg.ade != nil) != (bm > 0) {
+			t.Errorf("%s: %d BitMap writes; want some exactly when ADE runs", cfg.name, bm)
+		}
+	}
+}
+
 // TestEngineParityMemSampleEveryGrow stresses the growth-sampled
 // memory model: with MemSampleEvery=1 every growth event samples, so
 // any divergence in the engines' growth-event sequences shows up as a
