@@ -131,9 +131,8 @@ func main() {
 			vals = append(vals, interp.IntV(x))
 		}
 	}
-	start := time.Now()
 	ret, err := m.Run(*entry, vals...)
-	elapsed := time.Since(start)
+	elapsed, _ := m.Wall()
 	if err != nil {
 		var le *interp.LimitError
 		if !errors.As(err, &le) {
@@ -143,7 +142,7 @@ func main() {
 		// partial statistics up to the interruption point are valid, so
 		// report them before exiting nonzero.
 		m.FinalizeMem()
-		st := m.Stats()
+		st := m.Stats
 		fmt.Printf("interrupted: %v\n", err)
 		fmt.Printf("output: count=%d checksum=%d (partial)\n", st.EmitCount, st.EmitSum)
 		printStats(*stats, elapsed, st)
@@ -151,7 +150,7 @@ func main() {
 		os.Exit(1)
 	}
 	m.FinalizeMem()
-	st := m.Stats()
+	st := m.Stats
 	fmt.Printf("result: %s\n", ret)
 	fmt.Printf("output: count=%d checksum=%d\n", st.EmitCount, st.EmitSum)
 	printStats(*stats, elapsed, st)

@@ -253,7 +253,7 @@ func replayCrasher(t *testing.T, path string) {
 		}
 		ret, err := m.Run("main")
 		m.FinalizeMem()
-		st := m.Stats()
+		st := m.Stats
 		o.steps, o.ret, o.checksum = st.Steps, ret.I, st.EmitSum
 		switch {
 		case err == nil:

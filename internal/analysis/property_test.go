@@ -24,18 +24,15 @@ func runTracked(t *testing.T, prog *ir.Program, seed int64) map[*ir.Value]bool {
 	opts := interp.DefaultOptions()
 	opts.MemSampleEvery = 1 << 30
 	opts.TrackReads = true
-	m, err := bench.NewMachine(prog, opts, bench.EngineInterp)
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	c := m.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+	ip := interp.New(prog, opts)
+	c := ip.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
 	for _, k := range core.FuzzInput(seed) {
 		c.Append(interp.IntV(k))
 	}
-	if _, err := m.Run("main", interp.CollV(c.(interp.Coll))); err != nil {
+	if _, err := ip.Run("main", interp.CollV(c.(interp.Coll))); err != nil {
 		t.Fatalf("seed %d: run: %v", seed, err)
 	}
-	reads := m.(interface{ ReadValues() map[*ir.Value]bool }).ReadValues()
+	reads := ip.ReadValues()
 	if reads == nil {
 		t.Fatalf("seed %d: read tracking not active", seed)
 	}
@@ -115,7 +112,7 @@ func TestLintErrorFreeGeneratedPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: run on %v: %v", seed, eng, err)
 			}
-			sums[i] = ret.I + m.Stats().EmitSum
+			sums[i] = ret.I + m.Stats.EmitSum
 		}
 		if sums[0] != sums[1] {
 			t.Errorf("seed %d: engines disagree: interp %d, vm %d", seed, sums[0], sums[1])

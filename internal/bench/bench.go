@@ -93,7 +93,9 @@ type Result struct {
 // program on the benchmark's input at the given scale, on the chosen
 // execution engine. The measurement surface is engine-independent:
 // both engines produce identical deterministic Stats for the same
-// program and input.
+// program and input. The wall times come from the runtime's own
+// timestamps: WallWhole and WallROI end at the same instant, so
+// WallInit is exactly the time before the roi marker.
 func ExecuteOn(s *Spec, prog *ir.Program, opts interp.Options, sc Scale, eng Engine) (*Result, error) {
 	m, err := NewMachine(prog, opts, eng)
 	if err != nil {
@@ -103,26 +105,17 @@ func ExecuteOn(s *Spec, prog *ir.Program, opts interp.Options, sc Scale, eng Eng
 	// Settle the heap so one configuration's garbage doesn't tax the
 	// next configuration's timing.
 	runtime.GC()
-	start := time.Now()
 	ret, err := m.Run("main", args...)
-	whole := time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", s.Abbr, err)
 	}
 	m.FinalizeMem()
-	stats := m.Stats()
-	res := &Result{
-		Ret: ret.I, EmitSum: stats.EmitSum, EmitCount: stats.EmitCount,
-		WallWhole: whole, Stats: stats, ROIStats: m.ROIStats(),
-		Peak: stats.PeakBytes,
-	}
-	if roiStart, ok := m.ROITime(); ok {
-		res.WallROI = time.Since(roiStart)
-		res.WallInit = whole - res.WallROI
-	} else {
-		res.WallROI = whole
-	}
-	return res, nil
+	whole, roi := m.Wall()
+	return &Result{
+		Ret: ret.I, EmitSum: m.Stats.EmitSum, EmitCount: m.Stats.EmitCount,
+		WallWhole: whole, WallROI: roi, WallInit: whole - roi,
+		Stats: m.Stats, ROIStats: m.ROIStats(), Peak: m.Stats.PeakBytes,
+	}, nil
 }
 
 // CollectSiteProfile executes prog (untransformed) on the benchmark's

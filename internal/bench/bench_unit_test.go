@@ -30,22 +30,46 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestROITimingDecomposes pins the run timing the runtime records, on
+// both engines: the run's start, its roi marker and its end are
+// ordered, Wall measures both intervals up to the one end instant, and
+// ExecuteOn's init and ROI times add up to the whole run.
 func TestROITimingDecomposes(t *testing.T) {
 	s := Get("BFS")
-	prog := s.Build("")
-	res, err := ExecuteOn(s, prog, interp.DefaultOptions(), ScaleTest, EngineInterp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WallROI <= 0 || res.WallInit < 0 {
-		t.Fatalf("timing fields: roi=%v init=%v", res.WallROI, res.WallInit)
-	}
-	if got := res.WallInit + res.WallROI; got != res.WallWhole {
-		t.Fatalf("init+roi = %v != whole %v", got, res.WallWhole)
-	}
-	// ROI stats must be a subset of whole-program stats.
-	if res.ROIStats.Steps > res.Stats.Steps || res.ROIStats.Sparse > res.Stats.Sparse {
-		t.Fatal("ROI stats exceed whole-program stats")
+	for _, eng := range Engines() {
+		m, err := NewMachine(s.Build(""), interp.DefaultOptions(), eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run("main", s.Input(m, ScaleTest)...); err != nil {
+			t.Fatal(err)
+		}
+		if m.ROISnapshot == nil {
+			t.Fatalf("%v: roi marker did not run", eng)
+		}
+		if m.ROIStart.Before(m.RunStart) || m.RunEnd.Before(m.ROIStart) {
+			t.Fatalf("%v: timestamps out of order: start %v, roi %v, end %v", eng, m.RunStart, m.ROIStart, m.RunEnd)
+		}
+		whole, roi := m.Wall()
+		if whole != m.RunEnd.Sub(m.RunStart) || roi != m.RunEnd.Sub(m.ROIStart) {
+			t.Fatalf("%v: Wall() = %v, %v; want end-start %v, end-roi %v",
+				eng, whole, roi, m.RunEnd.Sub(m.RunStart), m.RunEnd.Sub(m.ROIStart))
+		}
+
+		res, err := ExecuteOn(s, s.Build(""), interp.DefaultOptions(), ScaleTest, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WallROI <= 0 || res.WallInit < 0 {
+			t.Fatalf("%v: timing fields: roi=%v init=%v", eng, res.WallROI, res.WallInit)
+		}
+		if got := res.WallInit + res.WallROI; got != res.WallWhole {
+			t.Fatalf("%v: init+roi = %v != whole %v", eng, got, res.WallWhole)
+		}
+		// ROI stats must be a subset of whole-program stats.
+		if res.ROIStats.Steps > res.Stats.Steps || res.ROIStats.Sparse > res.Stats.Sparse {
+			t.Fatalf("%v: ROI stats exceed whole-program stats", eng)
+		}
 	}
 	// Every benchmark carries the roi marker.
 	for _, spec := range All() {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"memoir/internal/interp"
 	"memoir/internal/ir"
@@ -38,59 +37,34 @@ func Engines() []Engine { return []Engine{EngineInterp, EngineVM} }
 
 // Allocator is the part of an engine that benchmark input builders
 // need: materializing input collections registered with the engine's
-// memory model.
+// memory model. The runtime both engines embed implements it.
 type Allocator interface {
 	NewColl(*ir.CollType) interp.Coll
 }
 
-// Machine is a ready-to-run execution engine instance for one program.
-// Both engines expose the interpreter's full measurement surface.
-type Machine interface {
-	Allocator
-	Run(name string, args ...interp.Val) (interp.Val, error)
-	FinalizeMem()
-	Stats() *interp.Stats
-	ROIStats() *interp.Stats
-	// ROITime returns the wall-clock time of the roi marker and whether
-	// the marker executed.
-	ROITime() (time.Time, bool)
-	// RecordedOutput returns the emitted values when
-	// Options.RecordOutput was set.
-	RecordedOutput() []interp.Val
+// Machine is a ready-to-run engine instance for one program: the
+// engine's Run plus the runtime it embeds, which holds the whole
+// measurement surface (Stats, ROIStats, Output, Wall, FinalizeMem) and
+// is the Allocator the input builders use.
+type Machine struct {
+	*interp.Runtime
+	Run func(name string, args ...interp.Val) (interp.Val, error)
 }
 
 // NewMachine instantiates the chosen engine for prog. For the VM this
 // compiles the program to verified bytecode first.
-func NewMachine(prog *ir.Program, opts interp.Options, eng Engine) (Machine, error) {
+func NewMachine(prog *ir.Program, opts interp.Options, eng Engine) (*Machine, error) {
 	switch eng {
 	case EngineInterp:
-		return interpMachine{interp.New(prog, opts)}, nil
+		ip := interp.New(prog, opts)
+		return &Machine{&ip.Runtime, ip.Run}, nil
 	case EngineVM:
 		bc, err := pipeline.Compile(prog)
 		if err != nil {
 			return nil, err
 		}
-		return vmMachine{vm.New(bc, opts)}, nil
+		m := vm.New(bc, opts)
+		return &Machine{&m.Runtime, m.Run}, nil
 	}
 	return nil, fmt.Errorf("unknown engine %v", eng)
 }
-
-type interpMachine struct{ *interp.Interp }
-
-func (m interpMachine) Stats() *interp.Stats { return m.Interp.Stats }
-
-func (m interpMachine) ROITime() (time.Time, bool) {
-	return m.Interp.ROIStart, m.Interp.ROISnapshot != nil
-}
-
-func (m interpMachine) RecordedOutput() []interp.Val { return m.Interp.Output }
-
-type vmMachine struct{ *vm.VM }
-
-func (m vmMachine) Stats() *interp.Stats { return m.VM.Stats }
-
-func (m vmMachine) ROITime() (time.Time, bool) {
-	return m.VM.ROIStart, m.VM.ROISnapshot != nil
-}
-
-func (m vmMachine) RecordedOutput() []interp.Val { return m.VM.Output }

@@ -64,8 +64,8 @@ const (
 
 	// Collection construction.
 	OpNewColl    // Dst = new collection, allocation site Aux
-	OpNewEnum    // Dst = new enumeration
-	OpEnumGlobal // Dst = enumeration global Globals[Aux]
+	OpNewEnum    // Dst = new enumeration over domain EnumKeys[Aux]
+	OpEnumGlobal // Dst = enumeration global Globals[Aux] over domain EnumKeys[Aux2]
 
 	// Collection queries/updates, specialized by collection kind.
 	OpReadMap      // Dst = A[B]
@@ -236,4 +236,8 @@ type Prog struct {
 	AllocSites []AllocSite
 	Globals    []string // enumeration global names
 	Msgs       []string // OpRaise diagnostics
+	// EnumKeys holds the IR domain type of every enumeration-creating
+	// instruction (nil when it binds no result), from which the
+	// runtime picks the enumeration's storage.
+	EnumKeys []ir.Type
 }

@@ -66,6 +66,13 @@ func (p *progCompiler) globalRef(name string) int32 {
 	return i
 }
 
+// enumKey records the domain type of enumeration-creating instruction
+// in and returns its EnumKeys index.
+func (p *progCompiler) enumKey(in *ir.Instr) int32 {
+	p.out.EnumKeys = append(p.out.EnumKeys, in.EnumKey())
+	return int32(len(p.out.EnumKeys) - 1)
+}
+
 func (p *progCompiler) msgRef(msg string) int32 {
 	for i, m := range p.out.Msgs {
 		if m == msg {
@@ -424,10 +431,10 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 		c.emit(Instr{Op: OpNewColl, Dst: dst, Aux: site, A: NoOperand, B: NoOperand, C: NoOperand})
 
 	case ir.OpNewEnum:
-		c.emit(Instr{Op: OpNewEnum, Dst: dst, A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpNewEnum, Dst: dst, Aux: c.p.enumKey(in), A: NoOperand, B: NoOperand, C: NoOperand})
 
 	case ir.OpEnumGlobal:
-		c.emit(Instr{Op: OpEnumGlobal, Dst: dst, Aux: c.p.globalRef(in.Callee), A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpEnumGlobal, Dst: dst, Aux: c.p.globalRef(in.Callee), Aux2: c.p.enumKey(in), A: NoOperand, B: NoOperand, C: NoOperand})
 
 	case ir.OpRead:
 		a, b := c.operand(in.Args[0]), c.operand(in.Args[1])

@@ -237,9 +237,16 @@ func (v *verifier) structure() error {
 			if v.p.AllocSites[in.Aux].Type == nil {
 				return v.errf(pc, "allocation site %d has no type", in.Aux)
 			}
+		case OpNewEnum:
+			if in.Aux < 0 || int(in.Aux) >= len(v.p.EnumKeys) {
+				return v.errf(pc, "enumeration key %d outside table [0,%d)", in.Aux, len(v.p.EnumKeys))
+			}
 		case OpEnumGlobal:
 			if in.Aux < 0 || int(in.Aux) >= len(v.p.Globals) {
 				return v.errf(pc, "global %d outside table [0,%d)", in.Aux, len(v.p.Globals))
+			}
+			if in.Aux2 < 0 || int(in.Aux2) >= len(v.p.EnumKeys) {
+				return v.errf(pc, "enumeration key %d outside table [0,%d)", in.Aux2, len(v.p.EnumKeys))
 			}
 		case OpEnumAdd:
 			if in.Dst2 >= 0 {

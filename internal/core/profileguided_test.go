@@ -62,7 +62,7 @@ func runOutputs(t *testing.T, prog *ir.Program, eng bench.Engine, args ...interp
 		t.Fatalf("%s: run: %v", eng, err)
 	}
 	m.FinalizeMem()
-	st := m.Stats()
+	st := m.Stats
 	return ret.I, st.EmitCount, st.EmitSum
 }
 

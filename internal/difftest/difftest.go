@@ -233,13 +233,13 @@ func run(src source, prog *ir.Program, iopts interp.Options, eng bench.Engine) (
 	if err != nil {
 		return nil, err
 	}
-	out := m.RecordedOutput()
+	out := m.Output
 	canon := make([]uint64, len(out))
 	for i, v := range out {
 		canon[i] = v.Bits()
 	}
 	sort.Slice(canon, func(i, j int) bool { return canon[i] < canon[j] })
-	st := m.Stats()
+	st := m.Stats
 	return &outcome{
 		ret: ret.I, emitSum: st.EmitSum, emitCount: st.EmitCount,
 		canon: canon, stats: st,

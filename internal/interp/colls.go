@@ -2,7 +2,6 @@ package interp
 
 import (
 	"memoir/internal/collections"
-	"memoir/internal/faults"
 	"memoir/internal/ir"
 )
 
@@ -110,7 +109,7 @@ func (r *RSetHash) Insert(k Val) bool {
 	if r.words {
 		return r.ws.Put(k.word(), struct{}{})
 	}
-	return r.vs.Put(k, struct{}{})
+	return r.vs.Put(canonKey(k), struct{}{})
 }
 
 func (r *RSetHash) Remove(k Val) bool {
@@ -161,7 +160,7 @@ func (r *rsetG) Len() int                 { return r.s.Len() }
 func (r *rsetG) Bytes() int64             { return r.s.Bytes() }
 func (r *rsetG) Clear()                   { r.s.Clear() }
 func (r *rsetG) Has(v Val) bool           { return r.s.Has(v) }
-func (r *rsetG) Insert(v Val) bool        { return r.s.Insert(v) }
+func (r *rsetG) Insert(v Val) bool        { return r.s.Insert(canonKey(v)) }
 func (r *rsetG) Remove(v Val) bool        { return r.s.Remove(v) }
 func (r *rsetG) Iterate(f func(Val) bool) { r.s.Iterate(f) }
 
@@ -297,7 +296,7 @@ func (r *RMapHash) Put(k, v Val) {
 	case wordKeys:
 		r.wv.Put(k.word(), v)
 	default:
-		r.vv.Put(k, v)
+		r.vv.Put(canonKey(k), v)
 	}
 }
 
@@ -376,7 +375,7 @@ func (r *rmapG) Bytes() int64 {
 }
 func (r *rmapG) Clear()                        { r.m.Clear() }
 func (r *rmapG) Get(k Val) (Val, bool)         { return r.m.Get(k) }
-func (r *rmapG) Put(k, v Val)                  { r.m.Put(k, v) }
+func (r *rmapG) Put(k, v Val)                  { r.m.Put(canonKey(k), v) }
 func (r *rmapG) HasKey(k Val) bool             { return r.m.Has(k) }
 func (r *rmapG) Remove(k Val) bool             { return r.m.Remove(k) }
 func (r *rmapG) Iterate(f func(k, v Val) bool) { r.m.Iterate(f) }
@@ -559,22 +558,9 @@ func (r *RSeqArr) Elems() ([]Val, []Word, ValKind) {
 	return r.vals.Slice(), r.words.Slice(), r.ek
 }
 
-// NewColl materializes an empty collection of type ct, honoring its
-// selection annotation (unselected types fall back to the configured
-// defaults) and registering it for memory accounting.
-func (ip *Interp) NewColl(ct *ir.CollType) Coll {
-	if fa := ip.opts.Faults; fa != nil && fa.FailAlloc() {
-		panic(&faults.InjectedFault{P: fa.Point()})
-	}
-	c := NewCollFor(ct, ip.opts.DefaultSet, ip.opts.DefaultMap)
-	ip.register(c)
-	return c
-}
-
 // NewCollFor materializes an empty collection of type ct without
-// registering it anywhere: the shared constructor behind both
-// engines' registering NewColl wrappers. Unselected types fall back
-// to the given defaults.
+// registering it anywhere: the constructor behind Runtime.NewColl.
+// Unselected types fall back to the given defaults.
 //
 // It also picks each collection's element storage, once, from the IR
 // types: non-string scalar elements of sequences and of HashMap and

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"memoir/internal/collections"
+	"memoir/internal/ir"
 )
 
 // Enum is the runtime enumeration of §III-B: Enc maps values to dense
@@ -10,13 +11,10 @@ import (
 // Dec is injective and append-only — the properties RTE's rewrite
 // rules rely on.
 //
-// An enumeration is created without a type, so it picks its storage
-// at the first Add: unboxed Words when the value is an integer, boxed
-// Vals otherwise. Should a non-integer value follow integers, the
-// enumeration moves to the Val tables (see box), so its behaviour never
-// depends on the choice.
+// Its storage is fixed at creation from the domain type: unboxed Words
+// for an integer domain, boxed Vals otherwise.
 type Enum struct {
-	words bool // storage is wenc/wdec; fixed at the first Add
+	words bool // storage is wenc/wdec
 	venc  ValMap[uint32]
 	vdec  collections.Seq[Val]
 	wenc  WordMap[uint32]
@@ -29,8 +27,15 @@ type Enum struct {
 // returns the identical sentinel.
 const AbsentID uint32 = 0xffffffff
 
-// NewEnum returns an empty enumeration.
-func NewEnum() *Enum { return &Enum{} }
+// NewEnum returns an empty enumeration of integers, stored as Words.
+// The engines create enumerations through Runtime.NewEnum, which
+// picks the storage from the IR domain type.
+func NewEnum() *Enum { return &Enum{words: true} }
+
+// newEnum returns an empty enumeration over key: word storage for an
+// integer domain (see wordKey), Val storage for every other domain and
+// for a nil key.
+func newEnum(key ir.Type) *Enum { return &Enum{words: wordKey(key)} }
 
 // Len returns the number of enumerated values (the N of E = [0,N)).
 func (e *Enum) Len() int {
@@ -65,11 +70,6 @@ func (e *Enum) Dec(id uint32) Val {
 // Add inserts v if absent, returning its identifier and whether it was
 // newly added.
 func (e *Enum) Add(v Val) (uint32, bool) {
-	if e.Len() == 0 {
-		e.words = v.K == VInt
-	} else if e.words && v.K != VInt {
-		e.box()
-	}
 	if e.words {
 		w := v.word()
 		if id, ok := e.wenc.Get(w); ok {
@@ -80,6 +80,7 @@ func (e *Enum) Add(v Val) (uint32, bool) {
 		e.wdec.Append(w)
 		return id, true
 	}
+	v = canonKey(v)
 	if id, ok := e.venc.Get(v); ok {
 		return id, false
 	}
@@ -87,25 +88,6 @@ func (e *Enum) Add(v Val) (uint32, bool) {
 	e.venc.Put(v, id)
 	e.vdec.Append(v)
 	return id, true
-}
-
-// box moves a word-stored enumeration to the Val tables. It replays
-// the encode puts in identifier order, which is first-add order, so
-// the Val table ends up exactly as if it had held every value from the
-// start; the decode half is copied slot by slot.
-func (e *Enum) box() {
-	keys := make([]Word, e.wenc.Len())
-	e.wenc.Iterate(func(k Word, id uint32) bool {
-		keys[id] = k
-		return true
-	})
-	for id, k := range keys {
-		e.venc.Put(k.Val(VInt), uint32(id))
-	}
-	for _, w := range e.wdec.Slice() {
-		e.vdec.Append(w.Val(VInt))
-	}
-	e.wenc, e.wdec, e.words = WordMap[uint32]{}, collections.Seq[Word]{}, false
 }
 
 // Bytes models the footprint of both halves of the enumeration.

@@ -53,14 +53,3 @@ func (e *LimitError) Error() string {
 
 // Unwrap exposes the sentinel so errors.Is(err, ErrStepBudget) works.
 func (e *LimitError) Unwrap() error { return e.Kind }
-
-// RecoveredError converts a recovered panic value into the structured
-// form. Shared by both engines' Run boundaries so an interpreter
-// panic and a VM panic at the same site read identically.
-func RecoveredError(r any, fn string, steps uint64) *LimitError {
-	msg := fmt.Sprint(r)
-	if err, ok := r.(error); ok {
-		msg = err.Error()
-	}
-	return &LimitError{Kind: ErrRuntimePanic, Fn: fn, Steps: steps, Msg: msg}
-}

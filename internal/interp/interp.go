@@ -3,7 +3,6 @@ package interp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"memoir/internal/collections"
 	"memoir/internal/faults"
@@ -74,130 +73,48 @@ func DefaultOptions() Options {
 	}
 }
 
-// Interp executes a MEMOIR program.
+// Interp executes a MEMOIR program by walking its IR: the reference
+// oracle the VM is diffed against. The embedded Runtime holds every
+// measurement; Interp adds only what walking IR needs.
 type Interp struct {
-	Prog  *ir.Program
-	Stats *Stats
-	opts  Options
+	Runtime
+	Prog *ir.Program
 
 	// Enumeration globals created by ADE's interprocedural stage: one
 	// per enumeration equivalence class (§III-F).
 	globals map[string]*Enum
 
-	live        []interface{ Bytes() int64 }
-	untilSample int
-
-	// limited is true when any interruption source (step budget,
-	// memory budget, context) is configured; the dispatch fast path
-	// checks this single bool before the full interruption test.
-	limited bool
-
-	// stop holds a pending memory-budget violation detected during a
-	// footprint sample; it surfaces at the next step checkpoint so
-	// both engines abort at the same dynamic point.
-	stop *LimitError
-
-	// Iteration-local allocations (a fresh collection per loop
-	// iteration that is never carried across iterations) occupy one
-	// registry slot that each new instance replaces — modeling the
-	// allocator reclaiming the dead instance, so peak memory is not
-	// the sum of every instance ever created.
-	iterLocal map[*ir.Instr]bool
-	localSlot map[*ir.Instr]int
+	// iterLocal maps each iteration-local allocation (a fresh
+	// collection per loop iteration that is never carried across
+	// iterations) to its reusable registry slot; see NewLocalColl.
+	iterLocal map[*ir.Instr]*int32
 
 	// reads is non-nil when TrackReads is set.
 	reads map[*ir.Value]bool
 
-	// tele is non-nil when Options.Telemetry is set; allocOrds caches
-	// per-function allocation ordinals for site keys.
-	tele      *telemetry.Recorder
+	// allocOrds caches per-function allocation ordinals for telemetry
+	// site keys; non-nil when Options.Telemetry is set.
 	allocOrds map[*ir.Func]map[*ir.Instr]int
 
 	slotCache map[*ir.Func]int
-
-	// Output holds emitted values when RecordOutput is set.
-	Output []Val
-
-	// ROI marker state: a stats snapshot and timestamp taken at the
-	// roi instruction, so the harness can split initialization from
-	// the region of interest.
-	ROISnapshot *Stats
-	ROIStart    time.Time
-}
-
-// MarkROI snapshots the stats and wall clock; called by the roi op.
-func (ip *Interp) MarkROI() {
-	snap := *ip.Stats
-	ip.ROISnapshot = &snap
-	ip.ROIStart = time.Now()
-}
-
-// ROIStats returns the kernel-only stats (total minus the snapshot at
-// the roi marker); when no marker ran it returns the full stats.
-func (ip *Interp) ROIStats() *Stats {
-	if ip.ROISnapshot == nil {
-		return ip.Stats
-	}
-	return ROIDelta(ip.Stats, ip.ROISnapshot)
-}
-
-// ROIDelta subtracts the roi-marker snapshot from the total stats,
-// leaving the kernel-only flow quantities; the peak-memory model stays
-// global because memory allocated before the marker is still resident
-// in the region of interest. Shared by both execution engines.
-func ROIDelta(total, snap *Stats) *Stats {
-	out := &Stats{}
-	for i := range out.Counts {
-		for k := range out.Counts[i] {
-			out.Counts[i][k] = total.Counts[i][k] - snap.Counts[i][k]
-		}
-	}
-	out.Sparse = total.Sparse - snap.Sparse
-	out.Dense = total.Dense - snap.Dense
-	out.Steps = total.Steps - snap.Steps
-	out.PeakBytes = total.PeakBytes
-	out.EmitCount = total.EmitCount - snap.EmitCount
-	out.EmitSum = total.EmitSum - snap.EmitSum
-	return out
 }
 
 // New returns an interpreter for prog.
 func New(prog *ir.Program, opts Options) *Interp {
-	if opts.MemSampleEvery <= 0 {
-		opts.MemSampleEvery = 512
-	}
-	if opts.DefaultSet == collections.ImplNone {
-		opts.DefaultSet = collections.ImplHashSet
-	}
-	if opts.DefaultMap == collections.ImplNone {
-		opts.DefaultMap = collections.ImplHashMap
-	}
 	ip := &Interp{
-		Prog:        prog,
-		Stats:       &Stats{},
-		opts:        opts,
-		globals:     map[string]*Enum{},
-		untilSample: opts.MemSampleEvery,
-		slotCache:   map[*ir.Func]int{},
-		iterLocal:   map[*ir.Instr]bool{},
-		localSlot:   map[*ir.Instr]int{},
+		Runtime:   NewRuntime(opts),
+		Prog:      prog,
+		globals:   map[string]*Enum{},
+		slotCache: map[*ir.Func]int{},
+		iterLocal: map[*ir.Instr]*int32{},
 	}
-	ip.limited = opts.MaxSteps > 0 || opts.MaxBytes > 0 || opts.Context != nil
 	if opts.TrackReads {
 		ip.reads = map[*ir.Value]bool{}
 	}
 	if opts.Telemetry != nil {
-		ip.tele = opts.Telemetry
 		ip.allocOrds = map[*ir.Func]map[*ir.Instr]int{}
 	}
 	return ip
-}
-
-// tcoll forwards one collection operation to the telemetry recorder.
-func (ip *Interp) tcoll(c Coll, k OpKind, n uint64) {
-	if ip.tele != nil {
-		ip.tele.CollOp(c, int(k), n)
-	}
 }
 
 // allocKey returns the stable telemetry site key of allocation in.
@@ -210,62 +127,16 @@ func (ip *Interp) allocKey(fn *ir.Func, in *ir.Instr) telemetry.SiteKey {
 	return telemetry.SiteKey{Fn: fn.Name, Alloc: ords[in]}
 }
 
-// ResetStats installs a fresh Stats (used to separate initialization
-// from the region of interest); the live-set memory model carries
-// over so peaks remain global unless the caller resets them too.
-func (ip *Interp) ResetStats() *Stats {
-	old := ip.Stats
-	ip.Stats = &Stats{CurBytes: old.CurBytes, PeakBytes: old.CurBytes}
-	return old
-}
-
-// Global returns the enumeration global named name, creating it on
-// first use.
-func (ip *Interp) Global(name string) *Enum {
-	e, ok := ip.globals[name]
+// global returns the enumeration global named by in, creating it over
+// in's key type on first use.
+func (ip *Interp) global(in *ir.Instr) *Enum {
+	e, ok := ip.globals[in.Callee]
 	if !ok {
-		e = NewEnum()
-		ip.globals[name] = e
-		ip.register(e)
-		if ip.tele != nil {
-			ip.tele.TrackEnum(e, name)
-		}
+		e = ip.NewEnum(in.EnumKey(), in.Callee)
+		ip.globals[in.Callee] = e
 	}
 	return e
 }
-
-func (ip *Interp) register(c interface{ Bytes() int64 }) {
-	ip.live = append(ip.live, c)
-	ip.grew()
-}
-
-// grew counts one growth event, sampling the footprint every
-// MemSampleEvery-th event (a countdown instead of a modulo: same
-// sample schedule, no integer division on the mutation fast path).
-func (ip *Interp) grew() {
-	ip.untilSample--
-	if ip.untilSample <= 0 {
-		ip.untilSample = ip.opts.MemSampleEvery
-		ip.sampleMem()
-	}
-}
-
-func (ip *Interp) sampleMem() {
-	var total int64
-	for _, c := range ip.live {
-		total += c.Bytes()
-	}
-	ip.Stats.CurBytes = total
-	if total > ip.Stats.PeakBytes {
-		ip.Stats.PeakBytes = total
-	}
-	if ip.opts.MaxBytes > 0 && total > ip.opts.MaxBytes && ip.stop == nil {
-		ip.stop = &LimitError{Kind: ErrMemBudget, Bytes: total}
-	}
-}
-
-// FinalizeMem folds a final footprint sample into the stats.
-func (ip *Interp) FinalizeMem() { ip.sampleMem() }
 
 // CountIterSetup accounts the per-word scan cost of starting an
 // iteration over a bit-structured collection — such sets pay per word
@@ -302,44 +173,23 @@ func (ip *Interp) errf(fn *ir.Func, format string, args ...any) error {
 	return &execErr{fn: fn.Name, msg: fmt.Sprintf(format, args...)}
 }
 
-// interrupted runs the full interruption test at a step checkpoint.
-// The order is fixed and shared with the VM — step budget, then any
-// pending memory-budget stop, then the context — so both engines
-// report the same error kind with the same partial Stats when several
-// limits trip at once. The context is polled only when
-// Steps&1023 == 1: a cheap deterministic schedule that still fires on
-// the very first step for already-cancelled contexts.
+// interrupted runs the full interruption test at a step checkpoint:
+// the step budget, then the runtime's shared Checkpoint.
 func (ip *Interp) interrupted(fn *ir.Func) error {
-	if ip.opts.MaxSteps > 0 && ip.Stats.Steps > ip.opts.MaxSteps {
+	if ip.Opts.MaxSteps > 0 && ip.Stats.Steps > ip.Opts.MaxSteps {
 		return &LimitError{Kind: ErrStepBudget, Fn: fn.Name, Steps: ip.Stats.Steps}
 	}
-	if ip.stop != nil {
-		le := *ip.stop
-		le.Fn = fn.Name
-		le.Steps = ip.Stats.Steps
-		return &le
-	}
-	if ip.opts.Context != nil && ip.Stats.Steps&1023 == 1 && ip.opts.Context.Err() != nil {
-		return &LimitError{Kind: ErrDeadline, Fn: fn.Name, Steps: ip.Stats.Steps}
-	}
-	return nil
+	return ip.Checkpoint(fn.Name, ip.Stats.Steps)
 }
 
 // Run executes the named function with the given arguments and returns
-// its result. A Go panic during execution (an engine bug or an
-// injected fault) is recovered here and returned as a *LimitError
-// wrapping ErrRuntimePanic, with the Stats accumulated so far intact.
-func (ip *Interp) Run(name string, args ...Val) (ret Val, err error) {
+// its result, timed and panic-guarded by the runtime's Exec.
+func (ip *Interp) Run(name string, args ...Val) (Val, error) {
 	fn := ip.Prog.Func(name)
 	if fn == nil {
 		return Val{}, fmt.Errorf("interp: no function @%s", name)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			ret, err = Val{}, RecoveredError(r, fn.Name, ip.Stats.Steps)
-		}
-	}()
-	return ip.call(fn, args)
+	return ip.Exec(fn.Name, func() (Val, error) { return ip.call(fn, args) })
 }
 
 func (ip *Interp) frameSize(fn *ir.Func) int {
@@ -352,28 +202,16 @@ func (ip *Interp) frameSize(fn *ir.Func) int {
 	return n
 }
 
-// classifyIterLocal marks allocations whose instances die at the end
-// of each iteration of their innermost enclosing loop; the analysis
-// itself lives in ir.IterLocalAllocs so the bytecode compiler bakes
-// the very same classification into its instructions.
+// classifyIterLocal gives every allocation whose instances die at the
+// end of each iteration of its innermost enclosing loop a registry
+// slot; the analysis itself lives in ir.IterLocalAllocs so the
+// bytecode compiler bakes the very same classification into its
+// instructions.
 func (ip *Interp) classifyIterLocal(fn *ir.Func) {
 	for in := range ir.IterLocalAllocs(fn) {
-		ip.iterLocal[in] = true
+		slot := int32(-1)
+		ip.iterLocal[in] = &slot
 	}
-}
-
-// registerAt registers a collection allocated by instruction in,
-// replacing the previous instance for iteration-local allocations.
-func (ip *Interp) registerAt(in *ir.Instr, c Coll) {
-	if ip.iterLocal[in] {
-		if slot, ok := ip.localSlot[in]; ok {
-			ip.live[slot] = c
-			ip.grew()
-			return
-		}
-		ip.localSlot[in] = len(ip.live)
-	}
-	ip.register(c)
 }
 
 func (ip *Interp) call(fn *ir.Func, args []Val) (Val, error) {
@@ -446,7 +284,7 @@ func (ip *Interp) resolve(fn *ir.Func, fr []Val, o ir.Operand) (Val, error) {
 			switch c := cur.Coll().(type) {
 			case RMap:
 				ip.Stats.Count(c.Impl(), OKRead, 1)
-				ip.tcoll(c, OKRead, 1)
+				ip.CollOp(c, OKRead, 1)
 				v, ok := c.Get(key)
 				if !ok {
 					return Val{}, ip.errf(fn, "nested read of missing key %v", key)
@@ -458,7 +296,7 @@ func (ip *Interp) resolve(fn *ir.Func, fr []Val, o ir.Operand) (Val, error) {
 					return Val{}, ip.errf(fn, "nested seq index %d out of range [0,%d)", i, c.Len())
 				}
 				ip.Stats.Count(c.Impl(), OKRead, 1)
-				ip.tcoll(c, OKRead, 1)
+				ip.CollOp(c, OKRead, 1)
 				cur = c.Get(i)
 			default:
 				return Val{}, ip.errf(fn, "indexing into a set")
@@ -550,8 +388,8 @@ func (ip *Interp) execForEach(fn *ir.Func, fr []Val, n *ir.ForEach) error {
 
 	var iterErr error
 	ip.Stats.Steps++
-	CountIterSetup(ip.Stats, ip.tele, collV.Coll())
-	tcount := ip.tele.IterCounter(collV.Coll()) // nil on a nil recorder
+	CountIterSetup(ip.Stats, ip.Tele, collV.Coll())
+	tcount := ip.Tele.IterCounter(collV.Coll()) // nil on a nil recorder
 	step := func(k, v Val) bool {
 		ip.Stats.Count(collV.Coll().Impl(), OKIter, 1)
 		if tcount != nil {
@@ -589,7 +427,7 @@ func (ip *Interp) execDoWhile(fn *ir.Func, fr []Val, n *ir.DoWhile) error {
 	ip.initHeaderPhis(fr, n.HeaderPhis)
 	for {
 		ip.Stats.Steps++
-		if ip.limited {
+		if ip.Limited {
 			if err := ip.interrupted(fn); err != nil {
 				return err
 			}

@@ -10,7 +10,7 @@ import (
 
 func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, error) {
 	ip.Stats.Steps++
-	if ip.limited {
+	if ip.Limited {
 		if err := ip.interrupted(fn); err != nil {
 			return ctrlNormal, Val{}, err
 		}
@@ -25,28 +25,22 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 	}
 	switch in.Op {
 	case ir.OpNew:
-		c := ip.NewColl(in.Alloc)
-		// NewColl registered the collection persistently; registerAt
-		// demotes iteration-local allocations to a reusable slot.
-		if ip.iterLocal[in] {
-			ip.live = ip.live[:len(ip.live)-1]
-			ip.registerAt(in, c)
+		var c Coll
+		if slot := ip.iterLocal[in]; slot != nil {
+			c = ip.NewLocalColl(in.Alloc, slot)
+		} else {
+			c = ip.NewColl(in.Alloc)
 		}
-		if ip.tele != nil {
-			ip.tele.TrackColl(c, ip.allocKey(fn, in))
+		if ip.Tele != nil {
+			ip.Tele.TrackColl(c, ip.allocKey(fn, in))
 		}
 		setRes(0, CollV(c))
 
 	case ir.OpNewEnum:
-		e := NewEnum()
-		ip.register(e)
-		if ip.tele != nil {
-			ip.tele.TrackEnum(e, "")
-		}
-		setRes(0, EnumV(e))
+		setRes(0, EnumV(ip.NewEnum(in.EnumKey(), "")))
 
 	case ir.OpEnumGlobal:
-		setRes(0, EnumV(ip.Global(in.Callee)))
+		setRes(0, EnumV(ip.global(in)))
 
 	case ir.OpRead:
 		cv, err := ip.resolve(fn, fr, in.Args[0])
@@ -60,7 +54,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		switch c := cv.Coll().(type) {
 		case RMap:
 			ip.Stats.Count(c.Impl(), OKRead, 1)
-			ip.tcoll(c, OKRead, 1)
+			ip.CollOp(c, OKRead, 1)
 			v, ok := c.Get(key)
 			if !ok {
 				return ctrlNormal, Val{}, ip.errf(fn, "read of missing key %v", key)
@@ -72,7 +66,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 				return ctrlNormal, Val{}, ip.errf(fn, "seq read index %d out of range [0,%d)", i, c.Len())
 			}
 			ip.Stats.Count(c.Impl(), OKRead, 1)
-			ip.tcoll(c, OKRead, 1)
+			ip.CollOp(c, OKRead, 1)
 			setRes(0, c.Get(i))
 		default:
 			return ctrlNormal, Val{}, ip.errf(fn, "read on set")
@@ -90,11 +84,11 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		switch c := cv.Coll().(type) {
 		case RSet:
 			ip.Stats.Count(c.Impl(), OKHas, 1)
-			ip.tcoll(c, OKHas, 1)
+			ip.CollOp(c, OKHas, 1)
 			setRes(0, BoolV(c.Has(key)))
 		case RMap:
 			ip.Stats.Count(c.Impl(), OKHas, 1)
-			ip.tcoll(c, OKHas, 1)
+			ip.CollOp(c, OKHas, 1)
 			setRes(0, BoolV(c.HasKey(key)))
 		default:
 			return ctrlNormal, Val{}, ip.errf(fn, "has on seq")
@@ -106,7 +100,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			return ctrlNormal, Val{}, err
 		}
 		ip.Stats.Count(cv.Coll().Impl(), OKSize, 1)
-		ip.tcoll(cv.Coll(), OKSize, 1)
+		ip.CollOp(cv.Coll(), OKSize, 1)
 		setRes(0, IntV(uint64(cv.Coll().Len())))
 
 	case ir.OpWrite:
@@ -132,7 +126,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 				return ctrlNormal, Val{}, ip.errf(fn, "write to missing key %v (insert first)", key)
 			}
 			c.Put(key, val)
-			ip.tcoll(c, OKWrite, 1)
+			ip.CollOp(c, OKWrite, 1)
 		case RSeq:
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
@@ -140,11 +134,11 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			}
 			ip.Stats.Count(c.Impl(), OKWrite, 1)
 			c.Set(i, val)
-			ip.tcoll(c, OKWrite, 1)
+			ip.CollOp(c, OKWrite, 1)
 		default:
 			return ctrlNormal, Val{}, ip.errf(fn, "write on set")
 		}
-		ip.grew()
+		ip.Grew()
 		setRes(0, ip.eval(fr, in.Args[0].Base))
 
 	case ir.OpInsert:
@@ -160,9 +154,9 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			}
 			ip.Stats.Count(c.Impl(), OKInsert, 1)
 			c.Insert(key)
-			ip.tcoll(c, OKInsert, 1)
-			if ip.tele != nil {
-				ip.tele.KeyObs(c, key.Bits())
+			ip.CollOp(c, OKInsert, 1)
+			if ip.Tele != nil {
+				ip.Tele.KeyObs(c, key.Bits())
 			}
 		case RMap:
 			key, err := ip.resolve(fn, fr, in.Args[1])
@@ -172,14 +166,14 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			ip.Stats.Count(c.Impl(), OKInsert, 1)
 			if !c.HasKey(key) {
 				zv := ip.zeroVal(c.ElemType())
-				if ip.tele != nil {
-					ip.tele.TrackInner(zv.Ref(), c)
+				if ip.Tele != nil {
+					ip.Tele.TrackInner(zv.Ref(), c)
 				}
 				c.Put(key, zv)
 			}
-			ip.tcoll(c, OKInsert, 1)
-			if ip.tele != nil {
-				ip.tele.KeyObs(c, key.Bits())
+			ip.CollOp(c, OKInsert, 1)
+			if ip.Tele != nil {
+				ip.Tele.KeyObs(c, key.Bits())
 			}
 		case RSeq:
 			val, err := ip.resolve(fn, fr, in.Args[2])
@@ -187,7 +181,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 				return ctrlNormal, Val{}, err
 			}
 			ip.Stats.Count(c.Impl(), OKInsert, 1)
-			ip.tcoll(c, OKInsert, 1)
+			ip.CollOp(c, OKInsert, 1)
 			pos := in.Args[1]
 			if pos.Base == nil && len(pos.Path) == 1 && pos.Path[0].Kind == ir.IdxEnd {
 				c.Append(val)
@@ -203,7 +197,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 				c.InsertAt(i, val)
 			}
 		}
-		ip.grew()
+		ip.Grew()
 		setRes(0, ip.eval(fr, in.Args[0].Base))
 
 	case ir.OpRemove:
@@ -219,11 +213,11 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		case RSet:
 			ip.Stats.Count(c.Impl(), OKRemove, 1)
 			c.Remove(key)
-			ip.tcoll(c, OKRemove, 1)
+			ip.CollOp(c, OKRemove, 1)
 		case RMap:
 			ip.Stats.Count(c.Impl(), OKRemove, 1)
 			c.Remove(key)
-			ip.tcoll(c, OKRemove, 1)
+			ip.CollOp(c, OKRemove, 1)
 		case RSeq:
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
@@ -231,7 +225,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			}
 			ip.Stats.Count(c.Impl(), OKRemove, 1)
 			c.RemoveAt(i)
-			ip.tcoll(c, OKRemove, 1)
+			ip.CollOp(c, OKRemove, 1)
 		}
 		setRes(0, ip.eval(fr, in.Args[0].Base))
 
@@ -242,7 +236,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		}
 		ip.Stats.Count(cv.Coll().Impl(), OKClear, 1)
 		cv.Coll().Clear()
-		ip.tcoll(cv.Coll(), OKClear, 1)
+		ip.CollOp(cv.Coll(), OKClear, 1)
 		setRes(0, ip.eval(fr, in.Args[0].Base))
 
 	case ir.OpUnion:
@@ -258,8 +252,8 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			return ctrlNormal, Val{}, err
 		}
 		ip.Stats.Count(ImplEnum, OKEnc, 1)
-		if ip.tele != nil {
-			ip.tele.EnumOp(e.Enum(), telemetry.OpEnc, false)
+		if ip.Tele != nil {
+			ip.Tele.EnumOp(e.Enum(), telemetry.OpEnc, false)
 		}
 		id, ok := e.Enum().Enc(v)
 		if !ok {
@@ -280,8 +274,8 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			return ctrlNormal, Val{}, err
 		}
 		ip.Stats.Count(ImplEnum, OKDec, 1)
-		if ip.tele != nil {
-			ip.tele.EnumOp(e.Enum(), telemetry.OpDec, false)
+		if ip.Tele != nil {
+			ip.Tele.EnumOp(e.Enum(), telemetry.OpDec, false)
 		}
 		if int(idv.I) >= e.Enum().Len() {
 			return ctrlNormal, Val{}, ip.errf(fn, "dec of identifier %d outside [0,%d)", idv.I, e.Enum().Len())
@@ -296,13 +290,13 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		}
 		ip.Stats.Count(ImplEnum, OKAdd, 1)
 		id, added := e.Enum().Add(v)
-		if ip.tele != nil {
-			ip.tele.EnumOp(e.Enum(), telemetry.OpAdd, added)
+		if ip.Tele != nil {
+			ip.Tele.EnumOp(e.Enum(), telemetry.OpAdd, added)
 		}
 		if added {
-			ip.grew()
+			ip.Grew()
 		}
-		if fa := ip.opts.Faults; fa != nil && fa.CorruptAdd() {
+		if fa := ip.Opts.Faults; fa != nil && fa.CorruptAdd() {
 			e.Enum().CorruptSlot()
 		}
 		setRes(0, e)
@@ -367,11 +361,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		if err != nil {
 			return ctrlNormal, Val{}, err
 		}
-		ip.Stats.EmitCount++
-		ip.Stats.EmitSum += collections.Mix64(v.Bits())
-		if ip.opts.RecordOutput {
-			ip.Output = append(ip.Output, v)
-		}
+		ip.Emit(v)
 
 	case ir.OpROI:
 		ip.MarkROI()
@@ -432,8 +422,8 @@ func (ip *Interp) execUnion(fn *ir.Func, fr []Val, in *ir.Instr) error {
 	if !ok1 || !ok2 {
 		return ip.errf(fn, "union on non-sets")
 	}
-	defer ip.grew()
-	UnionInto(ip.Stats, ip.tele, dst, src)
+	defer ip.Grew()
+	UnionInto(ip.Stats, ip.Tele, dst, src)
 	return nil
 }
 

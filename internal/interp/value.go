@@ -196,6 +196,18 @@ func HashVal(v Val) uint64 {
 // negZeroBits is the bit pattern of -0.0.
 const negZeroBits = 1 << 63
 
+// canonKey returns the key under which v enters a set, a map or an
+// enumeration: a float -0 becomes +0, every other value is itself.
+// EqVal holds the two zeros equal, so without it a collection would
+// keep whichever zero arrived first, and under ADE that is the shared
+// enumeration's first zero, not the collection's own (DESIGN.md §15).
+func canonKey(v Val) Val {
+	if v.K == VFloat && v.I == negZeroBits {
+		v.I = 0
+	}
+	return v
+}
+
 // EqVal reports scalar value equality.
 func EqVal(a, b Val) bool {
 	if a.K != b.K {

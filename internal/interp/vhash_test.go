@@ -277,19 +277,21 @@ func TestWordTableSlotsMatchValTable(t *testing.T) {
 		func(k Val) Val { return IntV(k.Bits()) }, opVal, sameVal, sameVal)
 }
 
-// The enumeration's encode half is a WordMap while every added value is
-// an integer and moves to a ValMap at the first other value, replaying
-// its entries in identifier order. Either way it must stay
-// bit-identical to one HashMap[Val, uint32] fed every value: the word
-// table's slots equal the Val table's (TestWordTableSlotsMatchValTable)
-// and the replay reproduces the Val table's own insertion sequence.
-// Only the random workloads mix kinds; "window" stays on words
-// throughout. An enumeration never removes or clears, so only inserts
-// (Enum.Add) and lookups (Enum.Enc) apply.
+// The enumeration's encode half is a WordMap for an integer domain and
+// a ValMap otherwise. Either way it must stay bit-identical to one
+// HashMap[Val, uint32] fed every value: the word table's slots equal
+// the Val table's (TestWordTableSlotsMatchValTable). The random
+// workloads mix kinds, so they run on an enumeration built with Val
+// storage; "window" adds only integers and runs on NewEnum's words. An
+// enumeration never removes or clears, so only inserts (Enum.Add) and
+// lookups (Enum.Enc) apply.
 func TestEnumEncodeTableMatchesGenericHashMap(t *testing.T) {
 	for _, w := range workloads() {
 		r := rand.New(rand.NewSource(1))
-		e := NewEnum()
+		e := newEnum(ir.TStr) // Val storage
+		if w.name == "window" {
+			e = NewEnum()
+		}
 		want := collections.NewHashMap[Val, uint32](HashVal, EqVal)
 		for op := 0; op < opCount; op++ {
 			where := fmt.Sprintf("%s op %d", w.name, op)
@@ -332,16 +334,14 @@ func TestEnumEncodeTableMatchesGenericHashMap(t *testing.T) {
 				}
 			}
 		}
-		if wantWords := w.name == "window"; e.words != wantWords {
-			t.Errorf("%s: enumeration on words = %v, want %v", w.name, e.words, wantWords)
-		}
 	}
 }
 
 // TestFloatKeyMembershipAcrossImpls requires every Set<f64> and
 // Map<f64,u64> implementation to agree on signed zeros: EqVal holds +0
 // and -0 equal, so HashVal must hash them alike or a set's contents
-// would depend on the selected implementation. NaN is pinned as it
+// would depend on the selected implementation, and a zero key is
+// stored as +0 whichever zero was inserted. NaN is pinned as it
 // stands, and does differ between families: a hash table never finds
 // a NaN again, so each insert adds one, while FlatSet orders NaN equal
 // to every key.
@@ -362,6 +362,12 @@ func TestFloatKeyMembershipAcrossImpls(t *testing.T) {
 				t.Errorf("%v: after inserting %v, Has(%v) = %v, Len after inserting it = %d; want true, 1",
 					sel, zeros[0], zeros[1], s.Has(zeros[1]), s.Len())
 			}
+			s.Iterate(func(k Val) bool {
+				if k.I != pos.I {
+					t.Errorf("%v: inserting %v then %v keeps %v, want +0", sel, zeros[0], zeros[1], k)
+				}
+				return true
+			})
 		}
 		s := newColl(ir.SetOf(ir.TF64), sel).(RSet)
 		s.Insert(FloatV(1))
@@ -371,12 +377,23 @@ func TestFloatKeyMembershipAcrossImpls(t *testing.T) {
 		}
 	}
 	for _, sel := range []collections.Impl{collections.ImplHashMap, collections.ImplSwissMap} {
-		m := newColl(ir.MapOf(ir.TF64, ir.TU64), sel).(RMap)
-		m.Put(pos, IntV(1))
-		m.Put(neg, IntV(2))
-		if v, ok := m.Get(pos); !ok || v.I != 2 || m.Len() != 1 {
-			t.Errorf("%v: Put(+0), Put(-0): Get(+0) = %v,%v, Len %d; want 2,true, 1", sel, v, ok, m.Len())
+		for _, zeros := range [][2]Val{{pos, neg}, {neg, pos}} {
+			m := newColl(ir.MapOf(ir.TF64, ir.TU64), sel).(RMap)
+			m.Put(zeros[0], IntV(1))
+			m.Put(zeros[1], IntV(2))
+			if v, ok := m.Get(zeros[0]); !ok || v.I != 2 || m.Len() != 1 {
+				t.Errorf("%v: Put(%v), Put(%v): Get(%v) = %v,%v, Len %d; want 2,true, 1",
+					sel, zeros[0], zeros[1], zeros[0], v, ok, m.Len())
+			}
+			m.Iterate(func(k, _ Val) bool {
+				if k.I != pos.I {
+					t.Errorf("%v: Put(%v), Put(%v) keeps key %v, want +0", sel, zeros[0], zeros[1], k)
+				}
+				return true
+			})
 		}
+		m := newColl(ir.MapOf(ir.TF64, ir.TU64), sel).(RMap)
+		m.Put(pos, IntV(2))
 		m.Put(nan, IntV(3))
 		m.Put(nan, IntV(4))
 		if m.HasKey(nan) || m.Len() != 3 {

@@ -171,6 +171,17 @@ func (in *Instr) Result() *Value {
 	return in.Results[0]
 }
 
+// EnumKey returns the domain of the enumeration an OpNewEnum or
+// OpEnumGlobal instruction yields, or nil when it binds no result.
+func (in *Instr) EnumKey() Type {
+	if r := in.Result(); r != nil {
+		if ct, ok := r.Type.(*CollType); ok && ct.Kind == KEnum {
+			return ct.Key
+		}
+	}
+	return nil
+}
+
 // PhiRole records where a phi sits (§III-A's implicit ordering).
 type PhiRole uint8
 

@@ -772,9 +772,9 @@ func (s *Server) executeInto(resp *Response, art *artifact, req *Request, fromCa
 	for i, a := range req.Args {
 		args[i] = interp.IntV(a)
 	}
-	start := time.Now()
 	ret, runErr := m.Run(req.Entry, args...)
-	resp.WallMs = float64(time.Since(start).Microseconds()) / 1000
+	wall, _ := m.Wall()
+	resp.WallMs = float64(wall.Microseconds()) / 1000
 	m.FinalizeMem()
 	st := m.Stats
 	resp.Stats = &RunStats{Steps: st.Steps, Sparse: st.Sparse, Dense: st.Dense, PeakBytes: st.PeakBytes}

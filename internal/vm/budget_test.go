@@ -39,7 +39,7 @@ func runLimited(t *testing.T, eng bench.Engine, build func() *ir.Program,
 	args := inputFor(m)
 	ret, runErr := m.Run("main", args...)
 	m.FinalizeMem()
-	return ret, m.RecordedOutput(), m.Stats(), opts.Telemetry.Result(), runErr
+	return ret, m.Output, m.Stats, opts.Telemetry.Result(), runErr
 }
 
 // assertInterrupted runs the program on both engines under the same

@@ -1,20 +1,22 @@
-// Package vm is the fast second execution engine for MEMOIR programs:
-// a switch-dispatch register VM over the bytecode produced by
-// internal/bytecode. It executes the same runtime values, collections
-// and enumerations as the tree-walking interpreter (internal/interp)
-// and preserves its full measurement surface — per-(implementation,
-// operation) counts, sparse/dense classification, step counts, the
-// peak-memory model and the emit checksum are identical for identical
-// programs and inputs, so every experiment can run on either engine.
+// Package vm is the fast execution engine for MEMOIR programs: a
+// switch-dispatch register VM over the bytecode produced by
+// internal/bytecode. It owns only dispatch. Everything the paper's
+// numbers are read from (Stats, the peak-memory model, emit, the roi
+// marker, run timing, allocation and enumeration creation) lives in
+// the interp.Runtime it embeds, the same runtime the tree-walking
+// interpreter embeds, so both engines account through one code path
+// and the VM is diffed against the interpreter only on semantics.
 //
 // The speed comes from work the compiler already did: type dispatch is
 // baked into specialized opcodes, constants are preloaded registers,
 // structured control flow is jumps over a flat instruction array, and
-// operand access is direct frame indexing. The dispatch loop keeps its
-// step and scalar-op tallies in locals (flushed into the shared Stats
-// at every boundary the interpreter could observe: nested frames, the
-// ROI marker, and every exit) so the hot path performs no shared-state
-// read-modify-write per instruction while remaining count-identical.
+// operand access is direct frame indexing. The hot collection and
+// enumeration opcodes are inlined in the dispatch loop, which reads the
+// runtime's fields directly. The loop keeps its step and scalar-op
+// tallies in locals (flushed into the Stats at every boundary the
+// interpreter could observe: nested frames, the ROI marker, and every
+// exit) so the hot path performs no shared-state read-modify-write per
+// instruction while remaining count-identical.
 package vm
 
 import (
@@ -22,163 +24,55 @@ import (
 	"fmt"
 	"math"
 	mathbits "math/bits"
-	"time"
 
 	"memoir/internal/bytecode"
 	"memoir/internal/collections"
-	"memoir/internal/faults"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
 	"memoir/internal/telemetry"
 )
 
-// VM executes a compiled MEMOIR program. Mirrors interp.Interp's
-// measurement state field for field.
+// VM executes a compiled MEMOIR program. The embedded Runtime holds
+// every measurement and does all allocation, footprint sampling, emit
+// and roi bookkeeping; the VM adds only what dispatching bytecode
+// needs.
 type VM struct {
-	Prog  *bytecode.Prog
-	Stats *interp.Stats
-	opts  interp.Options
+	interp.Runtime
+	Prog *bytecode.Prog
 
 	// Enumeration globals, indexed parallel to Prog.Globals.
 	globals []*interp.Enum
 
-	live        []interface{ Bytes() int64 }
-	untilSample int
-
-	// limited is true when any interruption source (step budget,
-	// memory budget, context) is configured; the dispatch fast path
-	// checks this single bool before the full interruption test.
-	limited bool
-
-	// stop holds a pending memory-budget violation detected during a
-	// footprint sample; it surfaces at the next step checkpoint so
-	// both engines abort at the same dynamic point.
-	stop *interp.LimitError
-
 	// localSlot[site] is the reusable live-registry slot of an
 	// iteration-local allocation site (-1 until first allocation).
 	localSlot []int32
-
-	// tele is non-nil when Options.Telemetry is set.
-	tele *telemetry.Recorder
-
-	// Output holds emitted values when RecordOutput is set.
-	Output []interp.Val
-
-	// ROI marker state, split off by the roi instruction.
-	ROISnapshot *interp.Stats
-	ROIStart    time.Time
 }
 
-// New returns a VM for the compiled program. Options are normalized
-// exactly as interp.New does; TrackReads is interpreter-only and
-// ignored here (the dataflow property tests run on the interpreter).
+// New returns a VM for the compiled program. TrackReads is
+// interpreter-only and ignored here (the dataflow property tests run
+// on the interpreter).
 func New(prog *bytecode.Prog, opts interp.Options) *VM {
-	if opts.MemSampleEvery <= 0 {
-		opts.MemSampleEvery = 512
-	}
-	if opts.DefaultSet == collections.ImplNone {
-		opts.DefaultSet = collections.ImplHashSet
-	}
-	if opts.DefaultMap == collections.ImplNone {
-		opts.DefaultMap = collections.ImplHashMap
-	}
 	m := &VM{
-		Prog:        prog,
-		Stats:       &interp.Stats{},
-		opts:        opts,
-		globals:     make([]*interp.Enum, len(prog.Globals)),
-		untilSample: opts.MemSampleEvery,
-		localSlot:   make([]int32, len(prog.AllocSites)),
-		tele:        opts.Telemetry,
+		Runtime:   interp.NewRuntime(opts),
+		Prog:      prog,
+		globals:   make([]*interp.Enum, len(prog.Globals)),
+		localSlot: make([]int32, len(prog.AllocSites)),
 	}
 	for i := range m.localSlot {
 		m.localSlot[i] = -1
 	}
-	m.limited = opts.MaxSteps > 0 || opts.MaxBytes > 0 || opts.Context != nil
 	return m
 }
 
-// MarkROI snapshots the stats and wall clock; executed by the roi op.
-func (m *VM) MarkROI() {
-	snap := *m.Stats
-	m.ROISnapshot = &snap
-	m.ROIStart = time.Now()
-}
-
-// ROIStats returns the kernel-only stats (total minus the snapshot at
-// the roi marker); when no marker ran it returns the full stats.
-func (m *VM) ROIStats() *interp.Stats {
-	if m.ROISnapshot == nil {
-		return m.Stats
-	}
-	return interp.ROIDelta(m.Stats, m.ROISnapshot)
-}
-
-// NewColl materializes an empty collection of type ct and registers it
-// for memory accounting, exactly like interp.(*Interp).NewColl.
-func (m *VM) NewColl(ct *ir.CollType) interp.Coll {
-	if fa := m.opts.Faults; fa != nil && fa.FailAlloc() {
-		panic(&faults.InjectedFault{P: fa.Point()})
-	}
-	c := interp.NewCollFor(ct, m.opts.DefaultSet, m.opts.DefaultMap)
-	m.register(c)
-	return c
-}
-
-func (m *VM) register(c interface{ Bytes() int64 }) {
-	m.live = append(m.live, c)
-	m.grew()
-}
-
-// grew counts one growth event, sampling the footprint every
-// MemSampleEvery-th event (a countdown instead of a modulo: same
-// sample schedule, no integer division on the mutation fast path).
-func (m *VM) grew() {
-	m.untilSample--
-	if m.untilSample <= 0 {
-		m.untilSample = m.opts.MemSampleEvery
-		m.sampleMem()
-	}
-}
-
-func (m *VM) sampleMem() {
-	var total int64
-	for _, c := range m.live {
-		total += c.Bytes()
-	}
-	m.Stats.CurBytes = total
-	if total > m.Stats.PeakBytes {
-		m.Stats.PeakBytes = total
-	}
-	if m.opts.MaxBytes > 0 && total > m.opts.MaxBytes && m.stop == nil {
-		m.stop = &interp.LimitError{Kind: interp.ErrMemBudget, Bytes: total}
-	}
-}
-
-// FinalizeMem folds a final footprint sample into the stats.
-func (m *VM) FinalizeMem() { m.sampleMem() }
-
-// Global returns the enumeration global with the given Prog.Globals
-// index, creating it on first use.
-func (m *VM) global(idx int32) *interp.Enum {
+// global returns the enumeration global with Prog.Globals index idx,
+// creating it over key on first use.
+func (m *VM) global(idx int32, key ir.Type) *interp.Enum {
 	e := m.globals[idx]
 	if e == nil {
-		e = interp.NewEnum()
+		e = m.NewEnum(key, m.Prog.Globals[idx])
 		m.globals[idx] = e
-		m.register(e)
-		if m.tele != nil {
-			m.tele.TrackEnum(e, m.Prog.Globals[idx])
-		}
 	}
 	return e
-}
-
-// tcoll forwards one collection operation to the telemetry recorder.
-func (m *VM) tcoll(c any, k interp.OpKind, n uint64) {
-	if m.tele != nil {
-		m.tele.CollOp(c, int(k), n)
-	}
 }
 
 func (m *VM) errf(f *bytecode.Func, format string, args ...any) error {
@@ -186,29 +80,25 @@ func (m *VM) errf(f *bytecode.Func, format string, args ...any) error {
 }
 
 // Run executes the named function with the given arguments and returns
-// its result. A Go panic during execution (an engine bug or an
-// injected fault) is recovered here and returned as a *LimitError
-// wrapping interp.ErrRuntimePanic, mirroring the interpreter's Run.
-func (m *VM) Run(name string, args ...interp.Val) (ret interp.Val, err error) {
+// its result, timed and panic-guarded by the runtime's Exec exactly as
+// the interpreter's Run is.
+func (m *VM) Run(name string, args ...interp.Val) (interp.Val, error) {
 	idx, ok := m.Prog.ByName[name]
 	if !ok {
 		return interp.Val{}, fmt.Errorf("vm: no function @%s", name)
 	}
 	f := m.Prog.Funcs[idx]
-	defer func() {
-		if r := recover(); r != nil {
-			ret, err = interp.Val{}, interp.RecoveredError(r, f.Name, m.Stats.Steps)
+	return m.Exec(f.Name, func() (interp.Val, error) {
+		if err := m.checkArity(f, len(args)); err != nil {
+			return interp.Val{}, err
 		}
-	}()
-	if err := m.checkArity(f, len(args)); err != nil {
-		return interp.Val{}, err
-	}
-	fr := newFrame(f)
-	for i, r := range f.ParamRegs {
-		fr[r] = args[i]
-	}
-	ret, _, err = m.run(f, fr, 0, int32(len(f.Code)))
-	return ret, err
+		fr := newFrame(f)
+		for i, r := range f.ParamRegs {
+			fr[r] = args[i]
+		}
+		ret, _, err := m.run(f, fr, 0, int32(len(f.Code)))
+		return ret, err
+	})
 }
 
 // checkArity rejects a call of f with n arguments. The verifier
@@ -266,14 +156,14 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 			switch c := cur.Ref().(type) {
 			case *interp.RMapBit:
 				m.Stats.Count(collections.ImplBitMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				if !c.HasKey(key) {
 					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
 				}
 				cur = c.At(uint32(key.I))
 			case *interp.RMapHash:
 				m.Stats.Count(collections.ImplHashMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				v, ok := c.Get(key)
 				if !ok {
 					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
@@ -281,7 +171,7 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 				cur = v
 			case interp.RMap:
 				m.Stats.Count(c.Impl(), interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				v, ok := c.Get(key)
 				if !ok {
 					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
@@ -293,7 +183,7 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 					return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
 				}
 				m.Stats.Count(collections.ImplArray, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				cur = c.Get(i)
 			case interp.RSeq:
 				i := int(key.I)
@@ -301,7 +191,7 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 					return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
 				}
 				m.Stats.Count(c.Impl(), interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				cur = c.Get(i)
 			default:
 				return interp.Val{}, m.errf(f, "indexing into a set")
@@ -382,7 +272,7 @@ const (
 func (m *VM) run(f *bytecode.Func, fr []interp.Val, lo, hi int32) (rv interp.Val, returned bool, err error) {
 	code := f.Code
 	st := m.Stats
-	maxSteps := m.opts.MaxSteps
+	maxSteps := m.Opts.MaxSteps
 	var steps, nscalar uint64
 	budget := uint64(math.MaxUint64)
 	if maxSteps > 0 {
@@ -493,21 +383,16 @@ dispatch:
 			// budget, pending memory stop, context — so both engines
 			// abort at the same dynamic point with the same error kind.
 			steps++
-			if m.limited && op != bytecode.OpForEach {
+			if m.Limited && op != bytecode.OpForEach {
 				if steps > budget {
 					err = &interp.LimitError{Kind: interp.ErrStepBudget, Fn: f.Name, Steps: st.Steps + steps}
 					goto out
 				}
-				if m.stop != nil {
-					le := *m.stop
-					le.Fn = f.Name
-					le.Steps = st.Steps + steps
-					err = &le
-					goto out
-				}
-				if m.opts.Context != nil && (st.Steps+steps)&1023 == 1 && m.opts.Context.Err() != nil {
-					err = &interp.LimitError{Kind: interp.ErrDeadline, Fn: f.Name, Steps: st.Steps + steps}
-					goto out
+				if n := st.Steps + steps; m.Due(n) {
+					if e := m.Checkpoint(f.Name, n); e != nil {
+						err = e
+						goto out
+					}
 				}
 			}
 		}
@@ -542,9 +427,9 @@ dispatch:
 				goto out
 			}
 			coll := cv.Coll()
-			interp.CountIterSetup(st, m.tele, coll)
+			interp.CountIterSetup(st, m.Tele, coll)
 			iterCount := &st.Counts[coll.Impl()][interp.OKIter]
-			tcount := m.tele.IterCounter(coll) // nil on a nil recorder
+			tcount := m.Tele.IterCounter(coll) // nil on a nil recorder
 			kReg, vReg := in.Dst, in.Dst2
 			bodyLo, bodyHi := in.Aux, in.Aux2
 			// Pausable containers iterate inline: push an iterState over
@@ -687,39 +572,22 @@ dispatch:
 
 		case bytecode.OpNewColl:
 			site := &m.Prog.AllocSites[in.Aux]
-			if fa := m.opts.Faults; fa != nil && fa.FailAlloc() {
-				panic(&faults.InjectedFault{P: fa.Point()})
-			}
-			c := interp.NewCollFor(site.Type, m.opts.DefaultSet, m.opts.DefaultMap)
-			// Register persistently first, then demote iteration-local
-			// allocations to their reusable slot — the same two growth
-			// events per allocation the interpreter records.
-			m.register(c)
+			var c interp.Coll
 			if site.IterLocal {
-				m.live = m.live[:len(m.live)-1]
-				if slot := m.localSlot[in.Aux]; slot >= 0 {
-					m.live[slot] = c
-					m.grew()
-				} else {
-					m.localSlot[in.Aux] = int32(len(m.live))
-					m.register(c)
-				}
+				c = m.NewLocalColl(site.Type, &m.localSlot[in.Aux])
+			} else {
+				c = m.NewColl(site.Type)
 			}
-			if m.tele != nil {
-				m.tele.TrackColl(c, telemetry.SiteKey{Fn: site.Fn, Alloc: site.Alloc})
+			if m.Tele != nil {
+				m.Tele.TrackColl(c, telemetry.SiteKey{Fn: site.Fn, Alloc: site.Alloc})
 			}
 			fr[in.Dst] = interp.CollV(c)
 
 		case bytecode.OpNewEnum:
-			e := interp.NewEnum()
-			m.register(e)
-			if m.tele != nil {
-				m.tele.TrackEnum(e, "")
-			}
-			fr[in.Dst] = interp.EnumV(e)
+			fr[in.Dst] = interp.EnumV(m.NewEnum(m.Prog.EnumKeys[in.Aux], ""))
 
 		case bytecode.OpEnumGlobal:
-			fr[in.Dst] = interp.EnumV(m.global(in.Aux))
+			fr[in.Dst] = interp.EnumV(m.global(in.Aux, m.Prog.EnumKeys[in.Aux2]))
 
 		case bytecode.OpReadMap:
 			cv := fr[in.A.Reg]
@@ -739,17 +607,17 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				if ok = c.HasKey(key); ok {
 					v = c.At(uint32(key.I))
 				}
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				v, ok = c.Get(key)
 			case interp.RMap:
 				st.Count(c.Impl(), interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				v, ok = c.Get(key)
 			default:
 				err = m.errf(f, "read on set")
@@ -782,7 +650,7 @@ dispatch:
 					goto out
 				}
 				st.Count(collections.ImplArray, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				fr[in.Dst] = c.Get(i)
 			case interp.RSeq:
 				i := int(key.I)
@@ -791,7 +659,7 @@ dispatch:
 					goto out
 				}
 				st.Count(c.Impl(), interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.CollOp(c, interp.OKRead, 1)
 				fr[in.Dst] = c.Get(i)
 			default:
 				err = m.errf(f, "read on set")
@@ -815,19 +683,19 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RSetBits:
 				st.Count(collections.ImplBitSet, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.CollOp(c, interp.OKHas, 1)
 				has = c.S.Has(uint32(key.I))
 			case *interp.RSetSparse:
 				st.Count(collections.ImplSparseBitSet, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.CollOp(c, interp.OKHas, 1)
 				has = c.S.Has(uint32(key.I))
 			case *interp.RSetHash:
 				st.Count(collections.ImplHashSet, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.CollOp(c, interp.OKHas, 1)
 				has = c.Has(key)
 			case interp.RSet:
 				st.Count(c.Impl(), interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.CollOp(c, interp.OKHas, 1)
 				has = c.Has(key)
 			default:
 				err = m.errf(f, "has on seq")
@@ -853,15 +721,15 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.CollOp(c, interp.OKHas, 1)
 				has = c.HasKey(key)
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.CollOp(c, interp.OKHas, 1)
 				has = c.Has(key)
 			case interp.RMap:
 				st.Count(c.Impl(), interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.CollOp(c, interp.OKHas, 1)
 				has = c.HasKey(key)
 			default:
 				err = m.errf(f, "has on seq")
@@ -879,7 +747,7 @@ dispatch:
 			}
 			c := cv.Coll()
 			st.Count(c.Impl(), interp.OKSize, 1)
-			m.tcoll(c, interp.OKSize, 1)
+			m.CollOp(c, interp.OKSize, 1)
 			d := &fr[in.Dst]
 			d.K, d.I = interp.VInt, uint64(c.Len())
 
@@ -910,7 +778,7 @@ dispatch:
 					goto out
 				}
 				c.Put(key, val)
-				m.tcoll(c, interp.OKWrite, 1)
+				m.CollOp(c, interp.OKWrite, 1)
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKWrite, 1)
 				if !c.Has(key) {
@@ -918,7 +786,7 @@ dispatch:
 					goto out
 				}
 				c.Put(key, val)
-				m.tcoll(c, interp.OKWrite, 1)
+				m.CollOp(c, interp.OKWrite, 1)
 			case interp.RMap:
 				st.Count(c.Impl(), interp.OKWrite, 1)
 				if !c.HasKey(key) {
@@ -926,12 +794,12 @@ dispatch:
 					goto out
 				}
 				c.Put(key, val)
-				m.tcoll(c, interp.OKWrite, 1)
+				m.CollOp(c, interp.OKWrite, 1)
 			default:
 				err = m.errf(f, "write on set")
 				goto out
 			}
-			m.grew()
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpWriteSeq:
@@ -965,8 +833,8 @@ dispatch:
 			}
 			st.Count(c.Impl(), interp.OKWrite, 1)
 			c.Set(i, val)
-			m.tcoll(c, interp.OKWrite, 1)
-			m.grew()
+			m.CollOp(c, interp.OKWrite, 1)
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertSet:
@@ -986,24 +854,24 @@ dispatch:
 			case *interp.RSetBits:
 				st.Count(collections.ImplBitSet, interp.OKInsert, 1)
 				c.S.Insert(uint32(key.I))
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 			case *interp.RSetSparse:
 				st.Count(collections.ImplSparseBitSet, interp.OKInsert, 1)
 				c.S.Insert(uint32(key.I))
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 			case *interp.RSetHash:
 				st.Count(collections.ImplHashSet, interp.OKInsert, 1)
 				c.Insert(key)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 			case interp.RSet:
 				st.Count(c.Impl(), interp.OKInsert, 1)
 				c.Insert(key)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 			}
-			if m.tele != nil {
-				m.tele.KeyObs(cv.Ref(), key.Bits())
+			if m.Tele != nil {
+				m.Tele.KeyObs(cv.Ref(), key.Bits())
 			}
-			m.grew()
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertMap:
@@ -1024,37 +892,37 @@ dispatch:
 				st.Count(collections.ImplBitMap, interp.OKInsert, 1)
 				if !c.HasKey(key) {
 					zv := interp.ZeroVal(c.ElemType(), m.NewColl)
-					if m.tele != nil {
-						m.tele.TrackInner(zv.Ref(), c)
+					if m.Tele != nil {
+						m.Tele.TrackInner(zv.Ref(), c)
 					}
 					c.Put(key, zv)
 				}
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKInsert, 1)
 				if !c.Has(key) {
 					zv := interp.ZeroVal(c.ElemType(), m.NewColl)
-					if m.tele != nil {
-						m.tele.TrackInner(zv.Ref(), c)
+					if m.Tele != nil {
+						m.Tele.TrackInner(zv.Ref(), c)
 					}
 					c.Put(key, zv)
 				}
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 			case interp.RMap:
 				st.Count(c.Impl(), interp.OKInsert, 1)
 				if !c.HasKey(key) {
 					zv := interp.ZeroVal(c.ElemType(), m.NewColl)
-					if m.tele != nil {
-						m.tele.TrackInner(zv.Ref(), c)
+					if m.Tele != nil {
+						m.Tele.TrackInner(zv.Ref(), c)
 					}
 					c.Put(key, zv)
 				}
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 			}
-			if m.tele != nil {
-				m.tele.KeyObs(cv.Ref(), key.Bits())
+			if m.Tele != nil {
+				m.Tele.KeyObs(cv.Ref(), key.Bits())
 			}
-			m.grew()
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertSeqEnd:
@@ -1073,14 +941,14 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RSeqArr:
 				st.Count(collections.ImplArray, interp.OKInsert, 1)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 				c.Append(val)
 			case interp.RSeq:
 				st.Count(c.Impl(), interp.OKInsert, 1)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 				c.Append(val)
 			}
-			m.grew()
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertSeqAt:
@@ -1098,7 +966,7 @@ dispatch:
 			}
 			if c, ok := cv.Coll().(interp.RSeq); ok {
 				st.Count(c.Impl(), interp.OKInsert, 1)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.CollOp(c, interp.OKInsert, 1)
 				var pv interp.Val
 				if pv, err = m.get(f, fr, in.B); err != nil {
 					goto out
@@ -1110,7 +978,7 @@ dispatch:
 				}
 				c.InsertAt(i, val)
 			}
-			m.grew()
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpRemoveSet:
@@ -1129,7 +997,7 @@ dispatch:
 			if c, ok := cv.Coll().(interp.RSet); ok {
 				st.Count(c.Impl(), interp.OKRemove, 1)
 				c.Remove(key)
-				m.tcoll(c, interp.OKRemove, 1)
+				m.CollOp(c, interp.OKRemove, 1)
 			}
 			fr[in.Dst] = fr[in.A.Reg]
 
@@ -1149,7 +1017,7 @@ dispatch:
 			if c, ok := cv.Coll().(interp.RMap); ok {
 				st.Count(c.Impl(), interp.OKRemove, 1)
 				c.Remove(key)
-				m.tcoll(c, interp.OKRemove, 1)
+				m.CollOp(c, interp.OKRemove, 1)
 			}
 			fr[in.Dst] = fr[in.A.Reg]
 
@@ -1174,7 +1042,7 @@ dispatch:
 				}
 				st.Count(c.Impl(), interp.OKRemove, 1)
 				c.RemoveAt(i)
-				m.tcoll(c, interp.OKRemove, 1)
+				m.CollOp(c, interp.OKRemove, 1)
 			}
 			fr[in.Dst] = fr[in.A.Reg]
 
@@ -1188,7 +1056,7 @@ dispatch:
 			c := cv.Coll()
 			st.Count(c.Impl(), interp.OKClear, 1)
 			c.Clear()
-			m.tcoll(c, interp.OKClear, 1)
+			m.CollOp(c, interp.OKClear, 1)
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpUnion:
@@ -1210,8 +1078,8 @@ dispatch:
 				err = m.errf(f, "union on non-sets")
 				goto out
 			}
-			interp.UnionInto(st, m.tele, dst, src)
-			m.grew()
+			interp.UnionInto(st, m.Tele, dst, src)
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpEnc:
@@ -1223,8 +1091,8 @@ dispatch:
 				}
 			}
 			st.Count(interp.ImplEnum, interp.OKEnc, 1)
-			if m.tele != nil {
-				m.tele.EnumOp(e.Enum(), telemetry.OpEnc, false)
+			if m.Tele != nil {
+				m.Tele.EnumOp(e.Enum(), telemetry.OpEnc, false)
 			}
 			id, ok := e.Enum().Enc(v)
 			d := &fr[in.Dst]
@@ -1245,8 +1113,8 @@ dispatch:
 				}
 			}
 			st.Count(interp.ImplEnum, interp.OKDec, 1)
-			if m.tele != nil {
-				m.tele.EnumOp(e.Enum(), telemetry.OpDec, false)
+			if m.Tele != nil {
+				m.Tele.EnumOp(e.Enum(), telemetry.OpDec, false)
 			}
 			if int(idv.I) >= e.Enum().Len() {
 				err = m.errf(f, "dec of identifier %d outside [0,%d)", idv.I, e.Enum().Len())
@@ -1264,13 +1132,13 @@ dispatch:
 			}
 			st.Count(interp.ImplEnum, interp.OKAdd, 1)
 			id, added := e.Enum().Add(v)
-			if m.tele != nil {
-				m.tele.EnumOp(e.Enum(), telemetry.OpAdd, added)
+			if m.Tele != nil {
+				m.Tele.EnumOp(e.Enum(), telemetry.OpAdd, added)
 			}
 			if added {
-				m.grew()
+				m.Grew()
 			}
-			if fa := m.opts.Faults; fa != nil && fa.CorruptAdd() {
+			if fa := m.Opts.Faults; fa != nil && fa.CorruptAdd() {
 				e.Enum().CorruptSlot()
 			}
 			fr[in.Dst] = e
@@ -1550,11 +1418,7 @@ dispatch:
 					goto out
 				}
 			}
-			st.EmitCount++
-			st.EmitSum += collections.Mix64(v.Bits())
-			if m.opts.RecordOutput {
-				m.Output = append(m.Output, v)
-			}
+			m.Emit(v)
 
 		case bytecode.OpROI:
 			st.Steps += steps

@@ -3,6 +3,7 @@ package vm_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -94,7 +95,7 @@ func runOn(t *testing.T, eng bench.Engine, build func() *ir.Program,
 	args := inputFor(m)
 	ret, runErr := m.Run("main", args...)
 	m.FinalizeMem()
-	return ret, m.RecordedOutput(), m.Stats(), opts.Telemetry.Result(), runErr
+	return ret, m.Output, m.Stats, opts.Telemetry.Result(), runErr
 }
 
 // assertParity runs the program on both engines and requires the full
@@ -469,6 +470,67 @@ func engineDiffSeed(t *testing.T, seed int64) {
 	assertParity(t, build, inputFor, bud)
 }
 
+// TestSignedZeroKeysUnderADE: EqVal holds the float zeros equal, so a
+// set may hold only one of them, and which one must not depend on
+// ADE. Set a receives one zero, set b the other, and the union joins
+// them, so ForceAll gives both one shared enumeration that sees a's
+// zero first. Every zero enters a set or an enumeration as +0, so b
+// emits +0 with ADE off and on, on both engines, in either order.
+func TestSignedZeroKeysUnderADE(t *testing.T) {
+	pos, neg := 0.0, math.Copysign(0, -1)
+	for _, zeros := range [][2]float64{{pos, neg}, {neg, pos}} {
+		build := func() *ir.Program {
+			p := ir.NewProgram()
+			b := ir.NewFunc("main", ir.TU64)
+			b.Fn.Exported = true
+			sa := b.Insert(ir.Op(b.New(ir.SetOf(ir.TF64), "a")), ir.ConstFloat(ir.TF64, zeros[0]), "")
+			sb := b.Insert(ir.Op(b.New(ir.SetOf(ir.TF64), "b")), ir.ConstFloat(ir.TF64, zeros[1]), "")
+			sb = b.Union(ir.Op(sb), ir.Op(sa), "")
+			l := ir.StartForEach(b, ir.Op(sb))
+			b.Emit(l.Key)
+			l.End()
+			b.Ret(b.Size(ir.Op(sb), ""))
+			p.Add(b.Fn)
+			return p
+		}
+		force := core.DefaultOptions()
+		force.ForceAll = true
+		type outcome struct{ ret, count, sum uint64 }
+		want := outcome{1, 1, collections.Mix64(0)}
+		for _, ade := range []*core.Options{nil, &force} {
+			prog := build()
+			if ade != nil {
+				if _, err := core.Apply(prog, *ade); err != nil {
+					t.Fatalf("ade: %v", err)
+				}
+				enums := 0
+				ir.WalkInstrs(prog.Funcs["main"], func(in *ir.Instr) {
+					if in.Op == ir.OpNewEnum || in.Op == ir.OpEnumGlobal {
+						enums++
+					}
+				})
+				if enums != 1 {
+					t.Fatalf("ForceAll created %d enumerations, want one shared by both sets", enums)
+				}
+			}
+			for _, eng := range bench.Engines() {
+				m, err := bench.NewMachine(ir.CloneProgram(prog), interp.DefaultOptions(), eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ret, err := m.Run("main")
+				if err != nil {
+					t.Fatalf("%v then %v, ade=%v, %v: %v", zeros[0], zeros[1], ade != nil, eng, err)
+				}
+				if got := (outcome{ret.I, m.Stats.EmitCount, m.Stats.EmitSum}); got != want {
+					t.Errorf("%v then %v, ade=%v, %v: ret/count/sum %v, want %v (one +0)",
+						zeros[0], zeros[1], ade != nil, eng, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestStepBudgetParity verifies that both engines hit the step budget
 // with the same diagnostic.
 func TestStepBudgetParity(t *testing.T) {
@@ -480,7 +542,7 @@ func TestStepBudgetParity(t *testing.T) {
 		iOpts := interp.DefaultOptions()
 		iOpts.MaxSteps = budget
 		ip := interp.New(prog, iOpts)
-		_, iErr := ip.Run("main", inputFor(interpAlloc{ip})...)
+		_, iErr := ip.Run("main", inputFor(ip)...)
 
 		bc, err := bytecode.Compile(build())
 		if err != nil {
@@ -499,10 +561,6 @@ func TestStepBudgetParity(t *testing.T) {
 		}
 	}
 }
-
-type interpAlloc struct{ ip *interp.Interp }
-
-func (a interpAlloc) NewColl(ct *ir.CollType) interp.Coll { return a.ip.NewColl(ct) }
 
 // TestDisasmDeterministic compiles a benchmark twice and requires
 // byte-identical disassembly.
@@ -550,7 +608,7 @@ func TestTelemetryZeroStatsDelta(t *testing.T) {
 					t.Fatalf("%s/%v: run: %v", abbr, eng, err)
 				}
 				m.FinalizeMem()
-				return m.Stats()
+				return m.Stats
 			}
 			off := run(nil)
 			on := run(telemetry.NewRecorder())

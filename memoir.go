@@ -186,14 +186,13 @@ func (p *Program) run(rec *telemetry.Recorder, entry string, args []uint64) (*Re
 		return nil, err
 	}
 	m := vm.New(bc, opts)
-	start := time.Now()
 	ret, err := m.Run(entry, vals...)
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
 	m.FinalizeMem()
 	stats := m.Stats
+	wall, _ := m.Wall()
 	return &Result{
 		Value:    ret.I,
 		Checksum: stats.EmitSum,
