@@ -493,11 +493,25 @@ const analysisRounds = 3
 
 // IntervalsOf runs the interval/constant abstract interpretation over
 // every function of p.
-func IntervalsOf(p *ir.Program) *Intervals {
+func IntervalsOf(p *ir.Program) *Intervals { return IntervalsWithUses(p, nil) }
+
+// IntervalsWithUses is IntervalsOf for a caller that already holds the
+// def-use chains of p's functions: uses returns fn's chains, or nil to
+// have them computed. The chains must describe the program as it is
+// now.
+func IntervalsWithUses(p *ir.Program, uses func(*ir.Func) *ir.UseInfo) *Intervals {
 	st := &progState{rets: map[string]Interval{}, binds: map[*ir.ForEach][2]Interval{}}
 	solvers := make([]*ivSolver, len(p.Order))
 	for i, name := range p.Order {
-		solvers[i] = newIvSolver(p.Funcs[name])
+		fn := p.Funcs[name]
+		var ui *ir.UseInfo
+		if uses != nil {
+			ui = uses(fn)
+		}
+		if ui == nil {
+			ui = ir.ComputeUses(fn)
+		}
+		solvers[i] = newIvSolver(fn, ui)
 	}
 	out := &Intervals{funcs: make(map[*ir.Func]*FuncIntervals, len(solvers))}
 	for round := 0; round < analysisRounds; round++ {
@@ -597,7 +611,7 @@ type ivSolver struct {
 	rec bool // final sweep: record per-instruction facts
 }
 
-func newIvSolver(fn *ir.Func) *ivSolver {
+func newIvSolver(fn *ir.Func, ui *ir.UseInfo) *ivSolver {
 	c := NewCFG(fn)
 	ix := ivIndex{}
 	add := func(v *ir.Value) {
@@ -630,7 +644,7 @@ func newIvSolver(fn *ir.Func) *ivSolver {
 	store := make([]Interval, (2*nb+1)*n)
 	slot := func(i int) ivFact { return store[i*n : (i+1)*n : (i+1)*n] }
 	s := &ivSolver{
-		fn: fn, c: c, ui: ir.ComputeUses(fn), ix: ix,
+		fn: fn, c: c, ui: ui, ix: ix,
 		in:     make([]ivFact, nb),
 		out:    make([]ivFact, nb),
 		inBuf:  make([]ivFact, nb),

@@ -31,8 +31,9 @@ func (e *VerifyError) Error() string {
 // entry, or run a kind-specialized collection opcode against a
 // register statically known to hold a different kind.
 func Verify(p *Prog) error {
+	v := &verifier{p: p}
 	for _, f := range p.Funcs {
-		if err := VerifyFunc(p, f); err != nil {
+		if err := v.verify(f); err != nil {
 			return err
 		}
 	}
@@ -42,16 +43,36 @@ func Verify(p *Prog) error {
 // VerifyFunc checks a single compiled function against its program
 // context (function table, allocation sites, globals, messages).
 func VerifyFunc(p *Prog, f *Func) error {
-	v := &verifier{p: p, f: f}
+	return (&verifier{p: p}).verify(f)
+}
+
+// verifier checks the functions of one program in turn; its dataflow
+// scratch is reused from one function to the next.
+type verifier struct {
+	p *Prog
+	f *Func
+
+	// flowInit and flowKinds back every flowState of the current
+	// function: one in-state per pc, then the working state and the
+	// for-each body state. reached marks the pcs whose in-state is
+	// set; queued those on the worklist, a FIFO ring of queuedN pcs
+	// starting at work[head] (a pc is queued at most once, so the ring
+	// never holds more than one slot per pc).
+	flowInit  []uint64
+	flowKinds []regKind
+	reached   []bool
+	queued    []bool
+	work      []int
+	head      int
+	queuedN   int
+}
+
+func (v *verifier) verify(f *Func) error {
+	v.f = f
 	if err := v.structure(); err != nil {
 		return err
 	}
 	return v.dataflow()
-}
-
-type verifier struct {
-	p *Prog
-	f *Func
 }
 
 func (v *verifier) errf(pc int, format string, args ...any) error {
@@ -279,21 +300,15 @@ func known(k ir.CollKind) regKind { return regKind(k) + 1 }
 
 // flowState is the per-pc dataflow fact: which registers definitely
 // hold a value, and what collection kind (if statically known) each
-// holds.
+// holds. Its slices are views into the verifier's scratch.
 type flowState struct {
 	init  []uint64
 	kinds []regKind
 }
 
-func newFlowState(frame int) *flowState {
-	return &flowState{init: make([]uint64, (frame+63)/64), kinds: make([]regKind, frame)}
-}
-
-func (s *flowState) clone() *flowState {
-	c := &flowState{init: make([]uint64, len(s.init)), kinds: make([]regKind, len(s.kinds))}
-	copy(c.init, s.init)
-	copy(c.kinds, s.kinds)
-	return c
+func (s *flowState) copyFrom(src *flowState) {
+	copy(s.init, src.init)
+	copy(s.kinds, src.kinds)
 }
 
 func (s *flowState) has(r int32) bool     { return s.init[r/64]&(1<<(uint(r)%64)) != 0 }
@@ -324,61 +339,85 @@ func (s *flowState) meet(src *flowState) bool {
 	return changed
 }
 
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// state returns the i-th flowState of the current function's scratch.
+func (v *verifier) state(i int) flowState {
+	words, frame := (v.f.FrameLen+63)/64, v.f.FrameLen
+	return flowState{
+		init:  v.flowInit[i*words : (i+1)*words : (i+1)*words],
+		kinds: v.flowKinds[i*frame : (i+1)*frame : (i+1)*frame],
+	}
+}
+
 func (v *verifier) dataflow() error {
 	f := v.f
-	entry := newFlowState(f.FrameLen)
+	n := len(f.Code)
+	v.flowInit = resize(v.flowInit, (n+2)*((f.FrameLen+63)/64))
+	v.flowKinds = resize(v.flowKinds, (n+2)*f.FrameLen)
+	v.reached = resize(v.reached, n)
+	v.queued = resize(v.queued, n)
+	v.work = resize(v.work, n)
+	clear(v.reached)
+	clear(v.queued)
+	v.head, v.queuedN = 0, 0
+	st, body := v.state(n), v.state(n+1)
+
+	clear(st.init)
+	clear(st.kinds)
 	for _, r := range f.ParamRegs {
-		entry.mark(r)
+		st.mark(r)
 	}
 	for i := range f.Consts {
-		entry.mark(int32(f.NumSlots + i))
+		st.mark(int32(f.NumSlots + i))
 	}
+	v.push(0, &st)
 
-	in := make([]*flowState, len(f.Code))
-	in[0] = entry
-	work := []int{0}
-	queued := make([]bool, len(f.Code))
-	queued[0] = true
-
-	push := func(pc int, out *flowState) {
-		if pc < 0 || pc >= len(f.Code) {
-			return
-		}
-		if in[pc] == nil {
-			in[pc] = out.clone()
-		} else if !in[pc].meet(out) {
-			return
-		}
-		if !queued[pc] {
-			work = append(work, pc)
-			queued[pc] = true
-		}
-	}
-
-	for len(work) > 0 {
-		pc := work[0]
-		work = work[1:]
-		queued[pc] = false
-		st := in[pc].clone()
-		next, err := v.transfer(pc, st)
-		if err != nil {
+	for v.queuedN > 0 {
+		pc := v.work[v.head]
+		v.head = (v.head + 1) % n
+		v.queuedN--
+		v.queued[pc] = false
+		in := v.state(pc)
+		st.copyFrom(&in)
+		if err := v.transfer(pc, &st, &body); err != nil {
 			return err
-		}
-		for _, e := range next {
-			push(e.pc, e.st)
 		}
 	}
 	return nil
 }
 
-type flowEdge struct {
-	pc int
-	st *flowState
+// push merges out into the in-state of pc and queues pc if that
+// changed it. A pc outside the code is ignored.
+func (v *verifier) push(pc int, out *flowState) {
+	if pc < 0 || pc >= len(v.f.Code) {
+		return
+	}
+	in := v.state(pc)
+	if !v.reached[pc] {
+		v.reached[pc] = true
+		in.copyFrom(out)
+	} else if !in.meet(out) {
+		return
+	}
+	if !v.queued[pc] {
+		v.work[(v.head+v.queuedN)%len(v.work)] = pc
+		v.queuedN++
+		v.queued[pc] = true
+	}
 }
 
-// transfer checks the instruction at pc against st and returns the
-// successor edges with their post-states.
-func (v *verifier) transfer(pc int, st *flowState) ([]flowEdge, error) {
+// transfer checks the instruction at pc against st, leaves st holding
+// the post-state, and pushes each successor edge with its post-state
+// in order. body is scratch for the for-each body edge.
+func (v *verifier) transfer(pc int, st, body *flowState) error {
 	f := v.f
 	in := &f.Code[pc]
 
@@ -398,17 +437,17 @@ func (v *verifier) transfer(pc int, st *flowState) ([]flowEdge, error) {
 	ra, rb, rc := reads(in.Op)
 	if ra {
 		if err := useOperand("A", in.A); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if rb {
 		if err := useOperand("B", in.B); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if rc {
 		if err := useOperand("C", in.C); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -447,7 +486,7 @@ func (v *verifier) transfer(pc int, st *flowState) ([]flowEdge, error) {
 		}
 	}
 	if kindErr != nil {
-		return nil, kindErr
+		return kindErr
 	}
 
 	// Definitions and result kinds.
@@ -482,19 +521,21 @@ func (v *verifier) transfer(pc int, st *flowState) ([]flowEdge, error) {
 	// Successors.
 	switch in.Op {
 	case OpReturn, OpReturnVoid, OpRaise:
-		return nil, nil
 	case OpJump:
-		return []flowEdge{{int(in.Aux), st}}, nil
+		v.push(int(in.Aux), st)
 	case OpJumpIf, OpJumpIfNot:
-		return []flowEdge{{int(in.Aux), st}, {pc + 1, st.clone()}}, nil
+		v.push(int(in.Aux), st)
+		v.push(pc+1, st)
 	case OpForEach:
 		// The body sees the key/value bindings; the continuation does
 		// not (a zero-element iteration never writes them).
-		body := st.clone()
+		body.copyFrom(st)
 		body.def(in.Dst, kindUnknown)
 		body.def(in.Dst2, kindUnknown)
-		return []flowEdge{{int(in.Aux), body}, {int(in.Aux2), st}}, nil
+		v.push(int(in.Aux), body)
+		v.push(int(in.Aux2), st)
 	default:
-		return []flowEdge{{pc + 1, st}}, nil
+		v.push(pc+1, st)
 	}
+	return nil
 }

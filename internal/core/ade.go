@@ -40,6 +40,43 @@ type adeCtx struct {
 	// fuel meters Options.Fuel across the whole run: enumeration
 	// classes first, then RTE elisions (see sandbox.go).
 	fuel *fuelState
+
+	// ce and ext are the benefit evaluation's scratch, reused by every
+	// extBenefit call of this run. facetBen memoizes the benefit of
+	// each single facet for Algorithm 3's probes; it holds only while
+	// the linkage does, so rebuildLinkage drops it.
+	ce       *classEval
+	ext      extScratch
+	facetBen map[*facet]int
+
+	// onJoinGain, when set, observes every answer joinGain gives. It
+	// is nil except under test.
+	onJoinGain func(c *candidate, b *facet, bSum, bCup int)
+}
+
+// extScratch is extBenefit's working state: the facets reached from
+// the evaluated group (all, deduplicated by seen), the functions
+// already evaluated, one function's share of all, and joinGain's
+// prospective union.
+type extScratch struct {
+	seen   map[*facet]bool
+	fnDone map[*ir.Func]bool
+	all    []*facet
+	group  []*facet
+	join   []*facet
+}
+
+func newAdeCtx(prog *ir.Program, opts Options) *adeCtx {
+	return &adeCtx{
+		prog: prog, opts: opts, fis: map[*ir.Func]*fnInfo{},
+		fnAlias:   map[string]string{},
+		allocOrds: map[*ir.Func]map[*ir.Instr]int{},
+		siteWts:   map[*ir.Func]map[*ir.Instr]uint64{},
+		fuel:      newFuel(opts.Fuel),
+		ce:        newClassEval(),
+		ext:       extScratch{seen: map[*facet]bool{}, fnDone: map[*ir.Func]bool{}},
+		facetBen:  map[*facet]int{},
+	}
 }
 
 func (cx *adeCtx) fiOf(fn *ir.Func) *fnInfo { return cx.fis[fn] }
@@ -63,6 +100,7 @@ func (cx *adeCtx) weightFn(fn *ir.Func) func(*ir.Instr) uint64 {
 // rebuildLinkage recomputes facet linkage across call edges.
 func (cx *adeCtx) rebuildLinkage() {
 	cx.linked = map[*facet][]*facet{}
+	clear(cx.facetBen)
 	// Direct edges: argument root facets -> parameter root facets.
 	direct := map[*facet][]*facet{}
 	for _, name := range cx.prog.Order {
@@ -130,29 +168,47 @@ func (cx *adeCtx) rebuildLinkage() {
 }
 
 // extBenefit evaluates a facet group including the linked parameter
-// facets in callees, grouped per function.
+// facets in callees, grouped per function. The answer depends only on
+// the set of facets, the linkage and the per-function analyses, none
+// of which candidate formation changes; that is what makes the
+// memoized probes of joinGain sound.
 func (cx *adeCtx) extBenefit(facets []*facet) int {
-	perFn := map[*ir.Func][]*facet{}
-	seen := map[*facet]bool{}
-	var add func(f *facet)
-	add = func(f *facet) {
-		if seen[f] {
-			return
-		}
-		seen[f] = true
-		perFn[f.st.fn] = append(perFn[f.st.fn], f)
-		for _, g := range cx.linked[f] {
-			add(g)
-		}
-	}
+	x := &cx.ext
+	clear(x.seen)
+	clear(x.fnDone)
+	x.all = x.all[:0]
 	for _, f := range facets {
-		add(f)
+		cx.extAdd(f)
 	}
 	total := 0
-	for fn, fs := range perFn {
-		total += benefit(cx.fis[fn], fs, cx.weightFn(fn))
+	for _, f := range x.all {
+		fn := f.st.fn
+		if x.fnDone[fn] {
+			continue
+		}
+		x.fnDone[fn] = true
+		x.group = x.group[:0]
+		for _, g := range x.all {
+			if g.st.fn == fn {
+				x.group = append(x.group, g)
+			}
+		}
+		total += cx.ce.benefit(cx.fis[fn], x.group, cx.weightFn(fn))
 	}
 	return total
+}
+
+// extAdd adds f and, transitively, its linked facets to the group
+// extBenefit evaluates.
+func (cx *adeCtx) extAdd(f *facet) {
+	if cx.ext.seen[f] {
+		return
+	}
+	cx.ext.seen[f] = true
+	cx.ext.all = append(cx.ext.all, f)
+	for _, g := range cx.linked[f] {
+		cx.extAdd(g)
+	}
 }
 
 // Apply runs Automatic Data Enumeration over the whole program,
@@ -175,13 +231,7 @@ func Apply(prog *ir.Program, opts Options) (*Report, error) {
 		return report, err
 	}
 
-	cx := &adeCtx{
-		prog: prog, opts: opts, fis: map[*ir.Func]*fnInfo{},
-		fnAlias:   map[string]string{},
-		allocOrds: map[*ir.Func]map[*ir.Instr]int{},
-		siteWts:   map[*ir.Func]map[*ir.Instr]uint64{},
-		fuel:      newFuel(opts.Fuel),
-	}
+	cx := newAdeCtx(prog, opts)
 	// Profile resolution runs against the untransformed program (the
 	// profile's hash and site keys describe what the user wrote) and
 	// outside the sandbox: it mutates nothing, and a stale profile is

@@ -77,12 +77,12 @@ func TestAlgorithm2Benefit(t *testing.T) {
 			hist = s
 		}
 	}
-	if got := benefit(fi, []*facet{hist.key}, nil); got != 1 {
+	if got := newClassEval().benefit(fi, []*facet{hist.key}, nil); got != 1 {
 		t.Fatalf("BENEFIT({hist.keys}) = %d, want 1 (the re-probe trim)", got)
 	}
 	// Adding the element facet uncovers no additional redundancy on
 	// this program (values only feed arithmetic).
-	joint := benefit(fi, []*facet{hist.key, hist.elem}, nil)
+	joint := newClassEval().benefit(fi, []*facet{hist.key, hist.elem}, nil)
 	if joint != 1 {
 		t.Fatalf("BENEFIT({keys,elems}) = %d, want 1", joint)
 	}
@@ -100,11 +100,11 @@ func TestBenefitProfileWeighting(t *testing.T) {
 		}
 	}
 	cold := func(*ir.Instr) uint64 { return 0 }
-	if got := benefit(fi, []*facet{hist.key}, cold); got != 0 {
+	if got := newClassEval().benefit(fi, []*facet{hist.key}, cold); got != 0 {
 		t.Fatalf("cold-profile benefit = %d, want 0", got)
 	}
 	hot := func(*ir.Instr) uint64 { return 1000 }
-	if got := benefit(fi, []*facet{hist.key}, hot); got != 1000 {
+	if got := newClassEval().benefit(fi, []*facet{hist.key}, hot); got != 1000 {
 		t.Fatalf("hot-profile benefit = %d, want 1000", got)
 	}
 }

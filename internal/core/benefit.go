@@ -9,13 +9,16 @@ import (
 // implements the semantics of Algorithm 2: identifier-valued values
 // are the would-be ToDec sources, wants-id positions are ToEnc∪ToAdd,
 // and a translation is redundant (trimmed) where the two meet.
+//
+// One classEval is scratch owned by one adeCtx: every evaluation
+// clears its maps and refills them, so Algorithm 3's many probes do
+// not allocate a fresh set of maps each. It is never shared between
+// ADE runs, which may execute concurrently.
 type classEval struct {
 	fi      *fnInfo
-	facets  []*facet
-	wantsID map[string]bool    // patchPoint keys of ToEnc ∪ ToAdd
-	addPts  map[string]bool    // subset of wantsID that are ToAdd
-	idVals  map[*ir.Value]bool // identifier-valued after transform
-	unionIn map[*ir.Instr]int  // union instrs per class occurrence
+	wantsID map[patchPoint]bool // ToEnc ∪ ToAdd
+	idVals  map[*ir.Value]bool  // identifier-valued after transform
+	unionIn map[*ir.Instr]int   // union instrs per class occurrence
 	// weight returns the benefit weight of a use site: 1 statically,
 	// or the dynamic execution count under the profile-guided
 	// heuristic (§III-C's sketched extension).
@@ -24,24 +27,29 @@ type classEval struct {
 
 func staticWeight(*ir.Instr) uint64 { return 1 }
 
-func newClassEval(fi *fnInfo, facets []*facet, weight func(*ir.Instr) uint64) *classEval {
-	if weight == nil {
-		weight = staticWeight
-	}
-	ce := &classEval{
-		fi: fi, facets: facets, weight: weight,
-		wantsID: map[string]bool{},
-		addPts:  map[string]bool{},
+func newClassEval() *classEval {
+	return &classEval{
+		wantsID: map[patchPoint]bool{},
 		idVals:  map[*ir.Value]bool{},
 		unionIn: map[*ir.Instr]int{},
 	}
+}
+
+// reset loads the class made of facets, all in fi's function.
+func (ce *classEval) reset(fi *fnInfo, facets []*facet, weight func(*ir.Instr) uint64) {
+	if weight == nil {
+		weight = staticWeight
+	}
+	ce.fi, ce.weight = fi, weight
+	clear(ce.wantsID)
+	clear(ce.idVals)
+	clear(ce.unionIn)
 	for _, f := range facets {
 		for _, pp := range f.toEnc {
-			ce.wantsID[pp.key()] = true
+			ce.wantsID[pp] = true
 		}
 		for _, pp := range f.toAdd {
-			ce.wantsID[pp.key()] = true
-			ce.addPts[pp.key()] = true
+			ce.wantsID[pp] = true
 		}
 		for _, v := range f.idSources {
 			ce.idVals[v] = true
@@ -51,7 +59,6 @@ func newClassEval(fi *fnInfo, facets []*facet, weight func(*ir.Instr) uint64) *c
 		}
 	}
 	ce.fixpoint()
-	return ce
 }
 
 // fixpoint propagates identifier-ness forward through phis and
@@ -86,7 +93,7 @@ func (ce *classEval) fixpoint() {
 	}
 }
 
-// ppFromUse converts a def-use record into a patch-point key.
+// ppFromUse converts a def-use record into the patch point it uses.
 func ppFromUse(u ir.Use) (patchPoint, bool) {
 	switch {
 	case u.Instr != nil:
@@ -114,7 +121,7 @@ func (ce *classEval) trims() int {
 				continue
 			}
 			in := u.Instr
-			if ce.wantsID[pp.key()] {
+			if ce.wantsID[pp] {
 				if in != nil {
 					n += ce.weight(in)
 				} else {
@@ -153,11 +160,13 @@ func (ce *classEval) trims() int {
 	return int(n)
 }
 
-// benefit evaluates a facet group per Algorithm 3's BENEFIT: the trim
-// count of the unioned use sets, weighted statically or by profile.
-func benefit(fi *fnInfo, facets []*facet, weight func(*ir.Instr) uint64) int {
+// benefit evaluates a facet group of fi's function per Algorithm 3's
+// BENEFIT: the trim count of the unioned use sets, weighted statically
+// (nil weight) or by profile.
+func (ce *classEval) benefit(fi *fnInfo, facets []*facet, weight func(*ir.Instr) uint64) int {
 	if len(facets) == 0 {
 		return 0
 	}
-	return newClassEval(fi, facets, weight).trims()
+	ce.reset(fi, facets, weight)
+	return ce.trims()
 }

@@ -16,6 +16,19 @@ type candidate struct {
 	facets  []*facet
 	benefit int
 	forced  bool
+
+	// ext memoizes cx.extBenefit(facets) while extOK; add clears it.
+	ext   int
+	extOK bool
+}
+
+// add joins f to c.
+func (c *candidate) add(f *facet) {
+	c.facets = append(c.facets, f)
+	c.extOK = false
+	if forcedEnum(f) {
+		c.forced = true
+	}
 }
 
 func (c *candidate) has(f *facet) bool {
@@ -150,8 +163,9 @@ func formCandidates(cx *adeCtx, fi *fnInfo, report *Report) []*candidate {
 			mandatory.union(fs[0], fs[i])
 		}
 	}
+	allFacets := append(append([]*facet{}, keyFacets...), elemFacets...)
 	groups := map[string][]*facet{}
-	for _, f := range append(append([]*facet{}, keyFacets...), elemFacets...) {
+	for _, f := range allFacets {
 		if g := shareGroup(f); g != "" {
 			groups[g] = append(groups[g], f)
 		}
@@ -189,15 +203,12 @@ func formCandidates(cx *adeCtx, fi *fnInfo, report *Report) []*candidate {
 		}
 		c := &candidate{fi: fi}
 		add := func(f *facet) {
-			c.facets = append(c.facets, f)
+			c.add(f)
 			used[f] = true
-			if forcedEnum(f) {
-				c.forced = true
-			}
 		}
 		add(seed)
 		// Pull in everything mandatorily grouped with the seed.
-		for _, f := range append(append([]*facet{}, keyFacets...), elemFacets...) {
+		for _, f := range allFacets {
 			if !used[f] && mandatory.find(f) == mandatory.find(seed) {
 				add(f)
 			}
@@ -240,7 +251,7 @@ func formCandidates(cx *adeCtx, fi *fnInfo, report *Report) []*candidate {
 		if cx.remarksOn() && opts.Sharing {
 			rejects := keyFacets
 			if opts.Propagation {
-				rejects = append(append([]*facet{}, keyFacets...), elemFacets...)
+				rejects = allFacets
 			}
 			for _, b := range rejects {
 				if used[b] || !ir.TypesEqual(b.domain, seed.domain) {
@@ -261,7 +272,7 @@ func formCandidates(cx *adeCtx, fi *fnInfo, report *Report) []*candidate {
 			}
 		}
 
-		c.benefit = cx.extBenefit(c.facets)
+		c.benefit = cx.candBenefit(c)
 		if c.forced || opts.ForceAll || c.benefit > 0 {
 			cands = append(cands, c)
 			if cx.remarksOn() && c.forced && c.benefit <= 0 {
@@ -299,10 +310,36 @@ func anyBlocked(c *candidate, b *facet) bool {
 // joinGain implements Algorithm 3's test: the union's benefit must be
 // greater than the sum of its parts. It returns both scores so the
 // share remarks can carry the heuristic's actual inputs.
+//
+// Of the three benefits only the union's is new at each probe: the
+// candidate's changes only when a facet joins it, and a single facet's
+// never changes under one linkage, so both come from memos.
 func joinGain(cx *adeCtx, c *candidate, b *facet) (ok bool, bSum, bCup int) {
-	bSum = cx.extBenefit(c.facets) + cx.extBenefit([]*facet{b})
-	bCup = cx.extBenefit(append(append([]*facet{}, c.facets...), b))
+	bSum = cx.candBenefit(c) + cx.facetBenefit(b)
+	cx.ext.join = append(append(cx.ext.join[:0], c.facets...), b)
+	bCup = cx.extBenefit(cx.ext.join)
+	if cx.onJoinGain != nil {
+		cx.onJoinGain(c, b, bSum, bCup)
+	}
 	return bCup > bSum, bSum, bCup
+}
+
+// candBenefit is cx.extBenefit(c.facets), memoized on c.
+func (cx *adeCtx) candBenefit(c *candidate) int {
+	if !c.extOK {
+		c.ext, c.extOK = cx.extBenefit(c.facets), true
+	}
+	return c.ext
+}
+
+// facetBenefit is cx.extBenefit of f alone, memoized on cx.
+func (cx *adeCtx) facetBenefit(f *facet) int {
+	b, ok := cx.facetBen[f]
+	if !ok {
+		b = cx.extBenefit([]*facet{f})
+		cx.facetBen[f] = b
+	}
+	return b
 }
 
 // emitShareJoin records one accepted Algorithm-3 merge with the

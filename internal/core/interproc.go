@@ -323,7 +323,7 @@ func (ip *interproc) tryResolve() ([]*classInfo, map[*facet]*classInfo, *violati
 			perFn[ip.fis[f.st.fn]] = append(perFn[ip.fis[f.st.fn]], f)
 		}
 		for fi, fs := range perFn {
-			ci.benefit += benefit(fi, fs, ip.cx.weightFn(fi.fn))
+			ci.benefit += ip.cx.ce.benefit(fi, fs, ip.cx.weightFn(fi.fn))
 		}
 		classes = append(classes, ci)
 	}

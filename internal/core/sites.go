@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"memoir/internal/analysis"
@@ -79,6 +78,11 @@ const (
 // patchPoint addresses one use position to patch: either an argument
 // (or nested path index) of an instruction, or a path index of a
 // for-each collection operand.
+//
+// A patchPoint is its own identity: it is comparable, and two points
+// address the same position exactly when they are equal, so sets and
+// maps of positions key on the struct itself. Loop points always
+// carry arg 0.
 type patchPoint struct {
 	instr *ir.Instr   // user instruction, nil for for-each coll uses
 	loop  *ir.ForEach // user loop for coll-path uses
@@ -110,13 +114,6 @@ func (p patchPoint) setValue(v *ir.Value) {
 	} else {
 		o.Path[p.path].Val = v
 	}
-}
-
-func (p patchPoint) key() string {
-	if p.loop != nil {
-		return fmt.Sprintf("loop%p/%d", p.loop, p.path)
-	}
-	return fmt.Sprintf("%p/%d/%d", p.instr, p.arg, p.path)
 }
 
 // facet is one enumerable domain of a site, with the use sets of

@@ -48,7 +48,14 @@ func staticEnumerate(cx *adeCtx) []staticSite {
 	if !cx.opts.StaticEnum {
 		return nil
 	}
-	ivs := analysis.IntervalsOf(cx.prog)
+	// No rewrite has run yet, so use-analysis's def-use chains still
+	// describe every function.
+	ivs := analysis.IntervalsWithUses(cx.prog, func(fn *ir.Func) *ir.UseInfo {
+		if fi := cx.fis[fn]; fi != nil {
+			return fi.ui
+		}
+		return nil
+	})
 	var out []staticSite
 	for _, name := range cx.prog.Order {
 		fn := cx.prog.Funcs[name]

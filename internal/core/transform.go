@@ -29,13 +29,12 @@ type transformer struct {
 	owner  map[*ir.Value]*classInfo
 	poison map[*ir.Value]bool
 
-	// wants maps patch-point keys to the class whose identifiers the
+	// wants maps patch points to the class whose identifiers the
 	// position expects; wantsAdd marks ToAdd positions.
-	wants    map[string]*classInfo
-	wantsAdd map[string]bool
-	wantsPP  map[string]patchPoint
+	wants    map[patchPoint]*classInfo
+	wantsAdd map[patchPoint]bool
 	// facet order for deterministic processing.
-	wantsOrder []string
+	wantsOrder []patchPoint
 
 	// enumVal is the SSA value holding each class's enumeration global
 	// in this function.
@@ -79,7 +78,7 @@ func transformFunc(cx *adeCtx, fi *fnInfo, opts Options, classOf map[*facet]*cla
 	tr := &transformer{
 		cx: cx, fi: fi, opts: opts, classOf: classOf,
 		owner: map[*ir.Value]*classInfo{}, poison: map[*ir.Value]bool{},
-		wants: map[string]*classInfo{}, wantsAdd: map[string]bool{}, wantsPP: map[string]patchPoint{},
+		wants: map[patchPoint]*classInfo{}, wantsAdd: map[patchPoint]bool{},
 		enumVal: map[*classInfo]*ir.Value{},
 		before:  map[ir.Node][]*ir.Instr{}, after: map[ir.Node][]*ir.Instr{},
 		atStart: map[*ir.Block][]*ir.Instr{}, atEnd: map[*ir.Block][]*ir.Instr{},
@@ -175,14 +174,12 @@ func (tr *transformer) collectWants() {
 				continue
 			}
 			record := func(pp patchPoint, add bool) {
-				k := pp.key()
-				if _, dup := tr.wants[k]; !dup {
-					tr.wantsOrder = append(tr.wantsOrder, k)
+				if _, dup := tr.wants[pp]; !dup {
+					tr.wantsOrder = append(tr.wantsOrder, pp)
 				}
-				tr.wants[k] = ci
-				tr.wantsPP[k] = pp
+				tr.wants[pp] = ci
 				if add {
-					tr.wantsAdd[k] = true
+					tr.wantsAdd[pp] = true
 				}
 			}
 			for _, pp := range f.toEnc {
@@ -550,9 +547,8 @@ func (tr *transformer) valueOf(ci *classInfo, v *ir.Value) (*ir.Value, []*ir.Ins
 // patch rewrites every use per the RTE-aware rules.
 func (tr *transformer) patch() error {
 	// 1. Wants-id positions.
-	for _, key := range tr.wantsOrder {
-		ci := tr.wants[key]
-		pp := tr.wantsPP[key]
+	for _, pp := range tr.wantsOrder {
+		ci := tr.wants[pp]
 		v := pp.value()
 		if v == nil {
 			continue
@@ -561,7 +557,7 @@ func (tr *transformer) patch() error {
 		if vOwner == ci && tr.opts.RTE && tr.cx.fuel.take() {
 			// enc∘dec / add∘dec elided (Algorithm 2).
 			rule := "enc-of-dec"
-			if tr.wantsAdd[key] {
+			if tr.wantsAdd[pp] {
 				rule = "add-of-dec"
 			}
 			tr.emitRTE(rule, ci, ppLine(pp), "%"+v.Name)
@@ -573,7 +569,7 @@ func (tr *transformer) patch() error {
 			dec, dv := tr.mkDec(ci, v)
 			var tin *ir.Instr
 			var id *ir.Value
-			if tr.wantsAdd[key] {
+			if tr.wantsAdd[pp] {
 				tin, id = tr.mkAdd(ci, dv)
 			} else {
 				tin, id = tr.mkEnc(ci, dv)
@@ -584,7 +580,7 @@ func (tr *transformer) patch() error {
 			pp.setValue(id)
 			continue
 		}
-		id, err := tr.idOf(ci, v, tr.wantsAdd[key])
+		id, err := tr.idOf(ci, v, tr.wantsAdd[pp])
 		if err != nil {
 			return err
 		}
@@ -607,7 +603,7 @@ func (tr *transformer) patch() error {
 			if pp.value() != v {
 				continue // already rewritten by the wants-id pass
 			}
-			if tr.wants[pp.key()] != nil {
+			if tr.wants[pp] != nil {
 				continue // handled above
 			}
 			in := u.Instr

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 )
@@ -23,7 +24,13 @@ import (
 // instruction with its operands. It does NOT cover anything the
 // compiler derives (slots, positions), so it is a pure function of
 // program semantics as written.
+//
+// The rendering streams into the hash; the program's text is never
+// built as one string.
 func ProgramHash(p *Program) string {
-	sum := sha256.Sum256([]byte(Print(p)))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	w := bufio.NewWriterSize(h, 4096)
+	printProgram(w, p)
+	w.Flush() // a hash.Hash Write never fails
+	return hex.EncodeToString(h.Sum(nil))
 }

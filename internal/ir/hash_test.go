@@ -1,6 +1,8 @@
 package ir_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"memoir/internal/ir"
@@ -87,5 +89,17 @@ func TestProgramHashDistinguishesPrograms(t *testing.T) {
 	}
 	if len(hA) != 64 {
 		t.Fatalf("want 64 hex chars, got %d (%q)", len(hA), hA)
+	}
+}
+
+// TestProgramHashIsHashOfPrint: ProgramHash streams the rendering into
+// the hash, and must stay the SHA-256 of exactly what Print returns.
+func TestProgramHashIsHashOfPrint(t *testing.T) {
+	for _, src := range []string{hashProgA, hashProgB} {
+		p := mustParse(t, src)
+		sum := sha256.Sum256([]byte(ir.Print(p)))
+		if got, want := ir.ProgramHash(p), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("ProgramHash = %s, SHA-256 of Print = %s", got, want)
+		}
 	}
 }

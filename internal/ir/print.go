@@ -2,24 +2,38 @@ package ir
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
+
+// printer is what the renderer writes to: a strings.Builder for Print,
+// or a buffered hash for ProgramHash.
+type printer interface {
+	io.Writer
+	io.StringWriter
+}
 
 // Print renders a program in the paper's textual syntax (Figures 1
 // and 2). The output round-trips through the parser.
 func Print(p *Program) string {
 	var sb strings.Builder
+	printProgram(&sb, p)
+	return sb.String()
+}
+
+func printProgram(sb printer, p *Program) {
 	for i, name := range p.Order {
 		if i > 0 {
 			sb.WriteString("\n")
 		}
-		PrintFunc(&sb, p.Funcs[name])
+		printFunc(sb, p.Funcs[name])
 	}
-	return sb.String()
 }
 
 // PrintFunc renders one function.
-func PrintFunc(sb *strings.Builder, fn *Func) {
+func PrintFunc(sb *strings.Builder, fn *Func) { printFunc(sb, fn) }
+
+func printFunc(sb printer, fn *Func) {
 	fmt.Fprintf(sb, "fn %s @%s(", fn.Ret, fn.Name)
 	for i, p := range fn.Params {
 		if i > 0 {
@@ -35,7 +49,7 @@ func PrintFunc(sb *strings.Builder, fn *Func) {
 	printBlock(sb, fn.Body, 1)
 }
 
-func indent(sb *strings.Builder, depth int) {
+func indent(sb printer, depth int) {
 	for i := 0; i < depth; i++ {
 		sb.WriteString("  ")
 	}
@@ -57,15 +71,41 @@ func printOperand(o Operand) string {
 	return o.String()
 }
 
-func printArgs(in *Instr) string {
-	parts := make([]string, len(in.Args))
+// printArgs writes an instruction's operands, comma-separated.
+func printArgs(sb printer, in *Instr) {
 	for i, a := range in.Args {
-		parts[i] = printOperand(a)
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		if a.Base == nil {
+			sb.WriteString(printOperand(a))
+			continue
+		}
+		printValue(sb, a.Base)
+		for _, ix := range a.Path {
+			if ix.Kind == IdxValue {
+				sb.WriteString("[")
+				printValue(sb, ix.Val)
+				sb.WriteString("]")
+			} else {
+				sb.WriteString(ix.String())
+			}
+		}
 	}
-	return strings.Join(parts, ", ")
 }
 
-func printDirective(sb *strings.Builder, d *Directive, depth int) {
+// printValue writes v.String(), without building it for the common
+// case of an SSA name.
+func printValue(sb printer, v *Value) {
+	if v == nil || v.Kind == VConst {
+		sb.WriteString(v.String())
+		return
+	}
+	sb.WriteString("%")
+	sb.WriteString(v.Name)
+}
+
+func printDirective(sb printer, d *Directive, depth int) {
 	indent(sb, depth)
 	sb.WriteString("#pragma ade")
 	var emit func(d *Directive)
@@ -98,45 +138,62 @@ func printDirective(sb *strings.Builder, d *Directive, depth int) {
 	sb.WriteString("\n")
 }
 
-func printInstr(sb *strings.Builder, in *Instr, depth int) {
+func printInstr(sb printer, in *Instr, depth int) {
 	if in.Dir != nil {
 		printDirective(sb, in.Dir, depth)
 	}
 	indent(sb, depth)
-	res := ""
 	switch len(in.Results) {
 	case 1:
-		res = in.Results[0].String() + " := "
+		printValue(sb, in.Results[0])
+		sb.WriteString(" := ")
 	case 2:
-		res = "(" + in.Results[0].String() + ", " + in.Results[1].String() + ") := "
+		sb.WriteString("(")
+		printValue(sb, in.Results[0])
+		sb.WriteString(", ")
+		printValue(sb, in.Results[1])
+		sb.WriteString(") := ")
+	}
+	// args closes a head written with fmt by the parenthesized
+	// operands.
+	args := func() {
+		printArgs(sb, in)
+		sb.WriteString(")")
 	}
 	switch in.Op {
 	case OpNew:
-		fmt.Fprintf(sb, "%snew %s()", res, in.Alloc)
+		fmt.Fprintf(sb, "new %s()", in.Alloc)
 	case OpBin:
-		fmt.Fprintf(sb, "%s%s(%s)", res, in.Bin, printArgs(in))
+		fmt.Fprintf(sb, "%s(", in.Bin)
+		args()
 	case OpCmp:
-		fmt.Fprintf(sb, "%s%s(%s)", res, in.Cmp, printArgs(in))
+		fmt.Fprintf(sb, "%s(", in.Cmp)
+		args()
 	case OpCast:
-		fmt.Fprintf(sb, "%scast<%s>(%s)", res, in.CastTo, printArgs(in))
+		fmt.Fprintf(sb, "cast<%s>(", in.CastTo)
+		args()
 	case OpField:
-		fmt.Fprintf(sb, "%sfield(%s, %d)", res, printOperand(in.Args[0]), in.FieldIdx)
+		fmt.Fprintf(sb, "field(%s, %d)", printOperand(in.Args[0]), in.FieldIdx)
 	case OpCall:
-		fmt.Fprintf(sb, "%scall @%s(%s)", res, in.Callee, printArgs(in))
+		sb.WriteString("call @" + in.Callee + "(")
+		args()
 	case OpEncode:
-		fmt.Fprintf(sb, "%scall @enc(%s)", res, printArgs(in))
+		sb.WriteString("call @enc(")
+		args()
 	case OpDecode:
-		fmt.Fprintf(sb, "%scall @dec(%s)", res, printArgs(in))
+		sb.WriteString("call @dec(")
+		args()
 	case OpEnumAdd:
-		fmt.Fprintf(sb, "%scall @add(%s)", res, printArgs(in))
+		sb.WriteString("call @add(")
+		args()
 	case OpNewEnum:
-		fmt.Fprintf(sb, "%snew Enum()", res)
+		sb.WriteString("new Enum()")
 	case OpEnumGlobal:
 		domain := "u64"
 		if ct := AsColl(in.Result().Type); ct != nil && ct.Key != nil {
 			domain = ct.Key.String()
 		}
-		fmt.Fprintf(sb, "%senumglobal<%s> @%s", res, domain, in.Callee)
+		fmt.Fprintf(sb, "enumglobal<%s> @%s", domain, in.Callee)
 	case OpRet:
 		if len(in.Args) == 0 {
 			sb.WriteString("ret")
@@ -144,14 +201,16 @@ func printInstr(sb *strings.Builder, in *Instr, depth int) {
 			fmt.Fprintf(sb, "ret %s", printOperand(in.Args[0]))
 		}
 	case OpPhi:
-		fmt.Fprintf(sb, "%sphi(%s)", res, printArgs(in))
+		sb.WriteString("phi(")
+		args()
 	default:
-		fmt.Fprintf(sb, "%s%s(%s)", res, in.Op, printArgs(in))
+		fmt.Fprintf(sb, "%s(", in.Op)
+		args()
 	}
 	sb.WriteString("\n")
 }
 
-func printBlock(sb *strings.Builder, b *Block, depth int) {
+func printBlock(sb printer, b *Block, depth int) {
 	for _, n := range b.Nodes {
 		switch n := n.(type) {
 		case *Instr:

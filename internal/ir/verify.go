@@ -7,8 +7,9 @@ import "fmt"
 // placement and arity, operand type agreement for collection ops, and
 // return correctness.
 func Verify(p *Program) error {
+	v := newVerifier(p, false)
 	for _, name := range p.Order {
-		if err := VerifyFunc(p, p.Funcs[name]); err != nil {
+		if err := v.verify(p.Funcs[name]); err != nil {
 			return fmt.Errorf("@%s: %w", name, err)
 		}
 	}
@@ -19,6 +20,13 @@ type verifier struct {
 	prog  *Program
 	fn    *Func
 	scope map[*Value]bool
+	// defined lists the values blocks and loops have put in scope,
+	// innermost last; each takes its own back out when it ends.
+	defined []*Value
+	// defsA and defsB are scratch for the definitions of an if's two
+	// branches or of a loop body, filled after the walk of the
+	// enclosing construct's children is done.
+	defsA, defsB map[*Value]bool
 	// local suppresses cross-function checks (call argument/parameter
 	// type agreement), so a function can be verified mid-pipeline while
 	// its callees have not been rewritten yet.
@@ -40,14 +48,23 @@ func VerifyFuncLocal(p *Program, fn *Func) error {
 }
 
 func verifyFunc(p *Program, fn *Func, local bool) error {
-	v := &verifier{prog: p, fn: fn, scope: map[*Value]bool{}, local: local}
+	return newVerifier(p, local).verify(fn)
+}
+
+func newVerifier(p *Program, local bool) *verifier {
+	return &verifier{prog: p, scope: map[*Value]bool{}, local: local,
+		defsA: map[*Value]bool{}, defsB: map[*Value]bool{}}
+}
+
+// verify checks fn, reusing v's scratch from any earlier function.
+func (v *verifier) verify(fn *Func) error {
+	v.fn = fn
+	clear(v.scope)
+	v.defined = v.defined[:0]
 	for _, prm := range fn.Params {
 		v.scope[prm] = true
 	}
-	if err := v.block(fn.Body); err != nil {
-		return err
-	}
-	return nil
+	return v.block(fn.Body)
 }
 
 // atPos prefixes err with a source line when one is known, so verifier
@@ -69,21 +86,26 @@ func firstPos(ps ...int) int {
 	return 0
 }
 
-// snapshot returns an undo list boundary: values added after the call
-// can be removed with restore.
-func (v *verifier) block(b *Block) error {
-	var added []*Value
-	defer func() {
-		for _, x := range added {
-			delete(v.scope, x)
-		}
-	}()
-	define := func(vals []*Value) {
-		for _, x := range vals {
-			v.scope[x] = true
-			added = append(added, x)
-		}
+// define puts vals in scope until the enclosing block ends.
+func (v *verifier) define(vals ...*Value) {
+	for _, x := range vals {
+		v.scope[x] = true
+		v.defined = append(v.defined, x)
 	}
+}
+
+// undefine takes the values defined since mark back out of scope.
+func (v *verifier) undefine(mark int) {
+	for _, x := range v.defined[mark:] {
+		delete(v.scope, x)
+	}
+	v.defined = v.defined[:mark]
+}
+
+// block checks b's nodes in order; what b defines is in scope only
+// inside it.
+func (v *verifier) block(b *Block) error {
+	mark := len(v.defined)
 	for _, n := range b.Nodes {
 		switch n := n.(type) {
 		case *Instr:
@@ -93,7 +115,7 @@ func (v *verifier) block(b *Block) error {
 			if err := v.instr(n); err != nil {
 				return atPos(n.Pos, err)
 			}
-			define(n.Results)
+			v.define(n.Results...)
 		case *If:
 			if err := v.useValue(n.Cond); err != nil {
 				return atPos(n.Pos, err)
@@ -107,8 +129,8 @@ func (v *verifier) block(b *Block) error {
 			if err := v.block(n.Else); err != nil {
 				return err
 			}
-			thenDefs := blockDefs(n.Then)
-			elseDefs := blockDefs(n.Else)
+			thenDefs := blockDefs(n.Then, v.defsA)
+			elseDefs := blockDefs(n.Else, v.defsB)
 			for _, p := range n.ExitPhis {
 				pp := firstPos(p.Pos, n.Pos)
 				if p.PhiRole != PhiIfExit || len(p.Args) != 2 {
@@ -123,7 +145,7 @@ func (v *verifier) block(b *Block) error {
 				if err := v.phiTypes(p); err != nil {
 					return atPos(pp, err)
 				}
-				define(p.Results)
+				v.define(p.Results...)
 			}
 		case *ForEach:
 			if err := v.operand(n.Coll); err != nil {
@@ -133,31 +155,29 @@ func (v *verifier) block(b *Block) error {
 			if ct == nil || ct.Kind == KTuple {
 				return atPos(n.Pos, fmt.Errorf("for-each over non-collection %v", n.Coll))
 			}
-			if err := v.loop(n.Pos, n.HeaderPhis, n.Body, n.ExitPhis, []*Value{n.Key, n.Val}, nil, define); err != nil {
+			if err := v.loop(n.Pos, n.HeaderPhis, n.Body, n.ExitPhis, n.Key, n.Val, nil); err != nil {
 				return err
 			}
 		case *DoWhile:
-			if err := v.loop(n.Pos, n.HeaderPhis, n.Body, n.ExitPhis, nil, n.Cond, define); err != nil {
+			if err := v.loop(n.Pos, n.HeaderPhis, n.Body, n.ExitPhis, nil, nil, n.Cond); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("unknown node %T", n)
 		}
 	}
+	v.undefine(mark)
 	return nil
 }
 
-func (v *verifier) loop(pos int, hdr []*Instr, body *Block, exit []*Instr, binds []*Value, cond *Value, defineOuter func([]*Value)) error {
-	var added []*Value
-	defer func() {
-		for _, x := range added {
-			delete(v.scope, x)
-		}
-	}()
-	for _, x := range binds {
+// loop checks a for-each (bindings key and val) or do-while (condition
+// cond) loop. Its bindings and header phis are in scope only inside
+// it; its exit phis stay in scope until the enclosing block ends.
+func (v *verifier) loop(pos int, hdr []*Instr, body *Block, exit []*Instr, key, val, cond *Value) error {
+	mark := len(v.defined)
+	for _, x := range [2]*Value{key, val} {
 		if x != nil {
-			v.scope[x] = true
-			added = append(added, x)
+			v.define(x)
 		}
 	}
 	for _, p := range hdr {
@@ -175,15 +195,16 @@ func (v *verifier) loop(pos int, hdr []*Instr, body *Block, exit []*Instr, binds
 		if err := v.phiTypes(p); err != nil {
 			return atPos(pp, err)
 		}
-		v.scope[p.Result()] = true
-		added = append(added, p.Result())
+		v.define(p.Result())
 	}
+	own := len(v.defined)
 	if err := v.block(body); err != nil {
 		return err
 	}
 	// Latches and the do-while condition reference values defined in
 	// the body, which are now out of scope; re-walk body definitions.
-	bodyDefs := map[*Value]bool{}
+	bodyDefs := v.defsA
+	clear(bodyDefs)
 	WalkNodes(body, func(n Node) {
 		if in, ok := n.(*Instr); ok {
 			for _, r := range in.Results {
@@ -221,15 +242,21 @@ func (v *verifier) loop(pos int, hdr []*Instr, body *Block, exit []*Instr, binds
 		if err := v.phiTypes(p); err != nil {
 			return atPos(pp, err)
 		}
-		defineOuter(p.Results)
+		v.define(p.Results...)
 	}
+	// Take the loop's own values out of scope, keeping the exit phis
+	// defined above for the enclosing block.
+	for _, x := range v.defined[mark:own] {
+		delete(v.scope, x)
+	}
+	v.defined = append(v.defined[:mark], v.defined[own:]...)
 	return nil
 }
 
-// blockDefs collects every value defined anywhere inside b, including
-// loop bindings and phis.
-func blockDefs(b *Block) map[*Value]bool {
-	defs := map[*Value]bool{}
+// blockDefs fills defs with every value defined anywhere inside b,
+// including loop bindings and phis, and returns it.
+func blockDefs(b *Block, defs map[*Value]bool) map[*Value]bool {
+	clear(defs)
 	WalkNodes(b, func(n Node) {
 		switch n := n.(type) {
 		case *Instr:

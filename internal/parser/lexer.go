@@ -35,12 +35,21 @@ type line struct {
 	toks   []token
 }
 
-// lexLine tokenizes one source line (indentation already stripped).
-func lexLine(num int, s string) (*line, error) {
-	l := &line{num: num}
+// lexer tokenizes one source. Every line's tokens are appended to one
+// arena; a line's toks are sliced out of it once the whole source is
+// lexed, since appending may move the arena until then.
+type lexer struct {
+	arena []token
+	lines []line
+	ends  []int // arena length after each line's tokens
+}
+
+// lexLine appends the tokens of one source line (indentation already
+// stripped) to the arena.
+func (lx *lexer) lexLine(num int, s string) error {
 	i := 0
 	n := len(s)
-	emit := func(k tokKind, t string) { l.toks = append(l.toks, token{k, t}) }
+	emit := func(k tokKind, t string) { lx.arena = append(lx.arena, token{k, t}) }
 	isIdent := func(c byte) bool {
 		return c == '_' || c == '$' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 	}
@@ -80,7 +89,7 @@ func lexLine(num int, s string) (*line, error) {
 				j++
 			}
 			if j >= n {
-				return nil, fmt.Errorf("line %d: unterminated string", num)
+				return fmt.Errorf("line %d: unterminated string", num)
 			}
 			emit(tString, s[i+1:j])
 			i = j + 1
@@ -109,37 +118,45 @@ func lexLine(num int, s string) (*line, error) {
 		case c == ':' && i+1 < n && s[i+1] == '=':
 			emit(tPunct, ":=")
 			i += 2
-		case strings.ContainsRune("()[]{}<>,:.", rune(c)):
-			emit(tPunct, string(c))
+		case strings.IndexByte("()[]{}<>,:.", c) >= 0:
+			emit(tPunct, s[i:i+1])
 			i++
 		default:
-			return nil, fmt.Errorf("line %d: unexpected character %q", num, c)
+			return fmt.Errorf("line %d: unexpected character %q", num, c)
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // lex splits source text into indented token lines, skipping blanks.
-func lex(src string) ([]*line, error) {
-	var out []*line
-	for num, raw := range strings.Split(src, "\n") {
+func lex(src string) ([]line, error) {
+	// Printed MEMOIR runs four to six source bytes per token.
+	lx := &lexer{arena: make([]token, 0, len(src)/4)}
+	for num := 1; ; num++ {
+		raw, rest, more := strings.Cut(src, "\n")
 		indent := 0
 		for indent < len(raw) && raw[indent] == ' ' {
 			indent++
 		}
-		body := strings.TrimRight(raw[indent:], " \t\r")
-		if body == "" {
-			continue
+		if body := strings.TrimRight(raw[indent:], " \t\r"); body != "" {
+			start := len(lx.arena)
+			if err := lx.lexLine(num, body); err != nil {
+				return nil, err
+			}
+			if len(lx.arena) > start {
+				lx.lines = append(lx.lines, line{num: num, indent: indent / 2})
+				lx.ends = append(lx.ends, len(lx.arena))
+			}
 		}
-		l, err := lexLine(num+1, body)
-		if err != nil {
-			return nil, err
+		if !more {
+			break
 		}
-		if len(l.toks) == 0 {
-			continue
-		}
-		l.indent = indent / 2
-		out = append(out, l)
+		src = rest
 	}
-	return out, nil
+	start := 0
+	for i, end := range lx.ends {
+		lx.lines[i].toks = lx.arena[start:end:end]
+		start = end
+	}
+	return lx.lines, nil
 }

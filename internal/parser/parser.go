@@ -60,7 +60,7 @@ func MustParse(src string) *ir.Program {
 }
 
 type parser struct {
-	lines []*line
+	lines []line
 	pos   int
 	prog  *ir.Program
 	sigs  map[string]ir.Type
@@ -69,13 +69,15 @@ type parser struct {
 	vals    map[string]*ir.Value
 	defined map[string]bool
 	pending *ir.Directive
+
+	args []ir.Operand // parseArgs scratch
 }
 
 func (p *parser) peek() *line {
 	if p.pos >= len(p.lines) {
 		return nil
 	}
-	return p.lines[p.pos]
+	return &p.lines[p.pos]
 }
 
 func (p *parser) next() *line {
@@ -345,18 +347,24 @@ func (p *parser) parseArgs(c *cursor) ([]ir.Operand, error) {
 	if err := c.expect("("); err != nil {
 		return nil, err
 	}
-	var args []ir.Operand
+	// Operands collect in the parser's scratch and are copied out at
+	// their final length.
+	p.args = p.args[:0]
 	if !c.at(")") {
 		for {
 			o, err := p.parseOperand(c)
 			if err != nil {
 				return nil, err
 			}
-			args = append(args, o)
+			p.args = append(p.args, o)
 			if !c.accept(",") {
 				break
 			}
 		}
+	}
+	var args []ir.Operand
+	if len(p.args) > 0 {
+		args = append([]ir.Operand(nil), p.args...)
 	}
 	return args, c.expect(")")
 }
