@@ -61,16 +61,9 @@ func main() {
 	flag.Parse()
 	bud := experiments.Budget{MaxSteps: *maxSteps, MaxBytes: *maxMem, Timeout: *timeout}
 
-	var sc bench.Scale
-	switch *scale {
-	case "test":
-		sc = bench.ScaleTest
-	case "small":
-		sc = bench.ScaleSmall
-	case "full":
-		sc = bench.ScaleFull
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := bench.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *profOut != "" {

@@ -45,6 +45,7 @@ import (
 	"os"
 	"strings"
 
+	"memoir/internal/bench"
 	"memoir/internal/core"
 	"memoir/internal/difftest"
 	"memoir/internal/faults"
@@ -123,7 +124,7 @@ func main() {
 			Fault: *fault, Verbose: progress,
 		})
 	case *faultSweep || *fault != "":
-		sc, perr := difftest.ParseScale(*scale)
+		sc, perr := bench.ParseScale(*scale)
 		if perr != nil {
 			fatal(perr)
 		}
@@ -138,7 +139,7 @@ func main() {
 			Configs: splitList(*configs), Check: *check, Verbose: progress,
 		})
 	default:
-		sc, perr := difftest.ParseScale(*scale)
+		sc, perr := bench.ParseScale(*scale)
 		if perr != nil {
 			fatal(perr)
 		}

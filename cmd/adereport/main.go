@@ -102,16 +102,9 @@ func main() {
 		profIn   = flag.String("profile", "", "offline replay: join this saved adeprofile/v1 `file` to the program's remarks instead of executing, and suggest pragmas where static and profile-guided compiles disagree")
 	)
 	flag.Parse()
-	var sc bench.Scale
-	switch *scale {
-	case "test":
-		sc = bench.ScaleTest
-	case "small":
-		sc = bench.ScaleSmall
-	case "full":
-		sc = bench.ScaleFull
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scale))
+	sc, err := bench.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
 
 	doc := Doc{Schema: ReportSchema}

@@ -18,13 +18,14 @@ func main() {
 
 	// The same dense identifier domain stored five ways.
 	fmt.Printf("%-14s %12s %12s\n", "set impl", "bytes", "union time")
-	hash := collections.NewUint64HashSet()
+	// A hash set is a HashMap with empty values.
+	hash := &collections.HashMap[uint64, struct{}]{}
 	swiss := collections.NewUint64SwissSet()
 	flat := collections.NewUint64FlatSet()
 	bits := collections.NewBitSet()
 	roar := collections.NewSparseBitSet()
 	for i := uint64(0); i < n; i++ {
-		hash.Insert(i)
+		hash.Put(i, struct{}{})
 		swiss.Insert(i)
 		bits.Insert(uint32(i))
 		roar.Insert(uint32(i))
@@ -41,12 +42,12 @@ func main() {
 	bits.UnionWith(other)
 	bitUnion := time.Since(start)
 
-	hashOther := collections.NewUint64HashSet()
+	hashOther := &collections.HashMap[uint64, struct{}]{}
 	for i := uint64(0); i < n; i += 3 {
-		hashOther.Insert(i)
+		hashOther.Put(i, struct{}{})
 	}
 	start = time.Now()
-	hashOther.Iterate(func(k uint64) bool { hash.Insert(k); return true })
+	hashOther.Iterate(func(k uint64, _ struct{}) bool { hash.Put(k, struct{}{}); return true })
 	hashUnion := time.Since(start)
 
 	fmt.Printf("%-14s %12d %12v\n", "HashSet", hash.Bytes(), hashUnion)

@@ -36,6 +36,26 @@ const (
 	ScaleFull
 )
 
+var scaleNames = [...]string{ScaleTest: "test", ScaleSmall: "small", ScaleFull: "full"}
+
+// String names the scale the way the CLIs spell it.
+func (sc Scale) String() string {
+	if sc >= 0 && int(sc) < len(scaleNames) {
+		return scaleNames[sc]
+	}
+	return fmt.Sprintf("Scale(%d)", int(sc))
+}
+
+// ParseScale is the inverse of String.
+func ParseScale(name string) (Scale, error) {
+	for sc, n := range scaleNames {
+		if n == name {
+			return Scale(sc), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want test, small or full)", name)
+}
+
 // Spec describes one benchmark.
 type Spec struct {
 	Abbr string // the paper's abbreviation, e.g. "BFS"

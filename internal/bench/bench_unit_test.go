@@ -119,3 +119,22 @@ func TestScalesGrow(t *testing.T) {
 		t.Fatalf("ScaleSmall (%d steps) not larger than ScaleTest (%d)", big.Stats.Steps, small.Stats.Steps)
 	}
 }
+
+// TestScaleNames: every scale parses back from its CLI spelling, and
+// an unknown spelling is an error.
+func TestScaleNames(t *testing.T) {
+	for sc, name := range map[Scale]string{ScaleTest: "test", ScaleSmall: "small", ScaleFull: "full"} {
+		if got := sc.String(); got != name {
+			t.Errorf("Scale(%d).String() = %q, want %q", int(sc), got, name)
+		}
+		if got, err := ParseScale(name); err != nil || got != sc {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, sc)
+		}
+	}
+	if _, err := ParseScale("bogus"); err == nil {
+		t.Error(`ParseScale("bogus") succeeded`)
+	}
+	if got := Scale(7).String(); got != "Scale(7)" {
+		t.Errorf("Scale(7).String() = %q", got)
+	}
+}

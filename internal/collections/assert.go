@@ -3,7 +3,6 @@ package collections
 // Compile-time checks that every implementation satisfies the shared
 // interfaces.
 var (
-	_ Set[uint64]         = (*HashSet[uint64])(nil)
 	_ Set[uint64]         = (*SwissSet[uint64])(nil)
 	_ Set[uint64]         = (*FlatSet[uint64])(nil)
 	_ Set[uint32]         = (*BitSet)(nil)

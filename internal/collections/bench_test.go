@@ -28,9 +28,9 @@ func BenchmarkHashSetInsert(b *testing.B) {
 	ks := benchKeys()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewUint64HashSet()
+		s := &HashMap[uint64, struct{}]{}
 		for _, k := range ks {
-			s.Insert(k)
+			s.Put(k, struct{}{})
 		}
 	}
 }
@@ -70,7 +70,7 @@ func BenchmarkSparseBitSetInsert(b *testing.B) {
 
 func BenchmarkHashMapReadHit(b *testing.B) {
 	ks := benchKeys()
-	m := NewUint64HashMap[uint64]()
+	m := &HashMap[uint64, uint64]{}
 	for i, k := range ks {
 		m.Put(k, uint64(i))
 	}
@@ -129,17 +129,17 @@ func BenchmarkBitSetUnion(b *testing.B) {
 }
 
 func BenchmarkHashSetUnion(b *testing.B) {
-	x, y := NewUint64HashSet(), NewUint64HashSet()
+	x, y := &HashMap[uint64, struct{}]{}, &HashMap[uint64, struct{}]{}
 	for i := uint64(0); i < benchN; i++ {
 		if i%2 == 0 {
-			x.Insert(Mix64(i))
+			x.Put(Mix64(i), struct{}{})
 		} else {
-			y.Insert(Mix64(i))
+			y.Put(Mix64(i), struct{}{})
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		y.Iterate(func(k uint64) bool { x.Insert(k); return true })
+		y.Iterate(func(k uint64, _ struct{}) bool { x.Put(k, struct{}{}); return true })
 	}
 }
 
@@ -178,7 +178,7 @@ func BenchmarkEnumStyleInternDedup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewUint64HashMap[uint32]()
+		m := &HashMap[uint64, uint32]{}
 		next := uint32(0)
 		for _, k := range ks {
 			if _, ok := m.Get(k); !ok {

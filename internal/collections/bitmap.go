@@ -44,11 +44,12 @@ func (m *BitMap[V]) Get(k uint32) (V, bool) {
 	return m.vals[k], true
 }
 
-// Put stores v under k, growing the dense array as needed.
-func (m *BitMap[V]) Put(k uint32, v V) {
+// Put stores v under k, growing the dense array as needed, and
+// reports whether k was newly added.
+func (m *BitMap[V]) Put(k uint32, v V) bool {
 	m.growTo(k)
 	m.vals[k] = v
-	m.present.Insert(k)
+	return m.present.Insert(k)
 }
 
 // Has reports whether k is present.

@@ -150,7 +150,7 @@ func TestFlatSetOrderedIterationAndUnion(t *testing.T) {
 }
 
 func TestHashSetTombstoneReuse(t *testing.T) {
-	s := NewUint64HashSet()
+	s := newHashSet()
 	for i := uint64(0); i < 100; i++ {
 		s.Insert(Mix64(i))
 	}
@@ -198,17 +198,55 @@ func TestSwissSetCollisionHeavy(t *testing.T) {
 	}
 }
 
+// TestHashSetCollisionHeavy drives long probe chains and tombstone
+// reuse with keys whose Mix64 hashes share their low 9 bits, so every
+// key starts its probe at slot 7 of any table of up to 512 slots.
 func TestHashSetCollisionHeavy(t *testing.T) {
-	s := NewHashSet(func(uint64) uint64 { return 7 }, EqUint64)
-	for i := uint64(0); i < 200; i++ {
-		s.Insert(i)
-	}
-	for i := uint64(0); i < 200; i += 2 {
-		s.Remove(i)
-	}
-	for i := uint64(0); i < 200; i++ {
-		if s.Has(i) != (i%2 == 1) {
-			t.Fatalf("Has(%d) wrong", i)
+	const n, mask = 200, 511
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		if Mix64(k)&mask == 7 {
+			keys = append(keys, k)
 		}
+	}
+	s := newHashSet()
+	for _, k := range keys {
+		s.Insert(k)
+	}
+	if len(s.keys) != mask+1 {
+		t.Fatalf("table has %d slots, want %d", len(s.keys), mask+1)
+	}
+	// The keys fill one probe chain: n distinct slots from slot 7 on.
+	firstTomb := mask + 1
+	for i, k := range keys {
+		idx, found := s.find(k)
+		if !found || idx < 7 || idx >= 7+n {
+			t.Fatalf("key %d at slot %d (found %v), want one in [7, %d)", i, idx, found, 7+n)
+		}
+		if i%2 == 0 && idx < firstTomb {
+			firstTomb = idx
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		s.Remove(keys[i])
+	}
+	for i, k := range keys {
+		if s.Has(k) != (i%2 == 1) {
+			t.Fatalf("Has(key %d) wrong", i)
+		}
+	}
+	// Re-inserting fills the tombstones from the chain's head: no slot
+	// is newly used and the table does not grow.
+	used := s.used
+	for i := n - 2; i >= 0; i -= 2 {
+		if !s.Insert(keys[i]) {
+			t.Fatalf("Insert(key %d) reported duplicate", i)
+		}
+	}
+	if s.used != used || len(s.keys) != mask+1 || s.Len() != n {
+		t.Fatalf("after reuse: used %d, slots %d, Len %d; want %d, %d, %d", s.used, len(s.keys), s.Len(), used, mask+1, n)
+	}
+	if idx, _ := s.find(keys[n-2]); idx != firstTomb {
+		t.Fatalf("first re-inserted key at slot %d, want the chain's first tombstone, %d", idx, firstTomb)
 	}
 }

@@ -1,18 +1,22 @@
 // Package collections provides from-scratch implementations of every
 // collection in the ADE selection space (paper Table I): a resizable
-// sequence, open-addressing and Swiss-table hash sets and maps, a
-// sorted-array flat set, a dynamic bitset, a Roaring-style compressed
-// sparse bitset, and a dense bitmap (array-backed map).
+// sequence, an open-addressing hash map (a hash set is one with empty
+// values), Swiss-table sets and maps, a sorted-array flat set, a
+// dynamic bitset, a Roaring-style compressed sparse bitset, and a
+// dense bitmap (array-backed map).
 //
 // All implementations report a modeled storage footprint via Bytes(),
 // which the interpreter uses for peak-resident-size accounting, and are
 // written against the stdlib only.
 //
-// Hash-based containers take explicit hash and equality functions so
-// the same code serves both Go client types and the interpreter's
-// runtime values. Dense containers (BitSet, SparseBitSet, BitMap) are
-// keyed by uint32 identifiers, the contiguous domain that data
-// enumeration manufactures.
+// HashMap, the open-addressing table the engines run, is keyed by
+// integers so its hash and comparison compile inline; a hash set is a
+// HashMap with struct{} values. The Swiss tables and FlatSet take
+// explicit hash, equality or comparison functions so the same code
+// serves both Go client types and the interpreter's runtime values.
+// Dense containers (BitSet, SparseBitSet, BitMap) are keyed by uint32
+// identifiers, the contiguous domain that data enumeration
+// manufactures.
 package collections
 
 import (
@@ -108,7 +112,8 @@ type Set[K any] interface {
 // Map is the common interface of all map implementations.
 type Map[K, V any] interface {
 	Get(k K) (V, bool)
-	Put(k K, v V)
+	// Put stores v under k and reports whether k was newly added.
+	Put(k K, v V) bool
 	Has(k K) bool
 	Remove(k K) bool
 	Len() int

@@ -1,27 +1,52 @@
 package collections
 
+// Slot states of the open-addressing tables: HashMap here and the
+// interpreter's ValMap, which share this layout, load factor and
+// growth schedule.
+const (
+	SlotEmpty uint8 = iota
+	SlotFull
+	SlotTomb
+)
+
+const loadNum, loadDen = 3, 4 // grow at 75% occupancy (full + tombstones)
+
+// Crowded reports whether a table of slots slots, used of them live or
+// tombstoned, must rehash before it takes one more key.
+func Crowded(used, slots int) bool {
+	return slots == 0 || (used+1)*loadDen > slots*loadNum
+}
+
+// RehashCap is the slot count a table of capacity c holding n live
+// entries rehashes to: 8 when empty, double when live entries
+// dominate, otherwise the same size, which flushes tombstones.
+func RehashCap(c, n int) int {
+	switch {
+	case c == 0:
+		return 8
+	case n*loadDen >= c*loadNum/2:
+		return 2 * c
+	}
+	return c
+}
+
 // HashMap is an open-addressing hash table with linear probing and
-// tombstone deletion — the general-purpose baseline map (Table I row
-// Map/HashMap). Expected O(1) read, write, insert and remove.
-type HashMap[K, V any] struct {
-	hash  func(K) uint64
-	eq    func(K, K) bool
+// tombstone deletion over integer keys — the general-purpose baseline
+// (Table I rows Map/HashMap and, with struct{} values, Set/HashSet).
+// Expected O(1) read, write, insert and remove.
+//
+// Keys hash with Mix64 and compare with ==. The ~uint64 constraint
+// lets the compiler inline both into the probe loop; a hash reached
+// through a function pointer costs an indirect call per probe. A
+// struct{} value is charged zero modeled bytes, so a set's footprint
+// is its keys plus one state byte per slot.
+type HashMap[K ~uint64, V any] struct {
 	keys  []K
 	vals  []V
 	state []uint8
-	n     int
-	used  int
-}
-
-// NewHashMap returns an empty hash map using the given hash and
-// equality functions.
-func NewHashMap[K, V any](hash func(K) uint64, eq func(K, K) bool) *HashMap[K, V] {
-	return &HashMap[K, V]{hash: hash, eq: eq}
-}
-
-// NewUint64HashMap returns a hash map keyed by uint64.
-func NewUint64HashMap[V any]() *HashMap[uint64, V] {
-	return NewHashMap[uint64, V](HashUint64, EqUint64)
+	n     int   // live entries
+	used  int   // live + tombstones
+	slot  int64 // modeled bytes of one slot, set when the table grows
 }
 
 func (m *HashMap[K, V]) find(k K) (idx int, found bool) {
@@ -29,21 +54,21 @@ func (m *HashMap[K, V]) find(k K) (idx int, found bool) {
 		return -1, false
 	}
 	mask := uint64(len(m.keys) - 1)
-	i := m.hash(k) & mask
+	i := Mix64(uint64(k)) & mask
 	firstTomb := -1
 	for {
 		switch m.state[i] {
-		case slotEmpty:
+		case SlotEmpty:
 			if firstTomb >= 0 {
 				return firstTomb, false
 			}
 			return int(i), false
-		case slotTomb:
+		case SlotTomb:
 			if firstTomb < 0 {
 				firstTomb = int(i)
 			}
 		default:
-			if m.eq(m.keys[i], k) {
+			if m.keys[i] == k {
 				return int(i), true
 			}
 		}
@@ -52,20 +77,17 @@ func (m *HashMap[K, V]) find(k K) (idx int, found bool) {
 }
 
 func (m *HashMap[K, V]) grow() {
-	newCap := 8
-	if len(m.keys) > 0 {
-		newCap = len(m.keys)
-		if m.n*loadDen >= len(m.keys)*loadNum/2 {
-			newCap = len(m.keys) * 2
-		}
-	}
+	newCap := RehashCap(len(m.keys), m.n)
+	// ElemBytes is a type assertion at run time in shape-instantiated
+	// code, so it is paid here, not on every Bytes call.
+	m.slot = ElemBytes[K]() + ElemBytes[V]() + 1
 	oldKeys, oldVals, oldState := m.keys, m.vals, m.state
 	m.keys = make([]K, newCap)
 	m.vals = make([]V, newCap)
 	m.state = make([]uint8, newCap)
 	m.n, m.used = 0, 0
 	for i, st := range oldState {
-		if st == slotFull {
+		if st == SlotFull {
 			m.Put(oldKeys[i], oldVals[i])
 		}
 	}
@@ -81,23 +103,25 @@ func (m *HashMap[K, V]) Get(k K) (V, bool) {
 	return m.vals[idx], true
 }
 
-// Put stores v under k, overwriting any previous value.
-func (m *HashMap[K, V]) Put(k K, v V) {
-	if len(m.keys) == 0 || (m.used+1)*loadDen > len(m.keys)*loadNum {
+// Put stores v under k, overwriting any previous value, and reports
+// whether k was newly added.
+func (m *HashMap[K, V]) Put(k K, v V) bool {
+	if Crowded(m.used, len(m.keys)) {
 		m.grow()
 	}
 	idx, found := m.find(k)
 	if found {
 		m.vals[idx] = v
-		return
+		return false
 	}
-	if m.state[idx] != slotTomb {
+	if m.state[idx] != SlotTomb {
 		m.used++
 	}
 	m.keys[idx] = k
 	m.vals[idx] = v
-	m.state[idx] = slotFull
+	m.state[idx] = SlotFull
 	m.n++
+	return true
 }
 
 // Has reports whether k is present.
@@ -112,11 +136,10 @@ func (m *HashMap[K, V]) Remove(k K) bool {
 	if !found {
 		return false
 	}
-	var zeroK K
-	var zeroV V
-	m.keys[idx] = zeroK
-	m.vals[idx] = zeroV
-	m.state[idx] = slotTomb
+	var zero V
+	m.keys[idx] = 0
+	m.vals[idx] = zero
+	m.state[idx] = SlotTomb
 	m.n--
 	return true
 }
@@ -127,7 +150,7 @@ func (m *HashMap[K, V]) Len() int { return m.n }
 // Iterate calls f for each entry until f returns false.
 func (m *HashMap[K, V]) Iterate(f func(k K, v V) bool) {
 	for i, st := range m.state {
-		if st == slotFull {
+		if st == SlotFull {
 			if !f(m.keys[i], m.vals[i]) {
 				return
 			}
@@ -135,24 +158,27 @@ func (m *HashMap[K, V]) Iterate(f func(k K, v V) bool) {
 	}
 }
 
+// States exposes the slot-state array so callers can inline the
+// Iterate scan: visit ascending indices whose state is SlotFull,
+// reading entries through SlotAt. Iterate ranges over this same array
+// while reading keys and values live, so the split reproduces its
+// behaviour under mid-iteration mutation exactly.
+func (m *HashMap[K, V]) States() []uint8 { return m.state }
+
+// SlotAt returns the entry in slot i, which must be SlotFull.
+func (m *HashMap[K, V]) SlotAt(i int) (K, V) { return m.keys[i], m.vals[i] }
+
 // Clear removes all entries, keeping capacity.
 func (m *HashMap[K, V]) Clear() {
-	var zeroK K
-	var zeroV V
-	for i := range m.state {
-		m.state[i] = slotEmpty
-		m.keys[i] = zeroK
-		m.vals[i] = zeroV
-	}
+	clear(m.state)
+	clear(m.keys)
+	clear(m.vals)
 	m.n, m.used = 0, 0
 }
 
-// Bytes models the storage footprint.
-func (m *HashMap[K, V]) Bytes() int64 {
-	return int64(len(m.keys))*ElemBytes[K]() +
-		int64(len(m.vals))*ElemBytes[V]() +
-		int64(len(m.state))
-}
+// Bytes models the storage footprint: one key, one value and one state
+// byte per slot.
+func (m *HashMap[K, V]) Bytes() int64 { return int64(len(m.state)) * m.slot }
 
 // Kind reports the implementation.
 func (m *HashMap[K, V]) Kind() Impl { return ImplHashMap }

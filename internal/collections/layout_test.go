@@ -83,13 +83,13 @@ func keyed(add, remove func(uint64), clear func()) func(layoutOp) {
 }
 
 // families instantiates every generic collection over element type E,
-// with mk turning a key into an element.
+// with mk turning a key into an element. HashMap keys are integers, so
+// it holds E as values only.
 func families[E any](mk func(uint64) E, hash func(E) uint64, eq func(E, E) bool, cmp func(E, E) int) []family {
 	seq := collections.NewSeq[E]()
 	flat := collections.NewFlatSet(cmp)
-	hs := collections.NewHashSet(hash, eq)
 	ss := collections.NewSwissSet(hash, eq)
-	hm := collections.NewHashMap[E, E](hash, eq)
+	hm := &collections.HashMap[uint64, E]{}
 	sm := collections.NewSwissMap[E, E](hash, eq)
 	bm := collections.NewBitMap[E]()
 	return []family{
@@ -108,20 +108,35 @@ func families[E any](mk func(uint64) E, hash func(E) uint64, eq func(E, E) bool,
 			}
 		}, seq.Bytes, ""},
 		{"FlatSet", keyed(func(k uint64) { flat.Insert(mk(k)) }, func(k uint64) { flat.Remove(mk(k)) }, flat.Clear), flat.Bytes, ""},
-		{"HashSet", keyed(func(k uint64) { hs.Insert(mk(k)) }, func(k uint64) { hs.Remove(mk(k)) }, hs.Clear), hs.Bytes, ""},
 		{"SwissSet", keyed(func(k uint64) { ss.Insert(mk(k)) }, func(k uint64) { ss.Remove(mk(k)) }, ss.Clear), ss.Bytes, ""},
-		{"HashMap", keyed(func(k uint64) { hm.Put(mk(k), mk(k)) }, func(k uint64) { hm.Remove(mk(k)) }, hm.Clear), hm.Bytes, ""},
+		{"HashMap", keyed(func(k uint64) { hm.Put(k, mk(k)) }, func(k uint64) { hm.Remove(k) }, hm.Clear), hm.Bytes, ""},
 		{"SwissMap", keyed(func(k uint64) { sm.Put(mk(k), mk(k)) }, func(k uint64) { sm.Remove(mk(k)) }, sm.Clear), sm.Bytes, ""},
 		{"BitMap", keyed(func(k uint64) { bm.Put(uint32(k), mk(k)) }, func(k uint64) { bm.Remove(uint32(k)) }, bm.Clear), bm.Bytes, ""},
 	}
 }
 
+// wideFamilies are the reference families over the wide element, plus
+// the two integer-keyed hash tables with their key arrays charged as
+// wide elements: the footprint of the same slots holding 48-byte keys,
+// the twin of every table keyed by Vals or Words.
 func wideFamilies() []family {
-	return families(
+	fams := families(
 		func(k uint64) wide { return wide{k} },
 		func(e wide) uint64 { return collections.Mix64(e[0]) },
 		func(a, b wide) bool { return a == b },
 		func(a, b wide) int { return collections.CmpUint64(a[0], b[0]) })
+	hm, hs := &collections.HashMap[uint64, wide]{}, &collections.HashMap[uint64, struct{}]{}
+	return append(fams,
+		family{"HashMap<wide,wide>", keyed(func(k uint64) { hm.Put(k, wide{k}) }, func(k uint64) { hm.Remove(k) }, hm.Clear),
+			func() int64 { return hm.Bytes() + wideKeys(hm.States()) }, ""},
+		family{"HashSet<wide>", keyed(func(k uint64) { hs.Put(k, struct{}{}) }, func(k uint64) { hs.Remove(k) }, hs.Clear),
+			func() int64 { return hs.Bytes() + wideKeys(hs.States()) }, ""})
+}
+
+// wideKeys is what widening the uint64 keys of a table with the given
+// slot states to wide elements adds to its footprint.
+func wideKeys(states []uint8) int64 {
+	return int64(len(states)) * int64(unsafe.Sizeof(wide{})-unsafe.Sizeof(uint64(0)))
 }
 
 func byName(fams []family, name string) family {
@@ -145,21 +160,23 @@ func wordFamilies() []family {
 // k, so tombstone reuse, and with it Bytes(), follows the wide twin.
 func floatBits(k uint64) interp.Val { return interp.FloatV(math.Float64frombits(k)) }
 
-// runtimeFamilies are the interpreter's own tables, over Val and Word
-// keys, and its runtime collections in each element storage NewCollFor
-// picks, each named with its generic twin.
+// runtimeFamilies are the tables the engines run, over Val and Word
+// keys, and their runtime collections in each element storage
+// NewCollFor picks, each named with its twin over wide elements.
 func runtimeFamilies() []family {
 	vm, vs := &interp.ValMap[interp.Val]{}, &interp.ValMap[struct{}]{}
-	wm, wv, ws := &interp.WordMap[interp.Word]{}, &interp.WordMap[interp.Val]{}, &interp.WordMap[struct{}]{}
+	wm := &collections.HashMap[interp.Word, interp.Word]{}
+	wv := &collections.HashMap[interp.Word, interp.Val]{}
+	ws := &collections.HashMap[interp.Word, struct{}]{}
 	w := func(k uint64) interp.Word { return interp.Word(k) }
 	fams := []family{
 		{"ValMap", keyed(func(k uint64) { vm.Put(interp.IntV(k), interp.IntV(k)) },
-			func(k uint64) { vm.Remove(interp.IntV(k)) }, vm.Clear), vm.Bytes, "HashMap"},
+			func(k uint64) { vm.Remove(interp.IntV(k)) }, vm.Clear), vm.Bytes, "HashMap<wide,wide>"},
 		{"ValMap[struct{}]", keyed(func(k uint64) { vs.Put(interp.IntV(k), struct{}{}) },
-			func(k uint64) { vs.Remove(interp.IntV(k)) }, vs.Clear), vs.Bytes, "HashSet"},
-		{"WordMap[Word]", keyed(func(k uint64) { wm.Put(w(k), w(k)) }, func(k uint64) { wm.Remove(w(k)) }, wm.Clear), wm.Bytes, "HashMap"},
-		{"WordMap[Val]", keyed(func(k uint64) { wv.Put(w(k), interp.IntV(k)) }, func(k uint64) { wv.Remove(w(k)) }, wv.Clear), wv.Bytes, "HashMap"},
-		{"WordMap[struct{}]", keyed(func(k uint64) { ws.Put(w(k), struct{}{}) }, func(k uint64) { ws.Remove(w(k)) }, ws.Clear), ws.Bytes, "HashSet"},
+			func(k uint64) { vs.Remove(interp.IntV(k)) }, vs.Clear), vs.Bytes, "HashSet<wide>"},
+		{"HashMap[Word, Word]", keyed(func(k uint64) { wm.Put(w(k), w(k)) }, func(k uint64) { wm.Remove(w(k)) }, wm.Clear), wm.Bytes, "HashMap<wide,wide>"},
+		{"HashMap[Word, Val]", keyed(func(k uint64) { wv.Put(w(k), interp.IntV(k)) }, func(k uint64) { wv.Remove(w(k)) }, wv.Clear), wv.Bytes, "HashMap<wide,wide>"},
+		{"HashMap[Word, struct{}]", keyed(func(k uint64) { ws.Put(w(k), struct{}{}) }, func(k uint64) { ws.Remove(w(k)) }, ws.Clear), ws.Bytes, "HashSet<wide>"},
 	}
 	newColl := func(ct *ir.CollType) interp.Coll {
 		return interp.NewCollFor(ct, collections.ImplHashSet, collections.ImplHashMap)
@@ -172,9 +189,9 @@ func runtimeFamilies() []family {
 		key  func(uint64) interp.Val
 		twin string
 	}{
-		{"Map<u64,u64>", ir.MapOf(ir.TU64, ir.TU64), interp.IntV, "HashMap"},
-		{"Map<u64,str>", ir.MapOf(ir.TU64, ir.TStr), interp.IntV, "HashMap"},
-		{"Map<f64,f64>", ir.MapOf(ir.TF64, ir.TF64), floatBits, "HashMap"},
+		{"Map<u64,u64>", ir.MapOf(ir.TU64, ir.TU64), interp.IntV, "HashMap<wide,wide>"},
+		{"Map<u64,str>", ir.MapOf(ir.TU64, ir.TStr), interp.IntV, "HashMap<wide,wide>"},
+		{"Map<f64,f64>", ir.MapOf(ir.TF64, ir.TF64), floatBits, "HashMap<wide,wide>"},
 		{"Map{BitMap}<idx,u64>", bitMap, interp.IntV, "BitMap"},
 	} {
 		c := newColl(m.ct).(interp.RMap)
@@ -189,7 +206,7 @@ func runtimeFamilies() []family {
 			key = floatBits
 		}
 		fams = append(fams, family{ct.String(), keyed(func(k uint64) { c.Insert(key(k)) },
-			func(k uint64) { c.Remove(key(k)) }, c.Clear), c.Bytes, "HashSet"})
+			func(k uint64) { c.Remove(key(k)) }, c.Clear), c.Bytes, "HashSet<wide>"})
 	}
 	for _, ct := range []*ir.CollType{ir.SeqOf(ir.TU64), ir.SeqOf(ir.TF64), ir.SeqOf(ir.TStr)} {
 		s := newColl(ct).(interp.RSeq)
@@ -215,9 +232,8 @@ func runtimeFamilies() []family {
 // TestBytesLayoutIndependent drives every family over interp.Val, over
 // the unboxed interp.Word and over the 48-byte wide element with the
 // same operation sequence and requires identical Bytes() after every
-// operation. The interpreter's specialised tables and its runtime
-// collections, boxed and unboxed, run beside their generic twins over
-// wide elements.
+// operation. The engines' hash tables and runtime collections, boxed
+// and unboxed, run beside their twins over wide elements.
 func TestBytesLayoutIndependent(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		var under []family

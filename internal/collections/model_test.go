@@ -98,8 +98,21 @@ func sparseKey(k uint32) uint64 { return Mix64(uint64(k)) }
 
 func identKey(k uint32) uint64 { return uint64(k) }
 
+// hashSet is the Set view of a HashMap with empty values, the form
+// every hash set takes.
+type hashSet struct{ HashMap[uint64, struct{}] }
+
+func newHashSet() *hashSet              { return &hashSet{} }
+func (s *hashSet) Insert(k uint64) bool { return s.Put(k, struct{}{}) }
+func (s *hashSet) Kind() Impl           { return ImplHashSet }
+func (s *hashSet) Iterate(f func(k uint64) bool) {
+	s.HashMap.Iterate(func(k uint64, _ struct{}) bool { return f(k) })
+}
+
+var _ Set[uint64] = (*hashSet)(nil)
+
 func TestHashSetModel(t *testing.T) {
-	runSetModel(t, "HashSet", func() Set[uint64] { return NewUint64HashSet() }, sparseKey)
+	runSetModel(t, "HashSet", func() Set[uint64] { return newHashSet() }, sparseKey)
 }
 
 func TestSwissSetModel(t *testing.T) {
@@ -191,7 +204,7 @@ func runMapModel(t *testing.T, name string, mk func() Map[uint64, uint64], keys 
 type u32MapAdapter struct{ m Map[uint32, uint64] }
 
 func (a u32MapAdapter) Get(k uint64) (uint64, bool) { return a.m.Get(uint32(k)) }
-func (a u32MapAdapter) Put(k, v uint64)             { a.m.Put(uint32(k), v) }
+func (a u32MapAdapter) Put(k, v uint64) bool        { return a.m.Put(uint32(k), v) }
 func (a u32MapAdapter) Has(k uint64) bool           { return a.m.Has(uint32(k)) }
 func (a u32MapAdapter) Remove(k uint64) bool        { return a.m.Remove(uint32(k)) }
 func (a u32MapAdapter) Len() int                    { return a.m.Len() }
@@ -203,7 +216,7 @@ func (a u32MapAdapter) Iterate(f func(k, v uint64) bool) {
 }
 
 func TestHashMapModel(t *testing.T) {
-	runMapModel(t, "HashMap", func() Map[uint64, uint64] { return NewUint64HashMap[uint64]() }, sparseKey)
+	runMapModel(t, "HashMap", func() Map[uint64, uint64] { return &HashMap[uint64, uint64]{} }, sparseKey)
 }
 
 func TestSwissMapModel(t *testing.T) {
@@ -218,7 +231,7 @@ func TestBitMapModel(t *testing.T) {
 // containing exactly those keys, for every implementation.
 func TestQuickSetContainsInserted(t *testing.T) {
 	impls := map[string]func() Set[uint64]{
-		"HashSet":      func() Set[uint64] { return NewUint64HashSet() },
+		"HashSet":      func() Set[uint64] { return newHashSet() },
 		"SwissSet":     func() Set[uint64] { return NewUint64SwissSet() },
 		"FlatSet":      func() Set[uint64] { return NewUint64FlatSet() },
 		"BitSet":       func() Set[uint64] { return u32SetAdapter{NewBitSet()} },
@@ -254,7 +267,7 @@ func TestQuickSetContainsInserted(t *testing.T) {
 // every implementation.
 func TestQuickMapLastWriteWins(t *testing.T) {
 	impls := map[string]func() Map[uint64, uint64]{
-		"HashMap":  func() Map[uint64, uint64] { return NewUint64HashMap[uint64]() },
+		"HashMap":  func() Map[uint64, uint64] { return &HashMap[uint64, uint64]{} },
 		"SwissMap": func() Map[uint64, uint64] { return NewUint64SwissMap[uint64]() },
 		"BitMap":   func() Map[uint64, uint64] { return u32MapAdapter{NewBitMap[uint64]()} },
 	}

@@ -4,7 +4,7 @@ import "testing"
 
 func TestMapIterateEarlyStop(t *testing.T) {
 	impls := map[string]Map[uint64, uint64]{
-		"HashMap":  NewUint64HashMap[uint64](),
+		"HashMap":  &HashMap[uint64, uint64]{},
 		"SwissMap": NewUint64SwissMap[uint64](),
 	}
 	for name, m := range impls {
@@ -36,7 +36,7 @@ func TestMapIterateEarlyStop(t *testing.T) {
 
 func TestSetIterateEarlyStop(t *testing.T) {
 	impls := map[string]Set[uint64]{
-		"HashSet":  NewUint64HashSet(),
+		"HashSet":  newHashSet(),
 		"SwissSet": NewUint64SwissSet(),
 		"FlatSet":  NewUint64FlatSet(),
 	}
@@ -68,7 +68,7 @@ func TestSetIterateEarlyStop(t *testing.T) {
 }
 
 func TestClearKeepsWorking(t *testing.T) {
-	sets := []Set[uint64]{NewUint64HashSet(), NewUint64SwissSet(), NewUint64FlatSet()}
+	sets := []Set[uint64]{newHashSet(), NewUint64SwissSet(), NewUint64FlatSet()}
 	for _, s := range sets {
 		for i := uint64(0); i < 100; i++ {
 			s.Insert(Mix64(i))
@@ -95,10 +95,10 @@ func TestBytesGrowWithContent(t *testing.T) {
 			t.Errorf("%s: Bytes did not grow (%d -> %d)", name, before, empty.Bytes())
 		}
 	}
-	hs := NewUint64HashSet()
-	grow("HashSet", hs, func() {
+	hs := &HashMap[uint64, struct{}]{}
+	grow("HashMap[uint64, struct{}]", hs, func() {
 		for i := uint64(0); i < 1000; i++ {
-			hs.Insert(Mix64(i))
+			hs.Put(Mix64(i), struct{}{})
 		}
 	})
 	sm := NewUint64SwissMap[uint64]()
@@ -139,7 +139,7 @@ func TestSwissGrowBoundary(t *testing.T) {
 }
 
 func TestHashMapZeroValueDistinguished(t *testing.T) {
-	m := NewUint64HashMap[uint64]()
+	m := &HashMap[uint64, uint64]{}
 	m.Put(7, 0)
 	if v, ok := m.Get(7); !ok || v != 0 {
 		t.Fatal("stored zero value not distinguishable from absent")

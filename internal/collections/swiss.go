@@ -5,12 +5,15 @@ import (
 	"math/bits"
 )
 
-// Swiss-table control machinery shared by SwissSet and SwissMap.
+// Swiss-table control machinery behind SwissMap (and SwissSet, a
+// SwissMap with empty values).
 //
 // Each slot has a control byte: ctrlEmpty (0x80), ctrlTomb (0xFE), or
 // the low 7 bits of the hash (H2) with the high bit clear. Probing
 // scans groups of 8 control bytes at a time with SWAR word tricks, the
 // portable equivalent of the SSE2 match in Abseil's implementation.
+// The slot count is always a power of two and a multiple of the group
+// size.
 
 const (
 	swissGroup       = 8
@@ -31,10 +34,6 @@ func matchByte(group uint64, b uint8) uint64 {
 	return (x - swarLow) &^ x & swarHigh
 }
 
-// matchNonFull returns a mask of bytes that are empty or tombstones
-// (high bit set).
-func matchNonFull(group uint64) uint64 { return group & swarHigh }
-
 // matchEmpty returns a mask of empty bytes.
 func matchEmpty(group uint64) uint64 { return matchByte(group, ctrlEmpty) }
 
@@ -48,21 +47,6 @@ func nextMatch(mask *uint64) int {
 	i := bits.TrailingZeros64(*mask) / 8
 	*mask &= *mask - 1
 	return i
-}
-
-// swissCore holds the control array and bookkeeping common to the set
-// and map variants. cap is always a power of two and a multiple of the
-// group size.
-type swissCore struct {
-	ctrl []uint8
-	n    int
-	used int
-}
-
-func (c *swissCore) capSlots() int { return len(c.ctrl) }
-
-func (c *swissCore) needGrow() bool {
-	return len(c.ctrl) == 0 || (c.used+1)*8 > len(c.ctrl)*7
 }
 
 // probeSeq yields group indices in triangular-number order, which

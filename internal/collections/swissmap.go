@@ -1,14 +1,17 @@
 package collections
 
-// SwissMap is a Swiss-table map (Table I row Map/SwissMap): the same
-// group-probed control-byte layout as SwissSet with a parallel value
-// array.
+// SwissMap is a Swiss-table map (Table I row Map/SwissMap): open
+// addressing over groups of 8 slots whose 7-bit hash fingerprints are
+// matched a word at a time, with parallel key and value arrays.
+// Expected O(1) operations with one extra control byte per slot.
 type SwissMap[K, V any] struct {
-	swissCore
 	hash func(K) uint64
 	eq   func(K, K) bool
+	ctrl []uint8
 	keys []K
 	vals []V
+	n    int // live entries
+	used int // live + tombstones
 }
 
 // NewSwissMap returns an empty Swiss-table map.
@@ -87,15 +90,16 @@ func (m *SwissMap[K, V]) Get(k K) (V, bool) {
 	return m.vals[slot], true
 }
 
-// Put stores v under k, overwriting any previous value.
-func (m *SwissMap[K, V]) Put(k K, v V) {
-	if m.needGrow() {
+// Put stores v under k, overwriting any previous value, and reports
+// whether k was newly added.
+func (m *SwissMap[K, V]) Put(k K, v V) bool {
+	if len(m.ctrl) == 0 || (m.used+1)*8 > len(m.ctrl)*7 { // 7/8 full or tombstoned
 		m.grow()
 	}
 	slot, found := m.find(k)
 	if found {
 		m.vals[slot] = v
-		return
+		return false
 	}
 	if m.ctrl[slot] != ctrlTomb {
 		m.used++
@@ -105,6 +109,7 @@ func (m *SwissMap[K, V]) Put(k K, v V) {
 	m.keys[slot] = k
 	m.vals[slot] = v
 	m.n++
+	return true
 }
 
 // Has reports whether k is present.

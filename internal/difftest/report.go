@@ -211,36 +211,10 @@ type RandomEntry struct {
 func NewReport(sc bench.Scale, shard Shard, configs []string) *Report {
 	return &Report{
 		Schema:  Schema,
-		Scale:   ScaleName(sc),
+		Scale:   sc.String(),
 		Shard:   shard.String(),
 		Configs: configs,
 	}
-}
-
-// ScaleName names a workload scale the way the CLIs spell it.
-func ScaleName(sc bench.Scale) string {
-	switch sc {
-	case bench.ScaleTest:
-		return "test"
-	case bench.ScaleSmall:
-		return "small"
-	case bench.ScaleFull:
-		return "full"
-	}
-	return fmt.Sprintf("Scale(%d)", int(sc))
-}
-
-// ParseScale is the inverse of ScaleName.
-func ParseScale(name string) (bench.Scale, error) {
-	switch name {
-	case "test":
-		return bench.ScaleTest, nil
-	case "small":
-		return bench.ScaleSmall, nil
-	case "full":
-		return bench.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q (want test, small or full)", name)
 }
 
 // Finish fills the summary counters from the recorded cells.

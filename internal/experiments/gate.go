@@ -55,7 +55,7 @@ func gateConfigs() []CompilerConfig {
 func CollectCounts(sc bench.Scale, bud Budget) (*CountsFile, error) {
 	out := &CountsFile{
 		Schema: CountsSchema,
-		Scale:  scaleName(sc),
+		Scale:  sc.String(),
 		Counts: map[string]map[string]OpCounts{},
 	}
 	for _, s := range bench.All() {
@@ -198,16 +198,4 @@ func Gate(sc bench.Scale, baselinePath string, tol float64, bud Budget, w io.Wri
 	fmt.Fprintf(w, "op-count gate: %d benchmarks x %d configs within %.0f%% of %s\n",
 		len(current.Counts), len(gateConfigs()), 100*tol, baselinePath)
 	return nil
-}
-
-func scaleName(sc bench.Scale) string {
-	switch sc {
-	case bench.ScaleTest:
-		return "test"
-	case bench.ScaleSmall:
-		return "small"
-	case bench.ScaleFull:
-		return "full"
-	}
-	return fmt.Sprintf("Scale(%d)", int(sc))
 }

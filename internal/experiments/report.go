@@ -47,7 +47,7 @@ type BenchReport struct {
 func CollectBenchReport(sc bench.Scale, bud Budget) (*BenchReport, error) {
 	out := &BenchReport{
 		Schema: BenchReportSchema,
-		Scale:  scaleName(sc),
+		Scale:  sc.String(),
 		Engine: bench.EngineVM.String(),
 	}
 	for _, s := range bench.All() {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"memoir/internal/bench"
 	"memoir/internal/collections"
 	"memoir/internal/interp"
 )
@@ -22,7 +23,7 @@ import (
 // sparsely-shared bitsets hurt.
 func Table3(c Config) error {
 	n := 1 << 14
-	if c.Scale == 0 { // bench.ScaleTest
+	if c.Scale == bench.ScaleTest {
 		n = 1 << 10
 	}
 	header(c.Out, "Table III: per-operation speedup relative to Hash{Set,Map}")
@@ -145,30 +146,30 @@ func sparseIDs(n int) []uint32 {
 func measureHashSet(n int) setTimes {
 	keys := sparseKeys(n)
 	var t setTimes
-	s := collections.NewUint64HashSet()
+	s := &collections.HashMap[uint64, struct{}]{}
 	t.insert = perOp(n, func() {
 		for _, k := range keys {
-			s.Insert(k)
+			s.Put(k, struct{}{})
 		}
 	})
 	t.iterate = perOp(n, func() {
-		s.Iterate(func(k uint64) bool { sink += k; return true })
+		s.Iterate(func(k uint64, _ struct{}) bool { sink += k; return true })
 	})
 	t.remove = perOp(n/2, func() {
 		for i := 0; i < n/2; i++ {
 			s.Remove(keys[i])
 		}
 	})
-	a, b := collections.NewUint64HashSet(), collections.NewUint64HashSet()
+	a, b := &collections.HashMap[uint64, struct{}]{}, &collections.HashMap[uint64, struct{}]{}
 	for i, k := range keys {
 		if i%2 == 0 {
-			a.Insert(k)
+			a.Put(k, struct{}{})
 		} else {
-			b.Insert(k)
+			b.Put(k, struct{}{})
 		}
 	}
 	t.union = perOp(n/2, func() {
-		b.Iterate(func(k uint64) bool { a.Insert(k); return true })
+		b.Iterate(func(k uint64, _ struct{}) bool { a.Put(k, struct{}{}); return true })
 	})
 	return t
 }
@@ -303,7 +304,7 @@ func measureSparse(n int) setTimes {
 func measureHashMap(n int) mapTimes {
 	keys := sparseKeys(n)
 	var t mapTimes
-	m := collections.NewUint64HashMap[uint64]()
+	m := &collections.HashMap[uint64, uint64]{}
 	t.insert = perOp(n, func() {
 		for _, k := range keys {
 			m.Put(k, 0)

@@ -62,12 +62,12 @@ type RSeq interface {
 
 // --- HashSet-backed set ---
 
-// RSetHash is the Set{HashSet} runtime set: a WordMap[struct{}] when
-// the key type is an integer kind, a ValMap[struct{}] otherwise (see
-// NewCollFor).
+// RSetHash is the Set{HashSet} runtime set: a collections.HashMap
+// over Words with struct{} values when the key type is an integer
+// kind, a ValMap[struct{}] otherwise (see NewCollFor).
 type RSetHash struct {
 	vs    ValMap[struct{}]
-	ws    WordMap[struct{}]
+	ws    collections.HashMap[Word, struct{}]
 	words bool // keys live in ws
 	t     *ir.CollType
 }
@@ -216,13 +216,13 @@ const (
 )
 
 // RMapHash is the Map{HashMap} runtime map. Integer keys go in a
-// WordMap, whose values are Words too when the value type is a
-// non-string scalar; every other key type keeps a ValMap (see
-// NewCollFor).
+// collections.HashMap over Words, whose values are Words too when the
+// value type is a non-string scalar; every other key type keeps a
+// ValMap (see NewCollFor).
 type RMapHash struct {
 	vv     ValMap[Val]
-	wv     WordMap[Val]
-	ww     WordMap[Word]
+	wv     collections.HashMap[Word, Val]
+	ww     collections.HashMap[Word, Word]
 	layout hashLayout
 	vk     ValKind // kind of the values in ww
 	t      *ir.CollType
@@ -565,8 +565,8 @@ func (r *RSeqArr) Elems() ([]Val, []Word, ValKind) {
 // It also picks each collection's element storage, once, from the IR
 // types: non-string scalar elements of sequences and of HashMap and
 // BitMap values are stored as unboxed Words, and integer keys of
-// HashSets and HashMaps go in WordMaps. Everything else, and every
-// Swiss or Flat table, keeps boxed Vals.
+// HashSets and HashMaps go in collections.HashMaps over Words.
+// Everything else, and every Swiss or Flat table, keeps boxed Vals.
 func NewCollFor(ct *ir.CollType, defSet, defMap collections.Impl) Coll {
 	var c Coll
 	switch ct.Kind {

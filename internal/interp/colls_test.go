@@ -188,13 +188,13 @@ func slotOrder(c Coll) []Val {
 	switch c := c.(type) {
 	case *RSetHash:
 		for i, st := range c.States() {
-			if st == SlotFull {
+			if st == collections.SlotFull {
 				out = append(out, c.SlotAt(i))
 			}
 		}
 	case *RMapHash:
 		for i, st := range c.States() {
-			if st == SlotFull {
+			if st == collections.SlotFull {
 				k, v := c.SlotAt(i)
 				out = append(out, k, v)
 			}

@@ -17,7 +17,7 @@ type Enum struct {
 	words bool // storage is wenc/wdec
 	venc  ValMap[uint32]
 	vdec  collections.Seq[Val]
-	wenc  WordMap[uint32]
+	wenc  collections.HashMap[Word, uint32]
 	wdec  collections.Seq[Word]
 }
 

@@ -10,14 +10,13 @@ import (
 	"memoir/internal/ir"
 )
 
-// The specialised tables in vhash.go claim to be bit-identical to the
-// generic collections tables: ValMap to HashMap/HashSet over Val with
-// HashVal/EqVal, WordMap to HashMap/HashSet over Word with Mix64/==.
-// These tests drive both families through the same operation
-// sequences — growth, removal, tombstone reuse and same-size rehashes
-// included — and require identical results, Len, Bytes and iteration
-// order after every operation. A WordMap must also occupy exactly the
-// slots of a ValMap fed the same keys as IntVs.
+// The engines' hash tables, ValMap over boxed Vals and
+// collections.HashMap over unboxed Words, are checked here against a
+// Go map model: every operation's result and Len, and the full
+// contents at the end of each workload. Their exact behaviour (Bytes
+// and iteration order after every operation) is pinned by
+// TestTableBehaviourPinned, and TestWordTableSlotsMatchValTable
+// requires the two to occupy the same slots for the same integer keys.
 
 type action int
 
@@ -78,8 +77,8 @@ func workloads() []workload {
 
 func sameVal(a, b Val) bool { return a.K == b.K && a.I == b.I && a.Str() == b.Str() }
 
-// tableOps is the surface a table under test and its reference share,
-// adapted to one signature: put reports whether the key was new.
+// tableOps is the surface of a table under test, adapted to one
+// signature: put reports whether the key was new.
 type tableOps[K, V any] struct {
 	put    func(K, V) bool
 	remove func(K) bool
@@ -87,91 +86,69 @@ type tableOps[K, V any] struct {
 	has    func(K) bool
 	clear  func()
 	len    func() int
-	bytes  func() int64
 	iter   func(func(K, V) bool)
 }
 
-// genericMap adapts a collections.HashMap.
-func genericMap[K, V any](m *collections.HashMap[K, V]) tableOps[K, V] {
-	return tableOps[K, V]{
-		put:    func(k K, v V) bool { had := m.Has(k); m.Put(k, v); return !had },
-		remove: m.Remove, get: m.Get, has: m.Has, clear: m.Clear, len: m.Len, bytes: m.Bytes, iter: m.Iterate,
-	}
-}
-
-// genericSet adapts a collections.HashSet, whose elements map to {}.
-func genericSet[K any](s *collections.HashSet[K]) tableOps[K, struct{}] {
-	return tableOps[K, struct{}]{
-		put:    func(k K, _ struct{}) bool { return s.Insert(k) },
-		remove: s.Remove,
-		get:    func(k K) (struct{}, bool) { return struct{}{}, s.Has(k) },
-		has:    s.Has,
-		clear:  s.Clear, len: s.Len, bytes: s.Bytes,
-		iter: func(f func(K, struct{}) bool) { s.Iterate(func(k K) bool { return f(k, struct{}{}) }) },
-	}
-}
-
 func valTable[V any](m *ValMap[V]) tableOps[Val, V] {
-	return tableOps[Val, V]{put: m.Put, remove: m.Remove, get: m.Get, has: m.Has, clear: m.Clear, len: m.Len, bytes: m.Bytes, iter: m.Iterate}
+	return tableOps[Val, V]{put: m.Put, remove: m.Remove, get: m.Get, has: m.Has, clear: m.Clear, len: m.Len, iter: m.Iterate}
 }
 
-func wordTable[V any](m *WordMap[V]) tableOps[Word, V] {
-	return tableOps[Word, V]{put: m.Put, remove: m.Remove, get: m.Get, has: m.Has, clear: m.Clear, len: m.Len, bytes: m.Bytes, iter: m.Iterate}
+func wordTable[V any](m *collections.HashMap[Word, V]) tableOps[Word, V] {
+	return tableOps[Word, V]{put: m.Put, remove: m.Remove, get: m.Get, has: m.Has, clear: m.Clear, len: m.Len, iter: m.Iterate}
 }
 
-// entries collects an Iterate-style traversal in order.
-func entries[K, V any](iter func(func(k K, v V) bool)) (ks []K, vs []V) {
-	iter(func(k K, v V) bool { ks, vs = append(ks, k), append(vs, v); return true })
-	return ks, vs
-}
-
-// matchTables replays every workload on got and want, built fresh per
-// workload, with keys converted by key and the op-th value by val.
-func matchTables[K, V any](t *testing.T, newGot, newWant func() tableOps[K, V],
-	key func(Val) K, val func(op int) V, same func(a, b K) bool, sameV func(a, b V) bool) {
+// matchModel replays every workload on a table built fresh per
+// workload and on a Go map, with keys converted by key, model keys by
+// mkey and the op-th value by val.
+func matchModel[K any, MK comparable, V any](t *testing.T, newTable func() tableOps[K, V],
+	key func(Val) K, mkey func(K) MK, val func(op int) V, sameV func(a, b V) bool) {
 	t.Helper()
 	for _, w := range workloads() {
 		r := rand.New(rand.NewSource(1))
-		got, want := newGot(), newWant()
+		got, model := newTable(), map[MK]V{}
 		for op := 0; op < opCount; op++ {
 			where := fmt.Sprintf("%s op %d", w.name, op)
 			act, kv := w.next(r, op)
 			k := key(kv)
+			mk := mkey(k)
+			wv, wok := model[mk]
 			switch act {
 			case actInsert:
-				if g, w := got.put(k, val(op)), want.put(k, val(op)); g != w {
-					t.Fatalf("%s: put(%v) added %v, want %v", where, kv, g, w)
+				model[mk] = val(op)
+				if g := got.put(k, val(op)); g != !wok {
+					t.Fatalf("%s: put(%v) added %v, want %v", where, kv, g, !wok)
 				}
 			case actRemove:
-				if g, w := got.remove(k), want.remove(k); g != w {
-					t.Fatalf("%s: remove(%v) = %v, want %v", where, kv, g, w)
+				delete(model, mk)
+				if g := got.remove(k); g != wok {
+					t.Fatalf("%s: remove(%v) = %v, want %v", where, kv, g, wok)
 				}
 			case actLookup:
 				gv, gok := got.get(k)
-				wv, wok := want.get(k)
-				if gok != wok || !sameV(gv, wv) {
+				if gok != wok || (wok && !sameV(gv, wv)) {
 					t.Fatalf("%s: get(%v) = %v,%v, want %v,%v", where, kv, gv, gok, wv, wok)
 				}
-				if g, w := got.has(k), want.has(k); g != w {
-					t.Fatalf("%s: has(%v) = %v, want %v", where, kv, g, w)
+				if g := got.has(k); g != wok {
+					t.Fatalf("%s: has(%v) = %v, want %v", where, kv, g, wok)
 				}
 			case actClear:
 				got.clear()
-				want.clear()
+				clear(model)
 			}
-			if got.len() != want.len() || got.bytes() != want.bytes() {
-				t.Fatalf("%s: len/bytes %d/%d, want %d/%d", where, got.len(), got.bytes(), want.len(), want.bytes())
+			if got.len() != len(model) {
+				t.Fatalf("%s: len %d, want %d", where, got.len(), len(model))
 			}
-			gk, gv := entries(got.iter)
-			wk, wv := entries(want.iter)
-			if len(gk) != len(wk) {
-				t.Fatalf("%s: iterated %d entries, want %d", where, len(gk), len(wk))
+		}
+		n := 0
+		got.iter(func(k K, v V) bool {
+			if wv, ok := model[mkey(k)]; !ok || !sameV(v, wv) {
+				t.Fatalf("%s: iteration yielded %v=%v, model has %v,%v", w.name, k, v, wv, ok)
 			}
-			for i := range gk {
-				if !same(gk[i], wk[i]) || !sameV(gv[i], wv[i]) {
-					t.Fatalf("%s: iteration order diverged at entry %d", where, i)
-				}
-			}
+			n++
+			return true
+		})
+		if n != len(model) {
+			t.Fatalf("%s: iterated %d entries, want %d", w.name, n, len(model))
 		}
 	}
 }
@@ -186,105 +163,88 @@ func opVal(op int) Val   { return IntV(uint64(op)) }
 func opWord(op int) Word { return Word(op) }
 func none(int) struct{}  { return struct{}{} }
 
-func eqWord(a, b Word) bool         { return a == b }
-func eqNone(_, _ struct{}) bool     { return true }
-func hashWord(k Word) uint64        { return collections.Mix64(uint64(k)) }
-func newValMap() tableOps[Val, Val] { return valTable(&ValMap[Val]{}) }
+func eqWord(a, b Word) bool     { return a == b }
+func eqNone(_, _ struct{}) bool { return true }
+func sameWord(k Word) Word      { return k }
 
 func TestValMapMatchesGenericHashMap(t *testing.T) {
-	matchTables(t, newValMap,
-		func() tableOps[Val, Val] { return genericMap(collections.NewHashMap[Val, Val](HashVal, EqVal)) },
-		asVal, opVal, sameVal, sameVal)
+	matchModel(t, func() tableOps[Val, Val] { return valTable(&ValMap[Val]{}) }, asVal, keyOf, opVal, sameVal)
 }
 
 func TestValSetMatchesGenericHashSet(t *testing.T) {
-	matchTables(t,
-		func() tableOps[Val, struct{}] { return valTable(&ValMap[struct{}]{}) },
-		func() tableOps[Val, struct{}] { return genericSet(collections.NewHashSet[Val](HashVal, EqVal)) },
-		asVal, none, sameVal, eqNone)
+	matchModel(t, func() tableOps[Val, struct{}] { return valTable(&ValMap[struct{}]{}) }, asVal, keyOf, none, eqNone)
 }
 
-// TestWordMapMatchesGenericHashMap pins both value representations of
-// the word-keyed map, and the uint32 one of the enumeration's encode
-// half, to collections.HashMap over Word keys hashed with Mix64.
+// TestWordMapMatchesGenericHashMap checks both value representations
+// of the word-keyed map, and the uint32 one of the enumeration's
+// encode half.
 func TestWordMapMatchesGenericHashMap(t *testing.T) {
-	matchTables(t,
-		func() tableOps[Word, Word] { return wordTable(&WordMap[Word]{}) },
-		func() tableOps[Word, Word] { return genericMap(collections.NewHashMap[Word, Word](hashWord, eqWord)) },
-		asWord, opWord, eqWord, eqWord)
-	matchTables(t,
-		func() tableOps[Word, Val] { return wordTable(&WordMap[Val]{}) },
-		func() tableOps[Word, Val] { return genericMap(collections.NewHashMap[Word, Val](hashWord, eqWord)) },
-		asWord, opVal, eqWord, sameVal)
-	matchTables(t,
-		func() tableOps[Word, uint32] { return wordTable(&WordMap[uint32]{}) },
-		func() tableOps[Word, uint32] {
-			return genericMap(collections.NewHashMap[Word, uint32](hashWord, eqWord))
-		},
-		asWord, func(op int) uint32 { return uint32(op) }, eqWord, func(a, b uint32) bool { return a == b })
+	matchModel(t, func() tableOps[Word, Word] { return wordTable(&collections.HashMap[Word, Word]{}) },
+		asWord, sameWord, opWord, eqWord)
+	matchModel(t, func() tableOps[Word, Val] { return wordTable(&collections.HashMap[Word, Val]{}) },
+		asWord, sameWord, opVal, sameVal)
+	matchModel(t, func() tableOps[Word, uint32] { return wordTable(&collections.HashMap[Word, uint32]{}) },
+		asWord, sameWord, func(op int) uint32 { return uint32(op) }, func(a, b uint32) bool { return a == b })
 }
 
 func TestWordSetMatchesGenericHashSet(t *testing.T) {
-	matchTables(t,
-		func() tableOps[Word, struct{}] { return wordTable(&WordMap[struct{}]{}) },
-		func() tableOps[Word, struct{}] { return genericSet(collections.NewHashSet[Word](hashWord, eqWord)) },
-		asWord, none, eqWord, eqNone)
+	matchModel(t, func() tableOps[Word, struct{}] { return wordTable(&collections.HashMap[Word, struct{}]{}) },
+		asWord, sameWord, none, eqNone)
 }
 
-// TestWordTableSlotsMatchValTable feeds a WordMap and a ValMap the same
-// integer keys, boxed as IntVs for the latter, and requires the same
-// slot-state array and the same key in every live slot: unboxing moves
-// no entry, so the iteration order a program observes is unchanged.
+// TestWordTableSlotsMatchValTable feeds a collections.HashMap over
+// Words and a ValMap the same integer keys, boxed as IntVs for the
+// latter, and requires the same results, Len and Bytes, the same
+// slot-state array and the same entry in every live slot: unboxing
+// moves no entry, so the iteration order a program observes is
+// unchanged.
 func TestWordTableSlotsMatchValTable(t *testing.T) {
-	matchTables(t,
-		func() tableOps[Val, Val] {
-			w := &WordMap[Val]{}
-			ops := wordTable(w)
-			v := &ValMap[Val]{}
-			check := func() {
-				ws, vs := w.States(), v.States()
-				if string(ws) != string(vs) {
-					t.Fatalf("slot states diverged: word %v, val %v", ws, vs)
+	for _, wl := range workloads() {
+		r := rand.New(rand.NewSource(1))
+		w, v := &collections.HashMap[Word, Val]{}, &ValMap[Val]{}
+		for op := 0; op < opCount; op++ {
+			where := fmt.Sprintf("%s op %d", wl.name, op)
+			act, kv := wl.next(r, op)
+			k := IntV(kv.Bits())
+			var wr, vr bool
+			switch act {
+			case actInsert:
+				wr, vr = w.Put(k.word(), opVal(op)), v.Put(k, opVal(op))
+			case actRemove:
+				wr, vr = w.Remove(k.word()), v.Remove(k)
+			case actLookup:
+				wr, vr = w.Has(k.word()), v.Has(k)
+			case actClear:
+				w.Clear()
+				v.Clear()
+			}
+			if wr != vr || w.Len() != v.Len() || w.Bytes() != v.Bytes() {
+				t.Fatalf("%s: result/len/bytes word %v/%d/%d, val %v/%d/%d", where, wr, w.Len(), w.Bytes(), vr, v.Len(), v.Bytes())
+			}
+			ws, vs := w.States(), v.States()
+			if string(ws) != string(vs) {
+				t.Fatalf("%s: slot states diverged: word %v, val %v", where, ws, vs)
+			}
+			for i, st := range ws {
+				if st != collections.SlotFull {
+					continue
 				}
-				for i, st := range ws {
-					if st != SlotFull {
-						continue
-					}
-					wk, wv := w.SlotAt(i)
-					vk, vv := v.SlotAt(i)
-					if !sameVal(wk.Val(VInt), vk) || !sameVal(wv, vv) {
-						t.Fatalf("slot %d: word %v=%v, val %v=%v", i, wk, wv, vk, vv)
-					}
+				wk, wv := w.SlotAt(i)
+				vk, vv := v.SlotAt(i)
+				if !sameVal(wk.Val(VInt), vk) || !sameVal(wv, vv) {
+					t.Fatalf("%s: slot %d: word %v=%v, val %v=%v", where, i, wk, wv, vk, vv)
 				}
 			}
-			return tableOps[Val, Val]{
-				put:    func(k, x Val) bool { a := ops.put(k.word(), x); v.Put(k, x); check(); return a },
-				remove: func(k Val) bool { a := ops.remove(k.word()); v.Remove(k); check(); return a },
-				get:    func(k Val) (Val, bool) { return ops.get(k.word()) },
-				has: func(k Val) bool {
-					a := ops.has(k.word())
-					if a != v.Has(k) {
-						t.Fatalf("has(%v): word %v, val %v", k, a, !a)
-					}
-					return a
-				},
-				clear: func() { ops.clear(); v.Clear(); check() },
-				len:   ops.len, bytes: ops.bytes,
-				iter: func(f func(Val, Val) bool) { ops.iter(func(k Word, x Val) bool { return f(k.Val(VInt), x) }) },
-			}
-		},
-		newValMap,
-		func(k Val) Val { return IntV(k.Bits()) }, opVal, sameVal, sameVal)
+		}
+	}
 }
 
-// The enumeration's encode half is a WordMap for an integer domain and
-// a ValMap otherwise. Either way it must stay bit-identical to one
-// HashMap[Val, uint32] fed every value: the word table's slots equal
-// the Val table's (TestWordTableSlotsMatchValTable). The random
-// workloads mix kinds, so they run on an enumeration built with Val
-// storage; "window" adds only integers and runs on NewEnum's words. An
-// enumeration never removes or clears, so only inserts (Enum.Add) and
-// lookups (Enum.Enc) apply.
+// TestEnumEncodeTableMatchesGenericHashMap checks an enumeration
+// against a Go map model that assigns identifiers in first-add order.
+// The random workloads mix kinds, so they run on an enumeration built
+// with Val storage; "window" adds only integers and runs on NewEnum's
+// words. An enumeration never removes or clears, so only inserts
+// (Enum.Add) and lookups (Enum.Enc) apply.
 func TestEnumEncodeTableMatchesGenericHashMap(t *testing.T) {
 	for _, w := range workloads() {
 		r := rand.New(rand.NewSource(1))
@@ -292,46 +252,32 @@ func TestEnumEncodeTableMatchesGenericHashMap(t *testing.T) {
 		if w.name == "window" {
 			e = NewEnum()
 		}
-		want := collections.NewHashMap[Val, uint32](HashVal, EqVal)
+		model := map[modelKey]uint32{}
 		for op := 0; op < opCount; op++ {
 			where := fmt.Sprintf("%s op %d", w.name, op)
-			switch act, k := w.next(r, op); act {
+			act, k := w.next(r, op)
+			wid, had := model[keyOf(k)]
+			switch act {
 			case actInsert:
-				id, added := e.Add(k)
-				had := want.Has(k)
 				if !had {
-					want.Put(k, uint32(want.Len()))
+					wid = uint32(len(model))
+					model[keyOf(k)] = wid
 				}
-				if wid, _ := want.Get(k); id != wid || added == had {
+				if id, added := e.Add(k); id != wid || added == had {
 					t.Fatalf("%s: Add(%v) = %d,%v, want %d,%v", where, k, id, added, wid, !had)
 				}
 			case actLookup:
-				gid, gok := e.Enc(k)
-				wid, wok := want.Get(k)
-				if gid != wid || gok != wok {
-					t.Fatalf("%s: Enc(%v) = %d,%v, want %d,%v", where, k, gid, gok, wid, wok)
+				if id, ok := e.Enc(k); ok != had || (had && id != wid) {
+					t.Fatalf("%s: Enc(%v) = %d,%v, want %d,%v", where, k, id, ok, wid, had)
 				}
 			}
-			enc := valTable(&e.venc)
-			if e.words {
-				wt := wordTable(&e.wenc)
-				enc.len, enc.bytes = wt.len, wt.bytes
-				enc.iter = func(f func(Val, uint32) bool) {
-					wt.iter(func(k Word, id uint32) bool { return f(k.Val(VInt), id) })
-				}
+			if e.Len() != len(model) {
+				t.Fatalf("%s: Len %d, want %d", where, e.Len(), len(model))
 			}
-			if enc.len() != want.Len() || enc.bytes() != want.Bytes() {
-				t.Fatalf("%s: len/bytes %d/%d, want %d/%d", where, enc.len(), enc.bytes(), want.Len(), want.Bytes())
-			}
-			gk, gv := entries(enc.iter)
-			wk, wv := entries(want.Iterate)
-			if len(gk) != len(wk) {
-				t.Fatalf("%s: iterated %d entries, want %d", where, len(gk), len(wk))
-			}
-			for i := range gk {
-				if !sameVal(gk[i], wk[i]) || gv[i] != wv[i] {
-					t.Fatalf("%s: iteration order diverged at entry %d", where, i)
-				}
+		}
+		for k, id := range model {
+			if got := keyOf(e.Dec(id)); got != k {
+				t.Fatalf("%s: Dec(%d) = %v, want %v", w.name, id, got, k)
 			}
 		}
 	}

@@ -341,7 +341,7 @@ dispatch:
 				for it.idx < len(it.state) {
 					i := it.idx
 					it.idx++
-					if it.state[i] == interp.SlotFull {
+					if it.state[i] == collections.SlotFull {
 						*it.count++
 						if it.tcount != nil {
 							*it.tcount++
@@ -355,7 +355,7 @@ dispatch:
 				for it.idx < len(it.state) {
 					i := it.idx
 					it.idx++
-					if it.state[i] == interp.SlotFull {
+					if it.state[i] == collections.SlotFull {
 						*it.count++
 						if it.tcount != nil {
 							*it.tcount++
