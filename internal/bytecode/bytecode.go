@@ -6,6 +6,10 @@
 // VM that serves as the fast second execution engine next to the
 // tree-walking interpreter in internal/interp.
 //
+// Phi copies are coalesced away where live ranges allow (coalesce.go),
+// so the VM dispatches a move only where a phi's value must really be
+// copied.
+//
 // The lowering is measurement-preserving by construction: exactly the
 // instructions the interpreter counts as Steps carry a stepping
 // opcode (synthetic moves and jumps do not), collection operations
@@ -218,7 +222,9 @@ type AllocSite struct {
 type Func struct {
 	Name      string
 	ParamRegs []int32
-	// NumSlots is the IR frame size; registers [NumSlots,
+	// NumSlots counts the registers holding IR values, the parameters
+	// first; coalescing gives a phi and its arguments one register
+	// where their live ranges allow. Registers [NumSlots,
 	// NumSlots+len(Consts)) hold the constant pool, preloaded on call,
 	// and any registers above are latch scratch.
 	NumSlots int

@@ -50,6 +50,7 @@ type progCompiler struct {
 	ir        *ir.Program
 	out       *Prog
 	globalIdx map[string]int32
+	co        coalescer
 }
 
 func (p *progCompiler) fail(format string, args ...any) {
@@ -101,6 +102,7 @@ type funcCompiler struct {
 	scratchBase int
 	maxScratch  int
 	loops       []loopKind
+	codeBound   int // the pre-scan's bound on the code length
 }
 
 func (p *progCompiler) compileFunc(fn *ir.Func) *Func {
@@ -116,13 +118,16 @@ func (p *progCompiler) compileFunc(fn *ir.Func) *Func {
 	for _, prm := range fn.Params {
 		c.bc.ParamRegs = append(c.bc.ParamRegs, int32(prm.Slot))
 	}
-	// The constant pool occupies registers [NumSlots, NumSlots+nConsts);
-	// latch scratch registers sit above it.
+	// Codegen names IR slot r by register r; the constant pool occupies
+	// registers [numSlots, numSlots+nConsts) and latch scratch registers
+	// sit above it. The coalescer then merges and renumbers them.
 	c.scanBlock(fn.Body)
 	c.scratchBase = numSlots + len(c.bc.Consts)
+	c.bc.Code = make([]Instr, 0, c.codeBound+1)
 	c.genBlock(fn.Body)
 	c.emit(Instr{Op: OpReturnVoid, A: NoOperand, B: NoOperand, C: NoOperand})
 	c.bc.FrameLen = c.scratchBase + c.maxScratch
+	p.co.coalesce(c.bc, numSlots, c.scratchBase)
 	return c.bc
 }
 
@@ -154,12 +159,17 @@ func (c *funcCompiler) scanInstr(in *ir.Instr) {
 	}
 }
 
+// scanBlock also bounds the code genBlock emits for b: one instruction
+// per IR instruction, the structural jumps and step, and per phi its
+// moves, with latch copies counted as staged.
 func (c *funcCompiler) scanBlock(b *ir.Block) {
 	for _, n := range b.Nodes {
 		switch n := n.(type) {
 		case *ir.Instr:
+			c.codeBound++
 			c.scanInstr(n)
 		case *ir.If:
+			c.codeBound += 2 + 2*len(n.ExitPhis)
 			c.scanValue(n.Cond)
 			c.scanBlock(n.Then)
 			c.scanBlock(n.Else)
@@ -167,6 +177,7 @@ func (c *funcCompiler) scanBlock(b *ir.Block) {
 				c.scanInstr(p)
 			}
 		case *ir.ForEach:
+			c.codeBound += 1 + 3*len(n.HeaderPhis) + len(n.ExitPhis)
 			c.scanOperand(n.Coll)
 			for _, p := range n.HeaderPhis {
 				c.scanInstr(p)
@@ -176,6 +187,7 @@ func (c *funcCompiler) scanBlock(b *ir.Block) {
 				c.scanInstr(p)
 			}
 		case *ir.DoWhile:
+			c.codeBound += 3 + 5*len(n.HeaderPhis) + len(n.ExitPhis)
 			for _, p := range n.HeaderPhis {
 				c.scanInstr(p)
 			}

@@ -7,6 +7,7 @@ package collections
 type BitMap[V any] struct {
 	present BitSet
 	vals    []V
+	elem    int64 // modeled bytes of one value, set with the storage
 }
 
 // NewBitMap returns an empty dense map.
@@ -14,7 +15,7 @@ func NewBitMap[V any]() *BitMap[V] { return &BitMap[V]{} }
 
 // NewBitMapWithCap returns an empty dense map pre-sized for keys < k.
 func NewBitMapWithCap[V any](k uint32) *BitMap[V] {
-	return &BitMap[V]{vals: make([]V, 0, k)}
+	return &BitMap[V]{vals: make([]V, 0, k), elem: ElemBytes[V]()}
 }
 
 func (m *BitMap[V]) growTo(k uint32) {
@@ -33,6 +34,7 @@ func (m *BitMap[V]) growTo(k uint32) {
 	w := make([]V, need, newCap)
 	copy(w, m.vals)
 	m.vals = w
+	m.elem = ElemBytes[V]()
 }
 
 // Get returns the value stored under k.
@@ -102,7 +104,7 @@ func (m *BitMap[V]) Clear() {
 
 // Bytes models the storage footprint: k·(1+bits(T)).
 func (m *BitMap[V]) Bytes() int64 {
-	return int64(cap(m.vals))*ElemBytes[V]() + m.present.Bytes()
+	return int64(cap(m.vals))*m.elem + m.present.Bytes()
 }
 
 // Kind reports the implementation.

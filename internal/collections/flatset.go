@@ -10,11 +10,12 @@ import "sort"
 type FlatSet[K any] struct {
 	cmp   func(K, K) int
 	elems []K
+	elem  int64 // modeled bytes of one element
 }
 
 // NewFlatSet returns an empty flat set ordered by cmp.
 func NewFlatSet[K any](cmp func(K, K) int) *FlatSet[K] {
-	return &FlatSet[K]{cmp: cmp}
+	return &FlatSet[K]{cmp: cmp, elem: ElemBytes[K]()}
 }
 
 // NewUint64FlatSet returns a flat set of uint64 keys.
@@ -102,7 +103,7 @@ func (s *FlatSet[K]) UnionWith(other *FlatSet[K]) {
 }
 
 // Bytes models the storage footprint: n·bits(T).
-func (s *FlatSet[K]) Bytes() int64 { return int64(cap(s.elems)) * ElemBytes[K]() }
+func (s *FlatSet[K]) Bytes() int64 { return int64(cap(s.elems)) * s.elem }
 
 // Kind reports the implementation.
 func (s *FlatSet[K]) Kind() Impl { return ImplFlatSet }

@@ -10,8 +10,9 @@ type SwissMap[K, V any] struct {
 	ctrl []uint8
 	keys []K
 	vals []V
-	n    int // live entries
-	used int // live + tombstones
+	n    int   // live entries
+	used int   // live + tombstones
+	slot int64 // modeled bytes of one slot, set when the table grows
 }
 
 // NewSwissMap returns an empty Swiss-table map.
@@ -65,6 +66,7 @@ func (m *SwissMap[K, V]) grow() {
 			newCap = len(m.ctrl) * 2
 		}
 	}
+	m.slot = 1 + ElemBytes[K]() + ElemBytes[V]()
 	oldCtrl, oldKeys, oldVals := m.ctrl, m.keys, m.vals
 	m.ctrl = make([]uint8, newCap)
 	for i := range m.ctrl {
@@ -161,11 +163,7 @@ func (m *SwissMap[K, V]) Clear() {
 
 // Bytes models the storage footprint: control byte + key + value per
 // slot (the 1+bits(K)+bits(T) of Table I).
-func (m *SwissMap[K, V]) Bytes() int64 {
-	return int64(len(m.ctrl)) +
-		int64(len(m.keys))*ElemBytes[K]() +
-		int64(len(m.vals))*ElemBytes[V]()
-}
+func (m *SwissMap[K, V]) Bytes() int64 { return int64(len(m.ctrl)) * m.slot }
 
 // Kind reports the implementation.
 func (m *SwissMap[K, V]) Kind() Impl { return ImplSwissMap }

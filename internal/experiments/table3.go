@@ -2,18 +2,21 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
 	"memoir/internal/bench"
 	"memoir/internal/collections"
 	"memoir/internal/interp"
+	"memoir/internal/stats"
 )
 
 // Table3 reproduces Table III: per-operation speedup of each
 // implementation relative to Hash{Set,Map}. The host rows are real
 // measurements of this repository's implementations (the Intel-x64
-// analog); the AArch64 rows replay the calibrated cost model.
+// analog), each cell the median over Config.Trials passes of the ratio
+// within a pass; the AArch64 rows replay the calibrated cost model.
 //
 // Methodology mirrors the paper's microbenchmarks: point operations
 // run over an enumerated-density domain (ids spanning ~2x the
@@ -28,33 +31,26 @@ func Table3(c Config) error {
 	}
 	header(c.Out, "Table III: per-operation speedup relative to Hash{Set,Map}")
 
-	fmt.Fprintln(c.Out, "host measurements (Intel-x64 analog):")
+	fmt.Fprintf(c.Out, "host measurements (Intel-x64 analog), median of %d passes:\n", c.trials())
 	host := &table{header: []string{"impl", "read", "write", "insert", "remove", "iterate", "union"}}
-	hs := measureHashSet(n)
-	for _, row := range []struct {
-		name string
-		m    setTimes
-	}{
-		{"BitSet", measureBitSet(n)},
-		{"SparseBitSet", measureSparse(n)},
-		{"SwissSet", measureSwissSet(n)},
-		{"FlatSet", measureFlatSet(n)},
-	} {
-		host.add(row.name, "-", "-",
-			f2(hs.insert/row.m.insert), f2(hs.remove/row.m.remove),
-			f2(hs.iterate/row.m.iterate), f2(hs.union/row.m.union))
+	passes := make([][]hostRow, c.trials())
+	for i := range passes {
+		passes[i] = hostPass(n)
 	}
-	hm := measureHashMap(n)
-	for _, row := range []struct {
-		name string
-		m    mapTimes
-	}{
-		{"BitMap", measureBitMap(n)},
-		{"SwissMap", measureSwissMap(n)},
-	} {
-		host.add(row.name, f2(hm.read/row.m.read), f2(hm.write/row.m.write),
-			f2(hm.insert/row.m.insert), f2(hm.remove/row.m.remove),
-			f2(hm.iterate/row.m.iterate), "-")
+	for r, row := range passes[0] {
+		cells := []string{row.name}
+		for col, x := range row.speedup {
+			if math.IsNaN(x) {
+				cells = append(cells, "-")
+				continue
+			}
+			xs := make([]float64, len(passes))
+			for i, p := range passes {
+				xs[i] = p[r].speedup[col]
+			}
+			cells = append(cells, f2(stats.Median(xs)))
+		}
+		host.add(cells...)
 	}
 	host.write(c.Out)
 
@@ -99,6 +95,49 @@ func Table3(c Config) error {
 	}
 	arm.write(c.Out)
 	return nil
+}
+
+// hostRow is one host row of Table III from one measurement pass: the
+// implementation's speedup over the hash baseline on read, write,
+// insert, remove, iterate and union, NaN where the operation does not
+// apply.
+type hostRow struct {
+	name    string
+	speedup [6]float64
+}
+
+// hostPass times every host implementation and its hash baseline once
+// (one pass of n operations each).
+func hostPass(n int) []hostRow {
+	na := math.NaN()
+	var rows []hostRow
+	hs := measureHashSet(n)
+	for _, row := range []struct {
+		name string
+		m    setTimes
+	}{
+		{"BitSet", measureBitSet(n)},
+		{"SparseBitSet", measureSparse(n)},
+		{"SwissSet", measureSwissSet(n)},
+		{"FlatSet", measureFlatSet(n)},
+	} {
+		rows = append(rows, hostRow{row.name, [6]float64{na, na,
+			hs.insert / row.m.insert, hs.remove / row.m.remove,
+			hs.iterate / row.m.iterate, hs.union / row.m.union}})
+	}
+	hm := measureHashMap(n)
+	for _, row := range []struct {
+		name string
+		m    mapTimes
+	}{
+		{"BitMap", measureBitMap(n)},
+		{"SwissMap", measureSwissMap(n)},
+	} {
+		rows = append(rows, hostRow{row.name, [6]float64{hm.read / row.m.read, hm.write / row.m.write,
+			hm.insert / row.m.insert, hm.remove / row.m.remove,
+			hm.iterate / row.m.iterate, na}})
+	}
+	return rows
 }
 
 type setTimes struct{ insert, remove, iterate, union float64 }

@@ -25,6 +25,7 @@ type ValMap[V any] struct {
 	state []uint8
 	n     int
 	used  int
+	slot  int64 // modeled bytes of one slot, set when the table grows
 }
 
 func (m *ValMap[V]) find(k Val) (idx int, found bool) {
@@ -56,6 +57,9 @@ func (m *ValMap[V]) find(k Val) (idx int, found bool) {
 
 func (m *ValMap[V]) grow() {
 	newCap := collections.RehashCap(len(m.keys), m.n)
+	// ElemBytes is a type assertion at run time in shape-instantiated
+	// code, so it is paid here, not on every Bytes call.
+	m.slot = ValModelBytes + collections.ElemBytes[V]() + 1
 	oldKeys, oldVals, oldState := m.keys, m.vals, m.state
 	m.keys = make([]Val, newCap)
 	m.vals = make([]V, newCap)
@@ -150,8 +154,4 @@ func (m *ValMap[V]) Clear() {
 
 // Bytes models the storage footprint: key and value arrays plus state
 // bytes.
-func (m *ValMap[V]) Bytes() int64 {
-	return int64(len(m.keys))*ValModelBytes +
-		int64(len(m.vals))*collections.ElemBytes[V]() +
-		int64(len(m.state))
-}
+func (m *ValMap[V]) Bytes() int64 { return int64(len(m.state)) * m.slot }

@@ -138,3 +138,32 @@ func BenchmarkCompilePipeline(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBytecodeCompile lowers the 18 suite programs, each already
+// through ADE (the default options, sandbox on), to verified bytecode
+// per op: the pipeline.Compile stage alone, register coalescing and
+// the verifier included.
+func BenchmarkBytecodeCompile(b *testing.B) {
+	opts := core.DefaultOptions()
+	opts.Sandbox = true
+	var progs []*ir.Program
+	for _, s := range bench.All() {
+		prog, err := pipeline.Parse(ir.Print(s.Build("")))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pipeline.Transform(prog, opts); err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, prog := range progs {
+			if _, err := pipeline.Compile(prog); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
