@@ -32,7 +32,8 @@ import (
 // Ordering contract: every opcode after OpJumpIfNot corresponds to
 // one interpreter-counted step (an IR instruction, a for-each entry,
 // or a do-while iteration); the opcodes up to and including
-// OpJumpIfNot are synthetic control that the interpreter never counts.
+// OpJumpIfNot are synthetic control and nesting-path hops, which the
+// interpreter never counts as steps.
 type Op uint8
 
 const (
@@ -44,6 +45,11 @@ const (
 	OpJump
 	// OpJumpIf jumps to Aux when register A is true (do-while latch).
 	OpJumpIf
+	// OpNest is one step of an operand's nesting path, a hop: Dst =
+	// A[B] (Aux = ir.IdxValue), A[Imm] (ir.IdxConst) or A.Imm
+	// (ir.IdxField), counted as a read on the outer container. Aux2 is
+	// the hop's Nest* role toward the instruction it feeds.
+	OpNest
 	// OpJumpIfNot jumps to Aux when register A is false (if lowering).
 	OpJumpIfNot
 
@@ -94,7 +100,7 @@ const (
 	OpDec     // Dst = dec(A, B)
 	OpEnumAdd // (Dst, Dst2) = add(A, B)
 
-	// Scalar binary ops (A.Reg, B.Reg are plain registers). Integer
+	// Scalar binary ops over registers A and B. Integer
 	// add/sub/mul wrap identically for signed and unsigned.
 	OpAddI
 	OpSubI
@@ -143,7 +149,7 @@ const (
 )
 
 var opNames = [nOps]string{
-	OpNop: "nop", OpMove: "move", OpJump: "jump", OpJumpIf: "jump.if", OpJumpIfNot: "jump.ifnot",
+	OpNop: "nop", OpMove: "move", OpJump: "jump", OpJumpIf: "jump.if", OpNest: "nest", OpJumpIfNot: "jump.ifnot",
 	OpStep: "step", OpForEach: "foreach", OpReturn: "ret", OpReturnVoid: "ret.void",
 	OpCall: "call", OpRaise: "raise",
 	OpNewColl: "newcoll", OpNewEnum: "newenum", OpEnumGlobal: "enumglobal",
@@ -178,29 +184,32 @@ func (o Op) String() string {
 // Steps reports whether the opcode counts as one interpreter step.
 func (o Op) Steps() bool { return o > OpJumpIfNot }
 
-// Operand addresses a register, optionally through a nesting path
-// (Paths[Path]); Path < 0 means a plain register read.
-type Operand struct {
-	Reg  int32
-	Path int32
-}
-
-// NoOperand is the absent-operand marker.
-var NoOperand = Operand{Reg: -1, Path: -1}
-
-// PathStep is one compiled step of an operand nesting path.
-type PathStep struct {
-	Kind ir.IndexKind
-	Reg  int32  // IdxValue: the index register
-	Num  uint64 // IdxConst / IdxField
-}
+// The roles of an OpNest hop (its Aux2). The interpreter resolves an
+// instruction's nesting paths after it counts the instruction's step
+// and runs its interruption test, but a for-each's collection before
+// the loop's step, with no test.
+const (
+	// NestForEach feeds a for-each's collection: no interruption test,
+	// and a failed read counts nothing more.
+	NestForEach int32 = iota
+	// NestStep feeds a stepping instruction: the hop first runs that
+	// instruction's interruption test at its step count (a hop grows
+	// nothing, so the instruction's own test then agrees), and any
+	// failure counts the instruction's step.
+	NestStep
+	// NestSeqPos is NestStep for a seq insert's position, which the
+	// interpreter resolves after it counts the insert: a failed read
+	// also counts the insert on the sequence in register C.
+	NestSeqPos
+)
 
 // Instr is one fixed-shape bytecode instruction. Field meaning is
-// per-opcode (see the Op constants).
+// per-opcode (see the Op constants); A, B and C are registers, -1 when
+// the opcode does not read them.
 type Instr struct {
 	Op        Op
 	Dst, Dst2 int32
-	A, B, C   Operand
+	A, B, C   int32
 	Aux, Aux2 int32
 	Imm       uint64
 }
@@ -225,14 +234,14 @@ type Func struct {
 	// NumSlots counts the registers holding IR values, the parameters
 	// first; coalescing gives a phi and its arguments one register
 	// where their live ranges allow. Registers [NumSlots,
-	// NumSlots+len(Consts)) hold the constant pool, preloaded on call,
-	// and any registers above are latch scratch.
+	// NumSlots+len(Consts)) hold the constant pool, one register per
+	// distinct value, preloaded on call; any registers above are
+	// scratch for latch staging and hop results.
 	NumSlots int
 	Consts   []interp.Val
 	FrameLen int
 	Code     []Instr
-	Paths    [][]PathStep
-	ArgLists [][]Operand
+	ArgLists [][]int32
 }
 
 // Prog is a compiled program.

@@ -27,13 +27,13 @@ import "math/bits"
 //
 // Only the candidates take part: the IR slots some move connects,
 // numbered densely, so a function's sets are usually one word. Registers
-// in the constant pool and latch scratch never coalesce. Parallel latch
+// in the constant pool and scratch never coalesce. Parallel latch
 // copies that conflict keep going through scratch staging: the liveness
 // is computed on the staged, sequential code.
 //
 // Afterwards registers are renumbered densely in slot order (the
-// parameters first), the constant pool follows and latch scratch sits
-// on top; the code is compacted: self-moves vanish, a do-while latch
+// parameters first), the constant pool follows and scratch sits on
+// top; the code is compacted: self-moves vanish, a do-while latch
 // left without moves becomes one jump.if back to its head, and a jump
 // to the next surviving instruction is dropped. None of these opcodes
 // steps, so the VM's counts cannot change.
@@ -199,7 +199,7 @@ func (c *coalescer) candidates() bool {
 			mark(int32(pc + 1))
 			mark(in.Aux2)
 		case OpMove:
-			if d, s := c.slot(in.Dst), c.slot(in.A.Reg); d >= 0 && s >= 0 && d != s {
+			if d, s := c.slot(in.Dst), c.slot(in.A); d >= 0 && s >= 0 && d != s {
 				c.moves = append(c.moves, int32(pc))
 				for _, r := range [2]int32{d, s} {
 					if c.cand[r] < 0 {
@@ -280,14 +280,6 @@ func (c *coalescer) scan() {
 			}
 		}
 	}
-	useOperand := func(o Operand) {
-		use(o.Reg)
-		if o.Path >= 0 {
-			for _, st := range c.f.Paths[o.Path] {
-				use(st.Reg)
-			}
-		}
-	}
 	// def records a write of register r by block blk, whose kill set is
 	// ks, and returns r's candidate index.
 	def := func(r int32, ks []uint64, blk int32) int32 {
@@ -309,24 +301,24 @@ func (c *coalescer) scan() {
 			gen, kill = c.blockSet(c.gen, b), c.blockSet(c.kill, b)
 		}
 		c.useOff[pc] = int32(len(c.uses))
-		ra, rb, rc := reads(in.Op)
+		ra, rb, rc := reads(in)
 		if ra {
-			useOperand(in.A)
+			use(in.A)
 		}
 		if rb {
-			useOperand(in.B)
+			use(in.B)
 		}
 		if rc {
-			useOperand(in.C)
+			use(in.C)
 		}
 		switch in.Op {
 		case OpCall:
-			for _, o := range c.f.ArgLists[in.Aux2] {
-				useOperand(o)
+			for _, r := range c.f.ArgLists[in.Aux2] {
+				use(r)
 			}
 		case OpTuple:
-			for _, o := range c.f.ArgLists[in.Aux] {
-				useOperand(o)
+			for _, r := range c.f.ArgLists[in.Aux] {
+				use(r)
 			}
 		}
 		d0, d1 := destinations(in)
@@ -443,7 +435,7 @@ func (c *coalescer) interfere() {
 		for pc := c.bStart[b+1] - 1; pc >= c.bStart[b]; pc-- {
 			src := int32(-1)
 			if in := &c.f.Code[pc]; in.Op == OpMove {
-				src = c.candidate(in.A.Reg)
+				src = c.candidate(in.A)
 			}
 			c.kills(live, c.defs[2*pc], c.defs[2*pc+1], src)
 			for _, i := range c.uses[c.useOff[pc]:c.useOff[pc+1]] {
@@ -512,7 +504,7 @@ func (c *coalescer) merge() {
 			if c.depth[pc] != d {
 				continue
 			}
-			a, b := c.find(c.cand[code[pc].Dst]), c.find(c.cand[code[pc].A.Reg])
+			a, b := c.find(c.cand[code[pc].Dst]), c.find(c.cand[code[pc].A])
 			if a == b || has(c.row(a), b) {
 				continue
 			}
@@ -576,14 +568,9 @@ func (c *coalescer) rewrite(scratchBase int) {
 	for i, r := range f.ParamRegs {
 		f.ParamRegs[i] = remap(r)
 	}
-	for _, steps := range f.Paths {
-		for i := range steps {
-			steps[i].Reg = remap(steps[i].Reg)
-		}
-	}
 	for _, list := range f.ArgLists {
-		for i := range list {
-			list[i].Reg = remap(list[i].Reg)
+		for i, r := range list {
+			list[i] = remap(r)
 		}
 	}
 	for pc := range code {
@@ -594,13 +581,13 @@ func (c *coalescer) rewrite(scratchBase int) {
 		if in.Op == OpEnumAdd || in.Op == OpForEach {
 			in.Dst2 = remap(in.Dst2)
 		}
-		in.A.Reg, in.B.Reg, in.C.Reg = remap(in.A.Reg), remap(in.B.Reg), remap(in.C.Reg)
+		in.A, in.B, in.C = remap(in.A), remap(in.B), remap(in.C)
 	}
 
 	// Walk backwards deciding which instructions survive (codegen never
 	// emits OpNop, so it marks the dead); after[t] counts the survivors
 	// at or after t, so target t lands at new pc after[0]-after[t].
-	selfMove := func(in *Instr) bool { return in.Op == OpMove && in.Dst == in.A.Reg }
+	selfMove := func(in *Instr) bool { return in.Op == OpMove && in.Dst == in.A }
 	after := c.after
 	after[n] = 0
 	for pc := n - 1; pc >= 0; pc-- {

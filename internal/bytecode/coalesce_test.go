@@ -60,9 +60,9 @@ func moveKinds(f *bytecode.Func) (values, fromConst, toScratch int) {
 		switch {
 		case in.Dst >= consts:
 			toScratch++
-		case in.A.Reg >= int32(f.NumSlots) && in.A.Reg < consts:
+		case in.A >= int32(f.NumSlots) && in.A < consts:
 			fromConst++
-		case in.A.Reg < int32(f.NumSlots) && in.Dst < int32(f.NumSlots):
+		case in.A < int32(f.NumSlots) && in.Dst < int32(f.NumSlots):
 			values++
 		}
 	}
@@ -332,7 +332,7 @@ func TestCoalesceSuiteNoSelfMove(t *testing.T) {
 				for _, f := range bc.Funcs {
 					for pc, in := range f.Code {
 						switch {
-						case in.Op == bytecode.OpMove && in.Dst == in.A.Reg:
+						case in.Op == bytecode.OpMove && in.Dst == in.A:
 							t.Errorf("%s/%s ade=%v @%s+%d: self-move r%d", s.Abbr, variant, ade, f.Name, pc, in.Dst)
 						case in.Op == bytecode.OpJump && int(in.Aux) == pc+1:
 							t.Errorf("%s/%s ade=%v @%s+%d: jump to the next instruction", s.Abbr, variant, ade, f.Name, pc)

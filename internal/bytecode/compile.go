@@ -96,13 +96,18 @@ type funcCompiler struct {
 	fn *ir.Func
 	bc *Func
 
-	constReg    map[*ir.Value]int32
+	pool        map[poolKey]int32 // constant register by value
 	iterLocal   map[*ir.Instr]bool
 	allocOrd    map[*ir.Instr]int
 	scratchBase int
 	maxScratch  int
 	loops       []loopKind
 	codeBound   int // the pre-scan's bound on the code length
+
+	// The hops of the instruction being compiled: how many scratch
+	// registers they hold, and their Nest* role.
+	nested int
+	role   int32
 }
 
 func (p *progCompiler) compileFunc(fn *ir.Func) *Func {
@@ -111,7 +116,7 @@ func (p *progCompiler) compileFunc(fn *ir.Func) *Func {
 		p:         p,
 		fn:        fn,
 		bc:        &Func{Name: fn.Name, NumSlots: numSlots},
-		constReg:  map[*ir.Value]int32{},
+		pool:      map[poolKey]int32{},
 		iterLocal: ir.IterLocalAllocs(fn),
 		allocOrd:  telemetry.AllocOrdinals(fn),
 	}
@@ -119,13 +124,14 @@ func (p *progCompiler) compileFunc(fn *ir.Func) *Func {
 		c.bc.ParamRegs = append(c.bc.ParamRegs, int32(prm.Slot))
 	}
 	// Codegen names IR slot r by register r; the constant pool occupies
-	// registers [numSlots, numSlots+nConsts) and latch scratch registers
-	// sit above it. The coalescer then merges and renumbers them.
+	// registers [numSlots, numSlots+nConsts) and the scratch registers
+	// of latch staging and hops sit above it. The coalescer then merges
+	// and renumbers them.
 	c.scanBlock(fn.Body)
 	c.scratchBase = numSlots + len(c.bc.Consts)
 	c.bc.Code = make([]Instr, 0, c.codeBound+1)
 	c.genBlock(fn.Body)
-	c.emit(Instr{Op: OpReturnVoid, A: NoOperand, B: NoOperand, C: NoOperand})
+	c.emit(Instr{Op: OpReturnVoid})
 	c.bc.FrameLen = c.scratchBase + c.maxScratch
 	p.co.coalesce(c.bc, numSlots, c.scratchBase)
 	return c.bc
@@ -133,19 +139,32 @@ func (p *progCompiler) compileFunc(fn *ir.Func) *Func {
 
 // --- constant-pool pre-scan (same traversal order as codegen) ---
 
+// poolKey identifies a constant by its materialized value, so equal
+// literals share one pool register.
+type poolKey struct {
+	k    interp.ValKind
+	bits uint64
+	str  string
+}
+
+func keyOf(val interp.Val) poolKey { return poolKey{val.K, val.I, val.Str()} }
+
 func (c *funcCompiler) scanValue(v *ir.Value) {
 	if v == nil || v.Kind != ir.VConst {
 		return
 	}
-	if _, ok := c.constReg[v]; ok {
-		return
+	val := constVal(v)
+	if _, ok := c.pool[keyOf(val)]; !ok {
+		c.pool[keyOf(val)] = int32(c.bc.NumSlots + len(c.bc.Consts))
+		c.bc.Consts = append(c.bc.Consts, val)
 	}
-	c.constReg[v] = int32(c.bc.NumSlots + len(c.bc.Consts))
-	c.bc.Consts = append(c.bc.Consts, constVal(v))
 }
 
 func (c *funcCompiler) scanOperand(o ir.Operand) {
 	c.scanValue(o.Base)
+	if len(o.Path) > 0 {
+		c.codeBound += len(o.Path) + 1 // the hops, and an update's handle move
+	}
 	for _, ix := range o.Path {
 		if ix.Kind == ir.IdxValue {
 			c.scanValue(ix.Val)
@@ -160,8 +179,8 @@ func (c *funcCompiler) scanInstr(in *ir.Instr) {
 }
 
 // scanBlock also bounds the code genBlock emits for b: one instruction
-// per IR instruction, the structural jumps and step, and per phi its
-// moves, with latch copies counted as staged.
+// per IR instruction, the structural jumps and step, per phi its moves,
+// with latch copies counted as staged, and per nesting path its hops.
 func (c *funcCompiler) scanBlock(b *ir.Block) {
 	for _, n := range b.Nodes {
 		switch n := n.(type) {
@@ -215,7 +234,18 @@ func constVal(v *ir.Value) interp.Val {
 
 // --- codegen ---
 
+// emit appends in with the operands its opcode does not read set to -1.
 func (c *funcCompiler) emit(in Instr) int {
+	ra, rb, rc := reads(&in)
+	if !ra {
+		in.A = -1
+	}
+	if !rb {
+		in.B = -1
+	}
+	if !rc {
+		in.C = -1
+	}
 	c.bc.Code = append(c.bc.Code, in)
 	return len(c.bc.Code) - 1
 }
@@ -224,7 +254,7 @@ func (c *funcCompiler) here() int32 { return int32(len(c.bc.Code)) }
 
 func (c *funcCompiler) regOf(v *ir.Value) int32 {
 	if v.Kind == ir.VConst {
-		r, ok := c.constReg[v]
+		r, ok := c.pool[keyOf(constVal(v))]
 		if !ok {
 			c.p.fail("@%s: constant %s missed by pre-scan", c.fn.Name, v.Name)
 		}
@@ -233,30 +263,32 @@ func (c *funcCompiler) regOf(v *ir.Value) int32 {
 	return int32(v.Slot)
 }
 
-// reg compiles a path-less register operand.
-func (c *funcCompiler) reg(v *ir.Value) Operand {
-	return Operand{Reg: c.regOf(v), Path: -1}
-}
-
-// operand compiles a full operand, interning its nesting path.
-func (c *funcCompiler) operand(o ir.Operand) Operand {
+// operand returns the register holding o's value. A nesting path is
+// lowered to one hop per step, all into the next scratch register of
+// the instruction being compiled, which calls operand in the order the
+// interpreter resolves its operands. A hop's result dies at that
+// instruction, so the next instruction's hops reuse the registers.
+func (c *funcCompiler) operand(o ir.Operand) int32 {
 	r := c.regOf(o.Base)
 	if len(o.Path) == 0 {
-		return Operand{Reg: r, Path: -1}
+		return r
 	}
-	steps := make([]PathStep, len(o.Path))
-	for i, ix := range o.Path {
-		steps[i] = PathStep{Kind: ix.Kind, Reg: -1, Num: ix.Num}
+	dst := int32(c.scratchBase + c.nested)
+	c.nested++
+	c.maxScratch = max(c.maxScratch, c.nested)
+	for _, ix := range o.Path {
+		hop := Instr{Op: OpNest, Dst: dst, A: r, Aux: int32(ix.Kind), Aux2: c.role, Imm: ix.Num}
 		if ix.Kind == ir.IdxValue {
-			steps[i].Reg = c.regOf(ix.Val)
+			hop.B = c.regOf(ix.Val)
 		}
+		c.emit(hop)
+		r = dst
 	}
-	c.bc.Paths = append(c.bc.Paths, steps)
-	return Operand{Reg: r, Path: int32(len(c.bc.Paths) - 1)}
+	return r
 }
 
 func (c *funcCompiler) argList(args []ir.Operand) int32 {
-	list := make([]Operand, len(args))
+	list := make([]int32, len(args))
 	for i, a := range args {
 		list[i] = c.operand(a)
 	}
@@ -268,7 +300,7 @@ func (c *funcCompiler) argList(args []ir.Operand) int32 {
 // the function name exactly as interp's execErr formats it.
 func (c *funcCompiler) raise(format string, args ...any) {
 	msg := "@" + c.fn.Name + ": " + fmt.Sprintf(format, args...)
-	c.emit(Instr{Op: OpRaise, Aux: c.p.msgRef(msg), A: NoOperand, B: NoOperand, C: NoOperand})
+	c.emit(Instr{Op: OpRaise, Aux: c.p.msgRef(msg)})
 }
 
 // phiMoves lowers sequential phi assignment (if-exit, loop-init,
@@ -278,7 +310,7 @@ func (c *funcCompiler) phiMoves(phis []*ir.Instr, argIdx int) {
 		dst := int32(p.Result().Slot)
 		src := c.regOf(p.Args[argIdx].Base)
 		if src != dst {
-			c.emit(Instr{Op: OpMove, Dst: dst, A: Operand{Reg: src, Path: -1}, B: NoOperand, C: NoOperand})
+			c.emit(Instr{Op: OpMove, Dst: dst, A: src})
 		}
 	}
 }
@@ -305,7 +337,7 @@ func (c *funcCompiler) latchMoves(phis []*ir.Instr) {
 	if !conflict {
 		for i := range phis {
 			if src[i] != dst[i] {
-				c.emit(Instr{Op: OpMove, Dst: dst[i], A: Operand{Reg: src[i], Path: -1}, B: NoOperand, C: NoOperand})
+				c.emit(Instr{Op: OpMove, Dst: dst[i], A: src[i]})
 			}
 		}
 		return
@@ -314,10 +346,10 @@ func (c *funcCompiler) latchMoves(phis []*ir.Instr) {
 		c.maxScratch = len(phis)
 	}
 	for i := range phis {
-		c.emit(Instr{Op: OpMove, Dst: int32(c.scratchBase + i), A: Operand{Reg: src[i], Path: -1}, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpMove, Dst: int32(c.scratchBase + i), A: src[i]})
 	}
 	for i := range phis {
-		c.emit(Instr{Op: OpMove, Dst: dst[i], A: Operand{Reg: int32(c.scratchBase + i), Path: -1}, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpMove, Dst: dst[i], A: int32(c.scratchBase + i)})
 	}
 }
 
@@ -337,10 +369,10 @@ func (c *funcCompiler) genBlock(b *ir.Block) {
 }
 
 func (c *funcCompiler) genIf(n *ir.If) {
-	jElse := c.emit(Instr{Op: OpJumpIfNot, A: c.reg(n.Cond), B: NoOperand, C: NoOperand})
+	jElse := c.emit(Instr{Op: OpJumpIfNot, A: c.regOf(n.Cond)})
 	c.genBlock(n.Then)
 	c.phiMoves(n.ExitPhis, 0)
-	jEnd := c.emit(Instr{Op: OpJump, A: NoOperand, B: NoOperand, C: NoOperand})
+	jEnd := c.emit(Instr{Op: OpJump})
 	c.bc.Code[jElse].Aux = c.here()
 	c.genBlock(n.Else)
 	c.phiMoves(n.ExitPhis, 1)
@@ -348,11 +380,12 @@ func (c *funcCompiler) genIf(n *ir.If) {
 }
 
 func (c *funcCompiler) genForEach(n *ir.ForEach) {
+	// The interpreter resolves the collection before the header phis
+	// and the loop's step.
+	c.nested, c.role = 0, NestForEach
+	coll := c.operand(n.Coll)
 	c.phiMoves(n.HeaderPhis, 0)
-	fe := c.emit(Instr{
-		Op: OpForEach, A: c.operand(n.Coll), B: NoOperand, C: NoOperand,
-		Dst: int32(n.Key.Slot), Dst2: int32(n.Val.Slot),
-	})
+	fe := c.emit(Instr{Op: OpForEach, A: coll, Dst: int32(n.Key.Slot), Dst2: int32(n.Val.Slot)})
 	c.loops = append(c.loops, loopForEach)
 	c.bc.Code[fe].Aux = c.here()
 	c.genBlock(n.Body)
@@ -365,13 +398,13 @@ func (c *funcCompiler) genForEach(n *ir.ForEach) {
 func (c *funcCompiler) genDoWhile(n *ir.DoWhile) {
 	c.phiMoves(n.HeaderPhis, 0)
 	head := c.here()
-	c.emit(Instr{Op: OpStep, A: NoOperand, B: NoOperand, C: NoOperand})
+	c.emit(Instr{Op: OpStep})
 	c.loops = append(c.loops, loopDoWhile)
 	c.genBlock(n.Body)
 	c.loops = c.loops[:len(c.loops)-1]
-	jExit := c.emit(Instr{Op: OpJumpIfNot, A: c.reg(n.Cond), B: NoOperand, C: NoOperand})
+	jExit := c.emit(Instr{Op: OpJumpIfNot, A: c.regOf(n.Cond)})
 	c.latchMoves(n.HeaderPhis)
-	c.emit(Instr{Op: OpJump, Aux: head, A: NoOperand, B: NoOperand, C: NoOperand})
+	c.emit(Instr{Op: OpJump, Aux: head})
 	c.bc.Code[jExit].Aux = c.here()
 	// At exit the header phis take their latch values one final time so
 	// exit phis referencing them see the final state.
@@ -399,9 +432,10 @@ func (c *funcCompiler) resultReg(in *ir.Instr, i int) int32 {
 // `sub(0,0)` on a line of its own). The instruction must still execute
 // — runtime faults like division by zero fire identically on both
 // engines — but unconditional-write opcodes need a real destination.
-// The first latch scratch register is reused: discards are pure
-// writes, and latch staging never spans another instruction, so the
-// slot can never be read with a discarded value in it.
+// The first scratch register is reused: discards are pure writes that
+// follow every read of the instruction's hops, and latch staging never
+// spans another instruction, so the slot can never be read with a
+// discarded value in it.
 func (c *funcCompiler) discardReg() int32 {
 	if c.maxScratch == 0 {
 		c.maxScratch = 1
@@ -426,8 +460,26 @@ func producesValue(op ir.Opcode) bool {
 	return false
 }
 
+// updatesBase reports whether the IR opcode's result is the handle of
+// its base operand, which the VM copies from the update's register A.
+func updatesBase(op ir.Opcode) bool {
+	switch op {
+	case ir.OpWrite, ir.OpInsert, ir.OpRemove, ir.OpClear, ir.OpUnion:
+		return true
+	}
+	return false
+}
+
 func (c *funcCompiler) genInstr(in *ir.Instr) {
+	c.nested, c.role = 0, NestStep
 	dst := c.resultReg(in, 0)
+	// When an update's base has a nesting path, its register A holds the
+	// inner collection: the update writes scratch, and the base's own
+	// handle is moved to the result after it.
+	handle := int32(-1)
+	if dst >= 0 && updatesBase(in.Op) && len(in.Args[0].Path) > 0 {
+		handle, dst = dst, -1
+	}
 	if dst < 0 && producesValue(in.Op) {
 		dst = c.discardReg()
 	}
@@ -440,21 +492,21 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 			Fn:        c.fn.Name,
 			Alloc:     c.allocOrd[in],
 		})
-		c.emit(Instr{Op: OpNewColl, Dst: dst, Aux: site, A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpNewColl, Dst: dst, Aux: site})
 
 	case ir.OpNewEnum:
-		c.emit(Instr{Op: OpNewEnum, Dst: dst, Aux: c.p.enumKey(in), A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpNewEnum, Dst: dst, Aux: c.p.enumKey(in)})
 
 	case ir.OpEnumGlobal:
-		c.emit(Instr{Op: OpEnumGlobal, Dst: dst, Aux: c.p.globalRef(in.Callee), Aux2: c.p.enumKey(in), A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpEnumGlobal, Dst: dst, Aux: c.p.globalRef(in.Callee), Aux2: c.p.enumKey(in)})
 
 	case ir.OpRead:
 		a, b := c.operand(in.Args[0]), c.operand(in.Args[1])
 		switch k, _ := c.collKind(in.Args[0]); k {
 		case ir.KMap:
-			c.emit(Instr{Op: OpReadMap, Dst: dst, A: a, B: b, C: NoOperand})
+			c.emit(Instr{Op: OpReadMap, Dst: dst, A: a, B: b})
 		case ir.KSeq:
-			c.emit(Instr{Op: OpReadSeq, Dst: dst, A: a, B: b, C: NoOperand})
+			c.emit(Instr{Op: OpReadSeq, Dst: dst, A: a, B: b})
 		default:
 			c.raise("read on set")
 		}
@@ -463,15 +515,15 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 		a, b := c.operand(in.Args[0]), c.operand(in.Args[1])
 		switch k, _ := c.collKind(in.Args[0]); k {
 		case ir.KSet:
-			c.emit(Instr{Op: OpHasSet, Dst: dst, A: a, B: b, C: NoOperand})
+			c.emit(Instr{Op: OpHasSet, Dst: dst, A: a, B: b})
 		case ir.KMap:
-			c.emit(Instr{Op: OpHasMap, Dst: dst, A: a, B: b, C: NoOperand})
+			c.emit(Instr{Op: OpHasMap, Dst: dst, A: a, B: b})
 		default:
 			c.raise("has on seq")
 		}
 
 	case ir.OpSize:
-		c.emit(Instr{Op: OpSize, Dst: dst, A: c.operand(in.Args[0]), B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpSize, Dst: dst, A: c.operand(in.Args[0])})
 
 	case ir.OpWrite:
 		a, b, v := c.operand(in.Args[0]), c.operand(in.Args[1]), c.operand(in.Args[2])
@@ -482,6 +534,7 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 			c.emit(Instr{Op: OpWriteSeq, Dst: dst, A: a, B: b, C: v})
 		default:
 			c.raise("write on set")
+			return
 		}
 
 	case ir.OpInsert:
@@ -492,17 +545,22 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 		}
 		switch k {
 		case ir.KSet:
-			c.emit(Instr{Op: OpInsertSet, Dst: dst, A: a, B: c.operand(in.Args[1]), C: NoOperand})
+			c.emit(Instr{Op: OpInsertSet, Dst: dst, A: a, B: c.operand(in.Args[1])})
 		case ir.KMap:
-			c.emit(Instr{Op: OpInsertMap, Dst: dst, A: a, B: c.operand(in.Args[1]), C: NoOperand})
+			c.emit(Instr{Op: OpInsertMap, Dst: dst, A: a, B: c.operand(in.Args[1])})
 		case ir.KSeq:
 			pos := in.Args[1]
 			v := c.operand(in.Args[2])
 			if pos.Base == nil && len(pos.Path) == 1 && pos.Path[0].Kind == ir.IdxEnd {
-				c.emit(Instr{Op: OpInsertSeqEnd, Dst: dst, A: a, B: NoOperand, C: v})
-			} else {
-				c.emit(Instr{Op: OpInsertSeqAt, Dst: dst, A: a, B: c.operand(pos), C: v})
+				c.emit(Instr{Op: OpInsertSeqEnd, Dst: dst, A: a, C: v})
+				break
 			}
+			hops := len(c.bc.Code)
+			b := c.operand(pos)
+			for i := hops; i < len(c.bc.Code); i++ {
+				c.bc.Code[i].Aux2, c.bc.Code[i].C = NestSeqPos, a
+			}
+			c.emit(Instr{Op: OpInsertSeqAt, Dst: dst, A: a, B: b, C: v})
 		default:
 			c.p.fail("@%s: insert on %v", c.fn.Name, k)
 		}
@@ -511,31 +569,32 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 		a, b := c.operand(in.Args[0]), c.operand(in.Args[1])
 		switch k, _ := c.collKind(in.Args[0]); k {
 		case ir.KSet:
-			c.emit(Instr{Op: OpRemoveSet, Dst: dst, A: a, B: b, C: NoOperand})
+			c.emit(Instr{Op: OpRemoveSet, Dst: dst, A: a, B: b})
 		case ir.KMap:
-			c.emit(Instr{Op: OpRemoveMap, Dst: dst, A: a, B: b, C: NoOperand})
+			c.emit(Instr{Op: OpRemoveMap, Dst: dst, A: a, B: b})
 		case ir.KSeq:
-			c.emit(Instr{Op: OpRemoveSeq, Dst: dst, A: a, B: b, C: NoOperand})
+			c.emit(Instr{Op: OpRemoveSeq, Dst: dst, A: a, B: b})
 		default:
 			c.p.fail("@%s: remove on %v", c.fn.Name, k)
 		}
 
 	case ir.OpClear:
-		c.emit(Instr{Op: OpClear, Dst: dst, A: c.operand(in.Args[0]), B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpClear, Dst: dst, A: c.operand(in.Args[0])})
 
 	case ir.OpUnion:
-		c.emit(Instr{Op: OpUnion, Dst: dst, A: c.operand(in.Args[0]), B: c.operand(in.Args[1]), C: NoOperand})
+		a, b := c.operand(in.Args[0]), c.operand(in.Args[1])
+		c.emit(Instr{Op: OpUnion, Dst: dst, A: a, B: b})
 
 	case ir.OpEncode:
-		c.emit(Instr{Op: OpEnc, Dst: dst, A: c.reg(in.Args[0].Base), B: c.operand(in.Args[1]), C: NoOperand})
+		c.emit(Instr{Op: OpEnc, Dst: dst, A: c.regOf(in.Args[0].Base), B: c.operand(in.Args[1])})
 
 	case ir.OpDecode:
-		c.emit(Instr{Op: OpDec, Dst: dst, A: c.reg(in.Args[0].Base), B: c.operand(in.Args[1]), C: NoOperand})
+		c.emit(Instr{Op: OpDec, Dst: dst, A: c.regOf(in.Args[0].Base), B: c.operand(in.Args[1])})
 
 	case ir.OpEnumAdd:
 		c.emit(Instr{
 			Op: OpEnumAdd, Dst: dst, Dst2: c.resultReg(in, 1),
-			A: c.reg(in.Args[0].Base), B: c.operand(in.Args[1]), C: NoOperand,
+			A: c.regOf(in.Args[0].Base), B: c.operand(in.Args[1]),
 		})
 
 	case ir.OpBin:
@@ -545,22 +604,22 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 		c.genCmp(in, dst)
 
 	case ir.OpNot:
-		c.emit(Instr{Op: OpNot, Dst: dst, A: c.reg(in.Args[0].Base), B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpNot, Dst: dst, A: c.regOf(in.Args[0].Base)})
 
 	case ir.OpSelect:
 		c.emit(Instr{
 			Op: OpSelect, Dst: dst,
-			A: c.reg(in.Args[0].Base), B: c.reg(in.Args[1].Base), C: c.reg(in.Args[2].Base),
+			A: c.regOf(in.Args[0].Base), B: c.regOf(in.Args[1].Base), C: c.regOf(in.Args[2].Base),
 		})
 
 	case ir.OpCast:
-		a := c.reg(in.Args[0].Base)
+		a := c.regOf(in.Args[0].Base)
 		st, ok := in.CastTo.(*ir.ScalarType)
 		switch {
 		case !ok:
-			c.emit(Instr{Op: OpIdent, Dst: dst, A: a, B: NoOperand, C: NoOperand})
+			c.emit(Instr{Op: OpIdent, Dst: dst, A: a})
 		case st.Kind == ir.F32 || st.Kind == ir.F64:
-			c.emit(Instr{Op: OpCastF, Dst: dst, A: a, B: NoOperand, C: NoOperand})
+			c.emit(Instr{Op: OpCastF, Dst: dst, A: a})
 		default:
 			mask := ^uint64(0)
 			switch st.Bits() {
@@ -571,22 +630,26 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 			case 32:
 				mask = 0xffffffff
 			}
-			c.emit(Instr{Op: OpCastI, Dst: dst, Imm: mask, A: a, B: NoOperand, C: NoOperand})
+			c.emit(Instr{Op: OpCastI, Dst: dst, Imm: mask, A: a})
 		}
 
 	case ir.OpTuple:
-		c.emit(Instr{Op: OpTuple, Dst: dst, Aux: c.argList(in.Args), A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpTuple, Dst: dst, Aux: c.argList(in.Args)})
 
 	case ir.OpField:
-		c.emit(Instr{Op: OpField, Dst: dst, Aux: int32(in.FieldIdx), A: c.operand(in.Args[0]), B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpField, Dst: dst, Aux: int32(in.FieldIdx), A: c.operand(in.Args[0])})
 
 	case ir.OpEmit:
-		c.emit(Instr{Op: OpEmit, A: c.operand(in.Args[0]), B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpEmit, A: c.operand(in.Args[0])})
 
 	case ir.OpROI:
-		c.emit(Instr{Op: OpROI, A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpROI})
 
 	case ir.OpRet:
+		a := int32(-1)
+		if len(in.Args) > 0 {
+			a = c.operand(in.Args[0])
+		}
 		if len(c.loops) > 0 {
 			// The interpreter rejects returns that would break out of a
 			// structured loop; the diagnosis names the innermost loop.
@@ -597,10 +660,10 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 			}
 			return
 		}
-		if len(in.Args) == 0 {
-			c.emit(Instr{Op: OpReturnVoid, A: NoOperand, B: NoOperand, C: NoOperand})
+		if a < 0 {
+			c.emit(Instr{Op: OpReturnVoid})
 		} else {
-			c.emit(Instr{Op: OpReturn, A: c.operand(in.Args[0]), B: NoOperand, C: NoOperand})
+			c.emit(Instr{Op: OpReturn, A: a})
 		}
 
 	case ir.OpCall:
@@ -609,16 +672,16 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 			c.raise("call to unknown @%s", in.Callee)
 			return
 		}
-		c.emit(Instr{
-			Op: OpCall, Dst: dst, Aux: int32(idx), Aux2: c.argList(in.Args),
-			A: NoOperand, B: NoOperand, C: NoOperand,
-		})
+		c.emit(Instr{Op: OpCall, Dst: dst, Aux: int32(idx), Aux2: c.argList(in.Args)})
 
 	case ir.OpPhi:
 		c.raise("phi executed outside structural position")
 
 	default:
 		c.raise("unimplemented op %v", in.Op)
+	}
+	if handle >= 0 {
+		c.emit(Instr{Op: OpMove, Dst: handle, A: c.regOf(in.Args[0].Base)})
 	}
 }
 
@@ -655,7 +718,7 @@ func alwaysIntVal(t ir.Type) bool {
 }
 
 func (c *funcCompiler) genBin(in *ir.Instr, dst int32) {
-	a, b := c.reg(in.Args[0].Base), c.reg(in.Args[1].Base)
+	a, b := c.regOf(in.Args[0].Base), c.regOf(in.Args[1].Base)
 	t := in.Args[0].Base.Type
 	var op Op
 	if isFloat(t) {
@@ -716,11 +779,11 @@ func (c *funcCompiler) genBin(in *ir.Instr, dst int32) {
 			return
 		}
 	}
-	c.emit(Instr{Op: op, Dst: dst, A: a, B: b, C: NoOperand})
+	c.emit(Instr{Op: op, Dst: dst, A: a, B: b})
 }
 
 func (c *funcCompiler) genCmp(in *ir.Instr, dst int32) {
-	a, b := c.reg(in.Args[0].Base), c.reg(in.Args[1].Base)
+	a, b := c.regOf(in.Args[0].Base), c.regOf(in.Args[1].Base)
 	t := in.Args[0].Base.Type
 	var op Op
 	switch {
@@ -737,5 +800,5 @@ func (c *funcCompiler) genCmp(in *ir.Instr, dst int32) {
 	default:
 		op = OpCmpG
 	}
-	c.emit(Instr{Op: op, Dst: dst, Aux: int32(in.Cmp), A: a, B: b, C: NoOperand})
+	c.emit(Instr{Op: op, Dst: dst, Aux: int32(in.Cmp), A: a, B: b})
 }

@@ -10,7 +10,7 @@ import (
 // Disasm renders the program as a deterministic textual listing, used
 // by -dump-bytecode and the golden-file tests. The format is stable:
 // one instruction per line, registers as r<n>, jump targets as
-// absolute pcs, interned paths and argument lists expanded inline.
+// absolute pcs, argument lists expanded inline.
 func Disasm(p *Prog) string {
 	var sb strings.Builder
 	for i, f := range p.Funcs {
@@ -37,36 +37,21 @@ func disasmFunc(sb *strings.Builder, p *Prog, f *Func) {
 	}
 }
 
-func operandStr(f *Func, o Operand) string {
-	if o.Reg < 0 {
+func reg(r int32) string {
+	if r < 0 {
 		return "_"
 	}
-	base := fmt.Sprintf("r%d", o.Reg)
-	if o.Path < 0 {
-		return base
-	}
-	var sb strings.Builder
-	sb.WriteString(base)
-	for _, st := range f.Paths[o.Path] {
-		switch st.Kind {
-		case ir.IdxValue:
-			fmt.Fprintf(&sb, "[r%d]", st.Reg)
-		case ir.IdxConst:
-			fmt.Fprintf(&sb, "[%d]", st.Num)
-		case ir.IdxEnd:
-			sb.WriteString("[end]")
-		case ir.IdxField:
-			fmt.Fprintf(&sb, ".%d", st.Num)
-		}
-	}
-	return sb.String()
+	return fmt.Sprintf("r%d", r)
 }
 
+// hopRoles name a hop's role after its indexed operand.
+var hopRoles = [...]string{NestForEach: "", NestStep: " step", NestSeqPos: " step insert="}
+
 func disasmInstr(p *Prog, f *Func, in *Instr) string {
-	a := func() string { return operandStr(f, in.A) }
-	b := func() string { return operandStr(f, in.B) }
-	cc := func() string { return operandStr(f, in.C) }
-	d := func() string { return fmt.Sprintf("r%d", in.Dst) }
+	a := func() string { return reg(in.A) }
+	b := func() string { return reg(in.B) }
+	cc := func() string { return reg(in.C) }
+	d := func() string { return reg(in.Dst) }
 	switch in.Op {
 	case OpNop:
 		return "nop"
@@ -78,6 +63,23 @@ func disasmInstr(p *Prog, f *Func, in *Instr) string {
 		return fmt.Sprintf("jump.if %s %d", a(), in.Aux)
 	case OpJumpIfNot:
 		return fmt.Sprintf("jump.ifnot %s %d", a(), in.Aux)
+	case OpNest:
+		var idx string
+		switch ir.IndexKind(in.Aux) {
+		case ir.IdxValue:
+			idx = "[" + b() + "]"
+		case ir.IdxConst:
+			idx = fmt.Sprintf("[%d]", in.Imm)
+		case ir.IdxEnd:
+			idx = "[end]"
+		case ir.IdxField:
+			idx = fmt.Sprintf(".%d", in.Imm)
+		}
+		s := fmt.Sprintf("%s = nest %s%s%s", d(), a(), idx, hopRoles[in.Aux2])
+		if in.Aux2 == NestSeqPos {
+			s += cc()
+		}
+		return s
 	case OpStep:
 		return "step"
 	case OpForEach:
@@ -151,8 +153,8 @@ func disasmInstr(p *Prog, f *Func, in *Instr) string {
 func argListStr(f *Func, idx int32) string {
 	list := f.ArgLists[idx]
 	parts := make([]string, len(list))
-	for i, o := range list {
-		parts[i] = operandStr(f, o)
+	for i, r := range list {
+		parts[i] = reg(r)
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
 }

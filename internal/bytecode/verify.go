@@ -27,7 +27,7 @@ func (e *VerifyError) Error() string {
 // definite-initialization, jump-target and frame-bounds validity, and
 // collection-opcode kind agreement. A program that verifies cannot
 // make the VM read an unwritten register, jump outside its code
-// segment, index a missing constant pool/path/arg-list/function-table
+// segment, index a missing constant pool/arg-list/function-table
 // entry, or run a kind-specialized collection opcode against a
 // register statically known to hold a different kind.
 func Verify(p *Prog) error {
@@ -86,9 +86,11 @@ func (v *verifier) errf(pc int, format string, args ...any) error {
 // --- structural checks -------------------------------------------------
 
 // reads reports which of A, B, C the VM dereferences unconditionally
-// for the opcode.
-func reads(op Op) (a, b, c bool) {
-	switch op {
+// for the instruction.
+func reads(in *Instr) (a, b, c bool) {
+	switch in.Op {
+	case OpNest:
+		return true, in.Aux == int32(ir.IdxValue), in.Aux2 == NestSeqPos
 	case OpMove, OpJumpIf, OpJumpIfNot, OpForEach, OpReturn,
 		OpSize, OpClear, OpNot, OpCastF, OpCastI, OpIdent, OpField, OpEmit:
 		return true, false, false
@@ -114,7 +116,7 @@ func reads(op Op) (a, b, c bool) {
 // OpEnumAdd are guarded by >= 0 at run time and excluded here.
 func writesDst(op Op) bool {
 	switch op {
-	case OpMove, OpNewColl, OpNewEnum, OpEnumGlobal,
+	case OpMove, OpNest, OpNewColl, OpNewEnum, OpEnumGlobal,
 		OpReadMap, OpReadSeq, OpHasSet, OpHasMap, OpSize,
 		OpWriteMap, OpWriteSeq, OpInsertSet, OpInsertMap,
 		OpInsertSeqEnd, OpInsertSeqAt, OpRemoveSet, OpRemoveMap,
@@ -137,32 +139,12 @@ func (v *verifier) checkReg(pc int, what string, r int32) error {
 	return nil
 }
 
-func (v *verifier) checkOperand(pc int, what string, o Operand) error {
-	if err := v.checkReg(pc, what, o.Reg); err != nil {
-		return err
-	}
-	if o.Path < 0 {
-		return nil
-	}
-	if int(o.Path) >= len(v.f.Paths) {
-		return v.errf(pc, "%s path %d outside path table [0,%d)", what, o.Path, len(v.f.Paths))
-	}
-	for _, st := range v.f.Paths[o.Path] {
-		if st.Kind == ir.IdxValue {
-			if err := v.checkReg(pc, what+" path index", st.Reg); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 func (v *verifier) checkArgList(pc int, idx int32) error {
 	if idx < 0 || int(idx) >= len(v.f.ArgLists) {
 		return v.errf(pc, "argument list %d outside table [0,%d)", idx, len(v.f.ArgLists))
 	}
-	for i, o := range v.f.ArgLists[idx] {
-		if err := v.checkOperand(pc, fmt.Sprintf("argument %d", i), o); err != nil {
+	for i, r := range v.f.ArgLists[idx] {
+		if err := v.checkReg(pc, fmt.Sprintf("argument %d", i), r); err != nil {
 			return err
 		}
 	}
@@ -189,19 +171,19 @@ func (v *verifier) structure() error {
 		if in.Op >= nOps {
 			return v.errf(pc, "unknown opcode %d", in.Op)
 		}
-		ra, rb, rc := reads(in.Op)
+		ra, rb, rc := reads(in)
 		if ra {
-			if err := v.checkOperand(pc, "A", in.A); err != nil {
+			if err := v.checkReg(pc, "A", in.A); err != nil {
 				return err
 			}
 		}
 		if rb {
-			if err := v.checkOperand(pc, "B", in.B); err != nil {
+			if err := v.checkReg(pc, "B", in.B); err != nil {
 				return err
 			}
 		}
 		if rc {
-			if err := v.checkOperand(pc, "C", in.C); err != nil {
+			if err := v.checkReg(pc, "C", in.C); err != nil {
 				return err
 			}
 		}
@@ -282,6 +264,13 @@ func (v *verifier) structure() error {
 		case OpField:
 			if in.Aux < 0 {
 				return v.errf(pc, "field index %d negative", in.Aux)
+			}
+		case OpNest:
+			if in.Aux < int32(ir.IdxValue) || in.Aux > int32(ir.IdxField) {
+				return v.errf(pc, "index kind %d invalid", in.Aux)
+			}
+			if in.Aux2 < NestForEach || in.Aux2 > NestSeqPos {
+				return v.errf(pc, "hop role %d invalid", in.Aux2)
 			}
 		}
 	}
@@ -421,45 +410,47 @@ func (v *verifier) transfer(pc int, st, body *flowState) error {
 	f := v.f
 	in := &f.Code[pc]
 
-	useOperand := func(what string, o Operand) error {
-		if !st.has(o.Reg) {
-			return v.errf(pc, "%s reads register %d before it is written", what, o.Reg)
-		}
-		if o.Path >= 0 {
-			for _, ps := range f.Paths[o.Path] {
-				if ps.Kind == ir.IdxValue && !st.has(ps.Reg) {
-					return v.errf(pc, "%s path reads register %d before it is written", what, ps.Reg)
-				}
-			}
+	use := func(what string, r int32) error {
+		if !st.has(r) {
+			return v.errf(pc, "%s reads register %d before it is written", what, r)
 		}
 		return nil
 	}
-	ra, rb, rc := reads(in.Op)
+	ra, rb, rc := reads(in)
 	if ra {
-		if err := useOperand("A", in.A); err != nil {
+		if err := use("A", in.A); err != nil {
 			return err
 		}
 	}
 	if rb {
-		if err := useOperand("B", in.B); err != nil {
+		if err := use("B", in.B); err != nil {
 			return err
 		}
 	}
 	if rc {
-		if err := useOperand("C", in.C); err != nil {
+		if err := use("C", in.C); err != nil {
+			return err
+		}
+	}
+	var args []int32
+	switch in.Op {
+	case OpCall:
+		args = f.ArgLists[in.Aux2]
+	case OpTuple:
+		args = f.ArgLists[in.Aux]
+	}
+	for i, r := range args {
+		if err := use(fmt.Sprintf("argument %d", i), r); err != nil {
 			return err
 		}
 	}
 
-	// Collection-kind agreement on the root register of A (nested path
-	// targets are dynamically typed).
-	requireKind := func(want ir.CollKind, o Operand) error {
-		if o.Path >= 0 {
-			return nil
-		}
-		if k := st.kind(o.Reg); k != kindUnknown && k != known(want) {
+	// Collection-kind agreement on register A (a hop's result is of
+	// unknown kind).
+	requireKind := func(want ir.CollKind, r int32) error {
+		if k := st.kind(r); k != kindUnknown && k != known(want) {
 			return v.errf(pc, "operates on %v but register %d holds %v",
-				want, o.Reg, ir.CollKind(k-1))
+				want, r, ir.CollKind(k-1))
 		}
 		return nil
 	}
@@ -475,14 +466,12 @@ func (v *verifier) transfer(pc int, st, body *flowState) error {
 		kindErr = requireKind(ir.KEnum, in.A)
 	case OpUnion:
 		// Union requires two collections of the same associative kind.
-		if in.A.Path < 0 && in.B.Path < 0 {
-			ka, kb := st.kind(in.A.Reg), st.kind(in.B.Reg)
-			if ka == known(ir.KSeq) || kb == known(ir.KSeq) {
-				kindErr = v.errf(pc, "union over a sequence register")
-			} else if ka != kindUnknown && kb != kindUnknown && ka != kb {
-				kindErr = v.errf(pc, "union of %v register %d with %v register %d",
-					ir.CollKind(ka-1), in.A.Reg, ir.CollKind(kb-1), in.B.Reg)
-			}
+		ka, kb := st.kind(in.A), st.kind(in.B)
+		if ka == known(ir.KSeq) || kb == known(ir.KSeq) {
+			kindErr = v.errf(pc, "union over a sequence register")
+		} else if ka != kindUnknown && kb != kindUnknown && ka != kb {
+			kindErr = v.errf(pc, "union of %v register %d with %v register %d",
+				ir.CollKind(ka-1), in.A, ir.CollKind(kb-1), in.B)
 		}
 	}
 	if kindErr != nil {
@@ -499,13 +488,11 @@ func (v *verifier) transfer(pc int, st, body *flowState) error {
 	case OpEnumAdd:
 		resultKind = known(ir.KEnum) // Dst carries the enum handle through
 	case OpMove:
-		if in.A.Path < 0 {
-			resultKind = st.kind(in.A.Reg)
-		}
+		resultKind = st.kind(in.A)
 	case OpWriteMap, OpWriteSeq, OpInsertSet, OpInsertMap, OpInsertSeqEnd,
 		OpInsertSeqAt, OpRemoveSet, OpRemoveMap, OpRemoveSeq, OpClear, OpUnion:
 		// Updates return the base handle of A: same kind as the root.
-		resultKind = st.kind(in.A.Reg)
+		resultKind = st.kind(in.A)
 	}
 	if writesDst(in.Op) {
 		st.def(in.Dst, resultKind)

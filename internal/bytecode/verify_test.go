@@ -147,14 +147,14 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			// Point the seq insert at the set register: insert.seq.end
 			// on a KSet value.
 			f := mainOf(bc)
-			setReg := f.Code[findOp(t, f, bytecode.OpInsertSet)].A.Reg
-			f.Code[findOp(t, f, bytecode.OpInsertSeqEnd)].A.Reg = setReg
+			setReg := f.Code[findOp(t, f, bytecode.OpInsertSet)].A
+			f.Code[findOp(t, f, bytecode.OpInsertSeqEnd)].A = setReg
 		}, "holds"},
 		{"read-uninitialized", func(t *testing.T, bc *bytecode.Prog) {
 			f := mainOf(bc)
 			f.FrameLen++ // a register nothing ever writes
 			in := &f.Code[findOp(t, f, bytecode.OpAddI)]
-			in.A.Reg = int32(f.FrameLen - 1)
+			in.A = int32(f.FrameLen - 1)
 		}, "before it is written"},
 		{"alloc-site-out-of-table", func(t *testing.T, bc *bytecode.Prog) {
 			f := mainOf(bc)
@@ -221,9 +221,9 @@ func TestVerifyUninitAcrossBranch(t *testing.T) {
 			0, // reg 0: the condition parameter
 		},
 		Code: []bytecode.Instr{
-			{Op: bytecode.OpJumpIfNot, Aux: 2, A: bytecode.Operand{Reg: 0, Path: -1}, B: bytecode.NoOperand, C: bytecode.NoOperand},
-			{Op: bytecode.OpMove, Dst: 1, A: bytecode.Operand{Reg: 0, Path: -1}, B: bytecode.NoOperand, C: bytecode.NoOperand},
-			{Op: bytecode.OpReturn, A: bytecode.Operand{Reg: 1, Path: -1}, B: bytecode.NoOperand, C: bytecode.NoOperand},
+			{Op: bytecode.OpJumpIfNot, Aux: 2, A: 0, B: -1, C: -1},
+			{Op: bytecode.OpMove, Dst: 1, A: 0, B: -1, C: -1},
+			{Op: bytecode.OpReturn, A: 1, B: -1, C: -1},
 		},
 	}
 	p := &bytecode.Prog{Funcs: []*bytecode.Func{f}, ByName: map[string]int{"crafted": 0}}
@@ -257,7 +257,7 @@ func TestVerifyForEachBindings(t *testing.T) {
 	cont := int(fe.Aux2)
 	f.Code[cont] = bytecode.Instr{
 		Op: bytecode.OpMove, Dst: f.Code[cont].Dst,
-		A: bytecode.Operand{Reg: kReg, Path: -1}, B: bytecode.NoOperand, C: bytecode.NoOperand,
+		A: kReg, B: -1, C: -1,
 	}
 	// Keep the program shape legal (cont held a move already or a later
 	// op whose Dst we reuse); what matters is the read of kReg after

@@ -107,7 +107,7 @@ type hostRow struct {
 }
 
 // hostPass times every host implementation and its hash baseline once
-// (one pass of n operations each).
+// (one pass of every operation).
 func hostPass(n int) []hostRow {
 	na := math.NaN()
 	var rows []hostRow
@@ -146,10 +146,50 @@ type mapTimes struct{ read, write, insert, remove, iterate float64 }
 
 var sink uint64
 
-func perOp(n int, f func()) float64 {
-	start := time.Now()
-	f()
-	return float64(time.Since(start).Nanoseconds()) / float64(n)
+// minTimed is how long each timed operation runs in total: one run of
+// n operations can take a few microseconds, too short to time
+// reproducibly. Runs shorter than batchTime are timed in batches, so
+// the clock's own cost spreads over many of them.
+const (
+	minTimed  = time.Millisecond
+	batchTime = 20 * time.Microsecond
+)
+
+// perOp returns the mean time of one of n operations. setup builds
+// fresh state, untimed, and returns the timed run of the n operations
+// on it; runs repeat until they total at least minTimed.
+func perOp(n int, setup func() func()) float64 {
+	var runs []func()
+	var total time.Duration
+	reps, batch := 0, 1
+	for total < minTimed {
+		runs = runs[:0]
+		for range batch {
+			runs = append(runs, setup())
+		}
+		start := time.Now()
+		for _, run := range runs {
+			run()
+		}
+		d := time.Since(start)
+		total += d
+		reps += batch
+		batch = min(64, max(1, int(batchTime*time.Duration(batch)/max(d, 1))))
+	}
+	return float64(total.Nanoseconds()) / float64(n*reps)
+}
+
+// halves splits keys by position parity, the two operands of a timed
+// union.
+func halves[K any](keys []K) (even, odd []K) {
+	for i, k := range keys {
+		if i%2 == 0 {
+			even = append(even, k)
+		} else {
+			odd = append(odd, k)
+		}
+	}
+	return even, odd
 }
 
 func sparseKeys(n int) []uint64 {
@@ -184,188 +224,208 @@ func sparseIDs(n int) []uint32 {
 
 func measureHashSet(n int) setTimes {
 	keys := sparseKeys(n)
-	var t setTimes
-	s := &collections.HashMap[uint64, struct{}]{}
-	t.insert = perOp(n, func() {
+	even, odd := halves(keys)
+	fill := func(s *collections.HashMap[uint64, struct{}], keys []uint64) *collections.HashMap[uint64, struct{}] {
 		for _, k := range keys {
 			s.Put(k, struct{}{})
 		}
-	})
-	t.iterate = perOp(n, func() {
-		s.Iterate(func(k uint64, _ struct{}) bool { sink += k; return true })
-	})
-	t.remove = perOp(n/2, func() {
-		for i := 0; i < n/2; i++ {
-			s.Remove(keys[i])
-		}
-	})
-	a, b := &collections.HashMap[uint64, struct{}]{}, &collections.HashMap[uint64, struct{}]{}
-	for i, k := range keys {
-		if i%2 == 0 {
-			a.Put(k, struct{}{})
-		} else {
-			b.Put(k, struct{}{})
-		}
+		return s
 	}
-	t.union = perOp(n/2, func() {
-		b.Iterate(func(k uint64, _ struct{}) bool { a.Put(k, struct{}{}); return true })
+	var t setTimes
+	t.insert = perOp(n, func() func() {
+		s := &collections.HashMap[uint64, struct{}]{}
+		return func() { fill(s, keys) }
+	})
+	full := fill(&collections.HashMap[uint64, struct{}]{}, keys)
+	t.iterate = perOp(n, func() func() {
+		return func() { full.Iterate(func(k uint64, _ struct{}) bool { sink += k; return true }) }
+	})
+	t.remove = perOp(n/2, func() func() {
+		s := fill(&collections.HashMap[uint64, struct{}]{}, keys)
+		return func() {
+			for _, k := range keys[:n/2] {
+				s.Remove(k)
+			}
+		}
+	})
+	t.union = perOp(n/2, func() func() {
+		a, b := fill(&collections.HashMap[uint64, struct{}]{}, even), fill(&collections.HashMap[uint64, struct{}]{}, odd)
+		return func() { b.Iterate(func(k uint64, _ struct{}) bool { a.Put(k, struct{}{}); return true }) }
 	})
 	return t
 }
 
 func measureSwissSet(n int) setTimes {
 	keys := sparseKeys(n)
-	var t setTimes
-	s := collections.NewUint64SwissSet()
-	t.insert = perOp(n, func() {
+	even, odd := halves(keys)
+	fill := func(s *collections.SwissSet[uint64], keys []uint64) *collections.SwissSet[uint64] {
 		for _, k := range keys {
 			s.Insert(k)
 		}
-	})
-	t.iterate = perOp(n, func() {
-		s.Iterate(func(k uint64) bool { sink += k; return true })
-	})
-	t.remove = perOp(n/2, func() {
-		for i := 0; i < n/2; i++ {
-			s.Remove(keys[i])
-		}
-	})
-	a, b := collections.NewUint64SwissSet(), collections.NewUint64SwissSet()
-	for i, k := range keys {
-		if i%2 == 0 {
-			a.Insert(k)
-		} else {
-			b.Insert(k)
-		}
+		return s
 	}
-	t.union = perOp(n/2, func() {
-		b.Iterate(func(k uint64) bool { a.Insert(k); return true })
+	var t setTimes
+	t.insert = perOp(n, func() func() {
+		s := collections.NewUint64SwissSet()
+		return func() { fill(s, keys) }
+	})
+	full := fill(collections.NewUint64SwissSet(), keys)
+	t.iterate = perOp(n, func() func() {
+		return func() { full.Iterate(func(k uint64) bool { sink += k; return true }) }
+	})
+	t.remove = perOp(n/2, func() func() {
+		s := fill(collections.NewUint64SwissSet(), keys)
+		return func() {
+			for _, k := range keys[:n/2] {
+				s.Remove(k)
+			}
+		}
+	})
+	t.union = perOp(n/2, func() func() {
+		a, b := fill(collections.NewUint64SwissSet(), even), fill(collections.NewUint64SwissSet(), odd)
+		return func() { b.Iterate(func(k uint64) bool { a.Insert(k); return true }) }
 	})
 	return t
 }
 
 func measureFlatSet(n int) setTimes {
 	keys := sparseKeys(n)
-	var t setTimes
-	s := collections.NewUint64FlatSet()
-	t.insert = perOp(n, func() {
+	even, odd := halves(keys)
+	fill := func(s *collections.FlatSet[uint64], keys []uint64) *collections.FlatSet[uint64] {
 		for _, k := range keys {
 			s.Insert(k)
 		}
-	})
-	t.iterate = perOp(n, func() {
-		s.Iterate(func(k uint64) bool { sink += k; return true })
-	})
-	t.remove = perOp(n/2, func() {
-		for i := 0; i < n/2; i++ {
-			s.Remove(keys[i])
-		}
-	})
-	a, b := collections.NewUint64FlatSet(), collections.NewUint64FlatSet()
-	for i, k := range keys {
-		if i%2 == 0 {
-			a.Insert(k)
-		} else {
-			b.Insert(k)
-		}
+		return s
 	}
-	t.union = perOp(n/2, func() { a.UnionWith(b) })
+	var t setTimes
+	t.insert = perOp(n, func() func() {
+		s := collections.NewUint64FlatSet()
+		return func() { fill(s, keys) }
+	})
+	full := fill(collections.NewUint64FlatSet(), keys)
+	t.iterate = perOp(n, func() func() {
+		return func() { full.Iterate(func(k uint64) bool { sink += k; return true }) }
+	})
+	t.remove = perOp(n/2, func() func() {
+		s := fill(collections.NewUint64FlatSet(), keys)
+		return func() {
+			for _, k := range keys[:n/2] {
+				s.Remove(k)
+			}
+		}
+	})
+	t.union = perOp(n/2, func() func() {
+		a, b := fill(collections.NewUint64FlatSet(), even), fill(collections.NewUint64FlatSet(), odd)
+		return func() { a.UnionWith(b) }
+	})
 	return t
 }
 
 func measureBitSet(n int) setTimes {
 	ids := denseIDs(n)
-	var t setTimes
-	s := collections.NewBitSet()
-	t.insert = perOp(n, func() {
+	even, odd := halves(ids)
+	fill := func(s *collections.BitSet, ids []uint32) *collections.BitSet {
 		for _, k := range ids {
 			s.Insert(k)
 		}
+		return s
+	}
+	var t setTimes
+	t.insert = perOp(n, func() func() {
+		s := collections.NewBitSet()
+		return func() { fill(s, ids) }
 	})
 	// Iteration over a sparse occupancy (the paper's losing case).
-	sp := collections.NewBitSet()
-	for _, k := range sparseIDs(n) {
-		sp.Insert(k)
-	}
-	t.iterate = perOp(n, func() {
-		sp.Iterate(func(k uint32) bool { sink += uint64(k); return true })
+	sp := fill(collections.NewBitSet(), sparseIDs(n))
+	t.iterate = perOp(n, func() func() {
+		return func() { sp.Iterate(func(k uint32) bool { sink += uint64(k); return true }) }
 	})
-	t.remove = perOp(n/2, func() {
-		for i := 0; i < n/2; i++ {
-			s.Remove(ids[i])
+	t.remove = perOp(n/2, func() func() {
+		s := fill(collections.NewBitSet(), ids)
+		return func() {
+			for _, k := range ids[:n/2] {
+				s.Remove(k)
+			}
 		}
 	})
-	a, b := collections.NewBitSet(), collections.NewBitSet()
-	for i, k := range ids {
-		if i%2 == 0 {
-			a.Insert(k)
-		} else {
-			b.Insert(k)
-		}
-	}
-	t.union = perOp(n/2, func() { a.UnionWith(b) })
+	t.union = perOp(n/2, func() func() {
+		a, b := fill(collections.NewBitSet(), even), fill(collections.NewBitSet(), odd)
+		return func() { a.UnionWith(b) }
+	})
 	return t
 }
 
 func measureSparse(n int) setTimes {
 	ids := denseIDs(n)
-	var t setTimes
-	s := collections.NewSparseBitSet()
-	t.insert = perOp(n, func() {
+	even, odd := halves(ids)
+	fill := func(s *collections.SparseBitSet, ids []uint32) *collections.SparseBitSet {
 		for _, k := range ids {
 			s.Insert(k)
 		}
-	})
-	sp := collections.NewSparseBitSet()
-	for _, k := range sparseIDs(n) {
-		sp.Insert(k)
+		return s
 	}
-	t.iterate = perOp(n, func() {
-		sp.Iterate(func(k uint32) bool { sink += uint64(k); return true })
+	var t setTimes
+	t.insert = perOp(n, func() func() {
+		s := collections.NewSparseBitSet()
+		return func() { fill(s, ids) }
 	})
-	t.remove = perOp(n/2, func() {
-		for i := 0; i < n/2; i++ {
-			s.Remove(ids[i])
+	sp := fill(collections.NewSparseBitSet(), sparseIDs(n))
+	t.iterate = perOp(n, func() func() {
+		return func() { sp.Iterate(func(k uint32) bool { sink += uint64(k); return true }) }
+	})
+	t.remove = perOp(n/2, func() func() {
+		s := fill(collections.NewSparseBitSet(), ids)
+		return func() {
+			for _, k := range ids[:n/2] {
+				s.Remove(k)
+			}
 		}
 	})
-	a, b := collections.NewSparseBitSet(), collections.NewSparseBitSet()
-	for i, k := range ids {
-		if i%2 == 0 {
-			a.Insert(k)
-		} else {
-			b.Insert(k)
-		}
-	}
-	t.union = perOp(n/2, func() { a.UnionWith(b) })
+	t.union = perOp(n/2, func() func() {
+		a, b := fill(collections.NewSparseBitSet(), even), fill(collections.NewSparseBitSet(), odd)
+		return func() { a.UnionWith(b) }
+	})
 	return t
 }
 
 func measureHashMap(n int) mapTimes {
 	keys := sparseKeys(n)
-	var t mapTimes
-	m := &collections.HashMap[uint64, uint64]{}
-	t.insert = perOp(n, func() {
+	fill := func(m *collections.HashMap[uint64, uint64]) *collections.HashMap[uint64, uint64] {
 		for _, k := range keys {
 			m.Put(k, 0)
 		}
+		return m
+	}
+	var t mapTimes
+	t.insert = perOp(n, func() func() {
+		m := &collections.HashMap[uint64, uint64]{}
+		return func() { fill(m) }
 	})
-	t.write = perOp(n, func() {
-		for i, k := range keys {
-			m.Put(k, uint64(i))
+	full := fill(&collections.HashMap[uint64, uint64]{})
+	t.write = perOp(n, func() func() {
+		return func() {
+			for i, k := range keys {
+				full.Put(k, uint64(i))
+			}
 		}
 	})
-	t.read = perOp(n, func() {
-		for _, k := range keys {
-			v, _ := m.Get(k)
-			sink += v
+	t.read = perOp(n, func() func() {
+		return func() {
+			for _, k := range keys {
+				v, _ := full.Get(k)
+				sink += v
+			}
 		}
 	})
-	t.iterate = perOp(n, func() {
-		m.Iterate(func(k, v uint64) bool { sink += v; return true })
+	t.iterate = perOp(n, func() func() {
+		return func() { full.Iterate(func(k, v uint64) bool { sink += v; return true }) }
 	})
-	t.remove = perOp(n/2, func() {
-		for i := 0; i < n/2; i++ {
-			m.Remove(keys[i])
+	t.remove = perOp(n/2, func() func() {
+		m := fill(&collections.HashMap[uint64, uint64]{})
+		return func() {
+			for _, k := range keys[:n/2] {
+				m.Remove(k)
+			}
 		}
 	})
 	return t
@@ -373,30 +433,42 @@ func measureHashMap(n int) mapTimes {
 
 func measureSwissMap(n int) mapTimes {
 	keys := sparseKeys(n)
-	var t mapTimes
-	m := collections.NewUint64SwissMap[uint64]()
-	t.insert = perOp(n, func() {
+	fill := func(m *collections.SwissMap[uint64, uint64]) *collections.SwissMap[uint64, uint64] {
 		for _, k := range keys {
 			m.Put(k, 0)
 		}
+		return m
+	}
+	var t mapTimes
+	t.insert = perOp(n, func() func() {
+		m := collections.NewUint64SwissMap[uint64]()
+		return func() { fill(m) }
 	})
-	t.write = perOp(n, func() {
-		for i, k := range keys {
-			m.Put(k, uint64(i))
+	full := fill(collections.NewUint64SwissMap[uint64]())
+	t.write = perOp(n, func() func() {
+		return func() {
+			for i, k := range keys {
+				full.Put(k, uint64(i))
+			}
 		}
 	})
-	t.read = perOp(n, func() {
-		for _, k := range keys {
-			v, _ := m.Get(k)
-			sink += v
+	t.read = perOp(n, func() func() {
+		return func() {
+			for _, k := range keys {
+				v, _ := full.Get(k)
+				sink += v
+			}
 		}
 	})
-	t.iterate = perOp(n, func() {
-		m.Iterate(func(k, v uint64) bool { sink += v; return true })
+	t.iterate = perOp(n, func() func() {
+		return func() { full.Iterate(func(k, v uint64) bool { sink += v; return true }) }
 	})
-	t.remove = perOp(n/2, func() {
-		for i := 0; i < n/2; i++ {
-			m.Remove(keys[i])
+	t.remove = perOp(n/2, func() func() {
+		m := fill(collections.NewUint64SwissMap[uint64]())
+		return func() {
+			for _, k := range keys[:n/2] {
+				m.Remove(k)
+			}
 		}
 	})
 	return t
@@ -404,30 +476,42 @@ func measureSwissMap(n int) mapTimes {
 
 func measureBitMap(n int) mapTimes {
 	ids := denseIDs(n)
-	var t mapTimes
-	m := collections.NewBitMap[uint64]()
-	t.insert = perOp(n, func() {
+	fill := func(m *collections.BitMap[uint64]) *collections.BitMap[uint64] {
 		for _, k := range ids {
 			m.Put(k, 0)
 		}
+		return m
+	}
+	var t mapTimes
+	t.insert = perOp(n, func() func() {
+		m := collections.NewBitMap[uint64]()
+		return func() { fill(m) }
 	})
-	t.write = perOp(n, func() {
-		for i, k := range ids {
-			m.Put(k, uint64(i))
+	full := fill(collections.NewBitMap[uint64]())
+	t.write = perOp(n, func() func() {
+		return func() {
+			for i, k := range ids {
+				full.Put(k, uint64(i))
+			}
 		}
 	})
-	t.read = perOp(n, func() {
-		for _, k := range ids {
-			v, _ := m.Get(k)
-			sink += v
+	t.read = perOp(n, func() func() {
+		return func() {
+			for _, k := range ids {
+				v, _ := full.Get(k)
+				sink += v
+			}
 		}
 	})
-	t.iterate = perOp(n, func() {
-		m.Iterate(func(k uint32, v uint64) bool { sink += v; return true })
+	t.iterate = perOp(n, func() func() {
+		return func() { full.Iterate(func(k uint32, v uint64) bool { sink += v; return true }) }
 	})
-	t.remove = perOp(n/2, func() {
-		for i := 0; i < n/2; i++ {
-			m.Remove(ids[i])
+	t.remove = perOp(n/2, func() func() {
+		m := fill(collections.NewBitMap[uint64]())
+		return func() {
+			for _, k := range ids[:n/2] {
+				m.Remove(k)
+			}
 		}
 	})
 	return t

@@ -118,87 +118,70 @@ func newFrame(f *bytecode.Func) []interp.Val {
 	return fr
 }
 
-// get reads an operand: a plain register, or a register followed by a
-// compiled nesting path. The dispatch loop inlines the plain-register
-// case by hand; this helper remains for argument lists.
-func (m *VM) get(f *bytecode.Func, fr []interp.Val, o bytecode.Operand) (interp.Val, error) {
-	v := fr[o.Reg]
-	if o.Path < 0 {
-		return v, nil
-	}
-	return m.walkPath(f, fr, v, o.Path)
-}
-
-// walkPath mirrors interp.(*Interp).resolve: intermediate map and
-// sequence lookups are real dynamic accesses, counted as reads on the
-// outer container, with identical check ordering and diagnostics.
-func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path int32) (interp.Val, error) {
-	for _, ix := range f.Paths[path] {
-		switch ix.Kind {
-		case ir.IdxField:
-			if cur.K != interp.VTuple || int(ix.Num) >= len(cur.Tuple()) {
-				return interp.Val{}, m.errf(f, "tuple access .%d on %v", ix.Num, cur)
-			}
-			cur = cur.Tuple()[ix.Num]
-		default:
-			if cur.K != interp.VColl {
-				return interp.Val{}, m.errf(f, "indexing non-collection %v", cur)
-			}
-			var key interp.Val
-			switch ix.Kind {
-			case ir.IdxValue:
-				key = fr[ix.Reg]
-			case ir.IdxConst:
-				key = interp.IntV(ix.Num)
-			case ir.IdxEnd:
-				return interp.Val{}, m.errf(f, "end index cannot be resolved as a value")
-			}
-			switch c := cur.Ref().(type) {
-			case *interp.RMapBit:
-				m.Stats.Count(collections.ImplBitMap, interp.OKRead, 1)
-				m.CollOp(c, interp.OKRead, 1)
-				if !c.HasKey(key) {
-					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
-				}
-				cur = c.At(uint32(key.I))
-			case *interp.RMapHash:
-				m.Stats.Count(collections.ImplHashMap, interp.OKRead, 1)
-				m.CollOp(c, interp.OKRead, 1)
-				v, ok := c.Get(key)
-				if !ok {
-					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
-				}
-				cur = v
-			case interp.RMap:
-				m.Stats.Count(c.Impl(), interp.OKRead, 1)
-				m.CollOp(c, interp.OKRead, 1)
-				v, ok := c.Get(key)
-				if !ok {
-					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
-				}
-				cur = v
-			case *interp.RSeqArr:
-				i := int(key.I)
-				if i < 0 || i >= c.Len() {
-					return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
-				}
-				m.Stats.Count(collections.ImplArray, interp.OKRead, 1)
-				m.CollOp(c, interp.OKRead, 1)
-				cur = c.Get(i)
-			case interp.RSeq:
-				i := int(key.I)
-				if i < 0 || i >= c.Len() {
-					return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
-				}
-				m.Stats.Count(c.Impl(), interp.OKRead, 1)
-				m.CollOp(c, interp.OKRead, 1)
-				cur = c.Get(i)
-			default:
-				return interp.Val{}, m.errf(f, "indexing into a set")
-			}
+// nest reads one hop, mirroring a step of interp.(*Interp).resolve:
+// a map or sequence lookup is a real dynamic access, counted as a read
+// on the outer container, with identical check ordering and
+// diagnostics.
+func (m *VM) nest(f *bytecode.Func, fr []interp.Val, in *bytecode.Instr) (interp.Val, error) {
+	cur := fr[in.A]
+	if ir.IndexKind(in.Aux) == ir.IdxField {
+		if cur.K != interp.VTuple || in.Imm >= uint64(len(cur.Tuple())) {
+			return interp.Val{}, m.errf(f, "tuple access .%d on %v", in.Imm, cur)
 		}
+		return cur.Tuple()[in.Imm], nil
 	}
-	return cur, nil
+	if cur.K != interp.VColl {
+		return interp.Val{}, m.errf(f, "indexing non-collection %v", cur)
+	}
+	var key interp.Val
+	switch ir.IndexKind(in.Aux) {
+	case ir.IdxValue:
+		key = fr[in.B]
+	case ir.IdxConst:
+		key = interp.IntV(in.Imm)
+	case ir.IdxEnd:
+		return interp.Val{}, m.errf(f, "end index cannot be resolved as a value")
+	}
+	switch c := cur.Ref().(type) {
+	case *interp.RMapBit:
+		m.Stats.Count(collections.ImplBitMap, interp.OKRead, 1)
+		m.CollOp(c, interp.OKRead, 1)
+		if !c.HasKey(key) {
+			return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
+		}
+		return c.At(uint32(key.I)), nil
+	case *interp.RMapHash:
+		m.Stats.Count(collections.ImplHashMap, interp.OKRead, 1)
+		m.CollOp(c, interp.OKRead, 1)
+		if v, ok := c.Get(key); ok {
+			return v, nil
+		}
+	case interp.RMap:
+		m.Stats.Count(c.Impl(), interp.OKRead, 1)
+		m.CollOp(c, interp.OKRead, 1)
+		if v, ok := c.Get(key); ok {
+			return v, nil
+		}
+	case *interp.RSeqArr:
+		i := int(key.I)
+		if i < 0 || i >= c.Len() {
+			return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
+		}
+		m.Stats.Count(collections.ImplArray, interp.OKRead, 1)
+		m.CollOp(c, interp.OKRead, 1)
+		return c.Get(i), nil
+	case interp.RSeq:
+		i := int(key.I)
+		if i < 0 || i >= c.Len() {
+			return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
+		}
+		m.Stats.Count(c.Impl(), interp.OKRead, 1)
+		m.CollOp(c, interp.OKRead, 1)
+		return c.Get(i), nil
+	default:
+		return interp.Val{}, m.errf(f, "indexing into a set")
+	}
+	return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
 }
 
 func cmpHolds(c int, k ir.CmpKind) bool {
@@ -400,28 +383,50 @@ dispatch:
 		case bytecode.OpNop, bytecode.OpStep:
 
 		case bytecode.OpMove:
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpJump:
 			pc = in.Aux
 
 		case bytecode.OpJumpIf:
-			if fr[in.A.Reg].Bool() {
+			if fr[in.A].Bool() {
 				pc = in.Aux
 			}
 
 		case bytecode.OpJumpIfNot:
-			if !fr[in.A.Reg].Bool() {
+			if !fr[in.A].Bool() {
 				pc = in.Aux
 			}
 
-		case bytecode.OpForEach:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
+		case bytecode.OpNest:
+			if m.Limited && in.Aux2 != bytecode.NestForEach {
+				// The interruption test of the instruction the hop feeds,
+				// at that instruction's step.
+				n := st.Steps + steps + 1
+				if steps >= budget {
+					err = &interp.LimitError{Kind: interp.ErrStepBudget, Fn: f.Name, Steps: n}
+				} else if m.Due(n) {
+					err = m.Checkpoint(f.Name, n)
+				}
+				if err != nil {
+					steps++
 					goto out
 				}
 			}
+			if fr[in.Dst], err = m.nest(f, fr, in); err != nil {
+				if in.Aux2 != bytecode.NestForEach {
+					steps++
+				}
+				if in.Aux2 == bytecode.NestSeqPos {
+					c := fr[in.C].Coll()
+					st.Count(c.Impl(), interp.OKInsert, 1)
+					m.CollOp(c, interp.OKInsert, 1)
+				}
+				goto out
+			}
+
+		case bytecode.OpForEach:
+			cv := fr[in.A]
 			if cv.K != interp.VColl {
 				err = m.errf(f, "for-each over non-collection %v", cv)
 				goto out
@@ -515,12 +520,7 @@ dispatch:
 			}
 
 		case bytecode.OpReturn:
-			rv = fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if rv, err = m.walkPath(f, fr, rv, in.A.Path); err != nil {
-					goto out
-				}
-			}
+			rv = fr[in.A]
 			if len(iters) > 0 {
 				err = m.errf(f, "return inside for-each is unsupported")
 				goto out
@@ -543,10 +543,8 @@ dispatch:
 				goto out
 			}
 			cfr := newFrame(callee)
-			for i, o := range list {
-				if cfr[callee.ParamRegs[i]], err = m.get(f, fr, o); err != nil {
-					goto out
-				}
+			for i, r := range list {
+				cfr[callee.ParamRegs[i]] = fr[r]
 			}
 			st.Steps += steps
 			st.Counts[collections.ImplNone][interp.OKScalar] += nscalar
@@ -590,18 +588,8 @@ dispatch:
 			fr[in.Dst] = interp.EnumV(m.global(in.Aux, m.Prog.EnumKeys[in.Aux2]))
 
 		case bytecode.OpReadMap:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			var v interp.Val
 			var ok bool
 			switch c := cv.Ref().(type) {
@@ -630,18 +618,8 @@ dispatch:
 			fr[in.Dst] = v
 
 		case bytecode.OpReadSeq:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			switch c := cv.Ref().(type) {
 			case *interp.RSeqArr:
 				i := int(key.I)
@@ -667,18 +645,8 @@ dispatch:
 			}
 
 		case bytecode.OpHasSet:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			var has bool
 			switch c := cv.Ref().(type) {
 			case *interp.RSetBits:
@@ -705,18 +673,8 @@ dispatch:
 			d.K, d.I = interp.VInt, b01(has)
 
 		case bytecode.OpHasMap:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			var has bool
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
@@ -739,12 +697,7 @@ dispatch:
 			d.K, d.I = interp.VInt, b01(has)
 
 		case bytecode.OpSize:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
 			c := cv.Coll()
 			st.Count(c.Impl(), interp.OKSize, 1)
 			m.CollOp(c, interp.OKSize, 1)
@@ -752,24 +705,9 @@ dispatch:
 			d.K, d.I = interp.VInt, uint64(c.Len())
 
 		case bytecode.OpWriteMap:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
-			val := fr[in.C.Reg]
-			if in.C.Path >= 0 {
-				if val, err = m.walkPath(f, fr, val, in.C.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
+			val := fr[in.C]
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKWrite, 1)
@@ -800,27 +738,12 @@ dispatch:
 				goto out
 			}
 			m.Grew()
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpWriteSeq:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
-			val := fr[in.C.Reg]
-			if in.C.Path >= 0 {
-				if val, err = m.walkPath(f, fr, val, in.C.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
+			val := fr[in.C]
 			c, ok := cv.Coll().(interp.RSeq)
 			if !ok {
 				err = m.errf(f, "write on set")
@@ -835,21 +758,11 @@ dispatch:
 			c.Set(i, val)
 			m.CollOp(c, interp.OKWrite, 1)
 			m.Grew()
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpInsertSet:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			switch c := cv.Ref().(type) {
 			case *interp.RSetBits:
 				st.Count(collections.ImplBitSet, interp.OKInsert, 1)
@@ -872,21 +785,11 @@ dispatch:
 				m.Tele.KeyObs(cv.Ref(), key.Bits())
 			}
 			m.Grew()
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpInsertMap:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKInsert, 1)
@@ -923,21 +826,11 @@ dispatch:
 				m.Tele.KeyObs(cv.Ref(), key.Bits())
 			}
 			m.Grew()
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpInsertSeqEnd:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			val := fr[in.C.Reg]
-			if in.C.Path >= 0 {
-				if val, err = m.walkPath(f, fr, val, in.C.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			val := fr[in.C]
 			switch c := cv.Ref().(type) {
 			case *interp.RSeqArr:
 				st.Count(collections.ImplArray, interp.OKInsert, 1)
@@ -949,29 +842,15 @@ dispatch:
 				c.Append(val)
 			}
 			m.Grew()
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpInsertSeqAt:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			val := fr[in.C.Reg]
-			if in.C.Path >= 0 {
-				if val, err = m.walkPath(f, fr, val, in.C.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			val := fr[in.C]
 			if c, ok := cv.Coll().(interp.RSeq); ok {
 				st.Count(c.Impl(), interp.OKInsert, 1)
 				m.CollOp(c, interp.OKInsert, 1)
-				var pv interp.Val
-				if pv, err = m.get(f, fr, in.B); err != nil {
-					goto out
-				}
-				i := int(pv.I)
+				i := int(fr[in.B].I)
 				if i < 0 || i > c.Len() {
 					err = m.errf(f, "seq insert index %d out of range", i)
 					goto out
@@ -979,61 +858,31 @@ dispatch:
 				c.InsertAt(i, val)
 			}
 			m.Grew()
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpRemoveSet:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			if c, ok := cv.Coll().(interp.RSet); ok {
 				st.Count(c.Impl(), interp.OKRemove, 1)
 				c.Remove(key)
 				m.CollOp(c, interp.OKRemove, 1)
 			}
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpRemoveMap:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			if c, ok := cv.Coll().(interp.RMap); ok {
 				st.Count(c.Impl(), interp.OKRemove, 1)
 				c.Remove(key)
 				m.CollOp(c, interp.OKRemove, 1)
 			}
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpRemoveSeq:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			key := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if key, err = m.walkPath(f, fr, key, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
+			key := fr[in.B]
 			if c, ok := cv.Coll().(interp.RSeq); ok {
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
@@ -1044,34 +893,19 @@ dispatch:
 				c.RemoveAt(i)
 				m.CollOp(c, interp.OKRemove, 1)
 			}
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpClear:
-			cv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
-					goto out
-				}
-			}
+			cv := fr[in.A]
 			c := cv.Coll()
 			st.Count(c.Impl(), interp.OKClear, 1)
 			c.Clear()
 			m.CollOp(c, interp.OKClear, 1)
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpUnion:
-			dv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if dv, err = m.walkPath(f, fr, dv, in.A.Path); err != nil {
-					goto out
-				}
-			}
-			sv := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if sv, err = m.walkPath(f, fr, sv, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			dv := fr[in.A]
+			sv := fr[in.B]
 			dst, ok1 := dv.Coll().(interp.RSet)
 			src, ok2 := sv.Coll().(interp.RSet)
 			if !ok1 || !ok2 {
@@ -1080,16 +914,11 @@ dispatch:
 			}
 			interp.UnionInto(st, m.Tele, dst, src)
 			m.Grew()
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpEnc:
-			e := fr[in.A.Reg]
-			v := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if v, err = m.walkPath(f, fr, v, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			e := fr[in.A]
+			v := fr[in.B]
 			st.Count(interp.ImplEnum, interp.OKEnc, 1)
 			if m.Tele != nil {
 				m.Tele.EnumOp(e.Enum(), telemetry.OpEnc, false)
@@ -1105,13 +934,8 @@ dispatch:
 			}
 
 		case bytecode.OpDec:
-			e := fr[in.A.Reg]
-			idv := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if idv, err = m.walkPath(f, fr, idv, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			e := fr[in.A]
+			idv := fr[in.B]
 			st.Count(interp.ImplEnum, interp.OKDec, 1)
 			if m.Tele != nil {
 				m.Tele.EnumOp(e.Enum(), telemetry.OpDec, false)
@@ -1123,13 +947,8 @@ dispatch:
 			fr[in.Dst] = e.Enum().Dec(uint32(idv.I))
 
 		case bytecode.OpEnumAdd:
-			e := fr[in.A.Reg]
-			v := fr[in.B.Reg]
-			if in.B.Path >= 0 {
-				if v, err = m.walkPath(f, fr, v, in.B.Path); err != nil {
-					goto out
-				}
-			}
+			e := fr[in.A]
+			v := fr[in.B]
 			st.Count(interp.ImplEnum, interp.OKAdd, 1)
 			id, added := e.Enum().Add(v)
 			if m.Tele != nil {
@@ -1150,91 +969,91 @@ dispatch:
 		case bytecode.OpAddI:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I+fr[in.B.Reg].I
+			d.K, d.I = interp.VInt, fr[in.A].I+fr[in.B].I
 
 		case bytecode.OpSubI:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I-fr[in.B.Reg].I
+			d.K, d.I = interp.VInt, fr[in.A].I-fr[in.B].I
 
 		case bytecode.OpMulI:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I*fr[in.B.Reg].I
+			d.K, d.I = interp.VInt, fr[in.A].I*fr[in.B].I
 
 		case bytecode.OpDivU:
 			nscalar++
-			b := fr[in.B.Reg].I
+			b := fr[in.B].I
 			if b == 0 {
 				err = m.errf(f, "division by zero")
 				goto out
 			}
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I/b
+			d.K, d.I = interp.VInt, fr[in.A].I/b
 
 		case bytecode.OpDivS:
 			nscalar++
-			b := fr[in.B.Reg].I
+			b := fr[in.B].I
 			if b == 0 {
 				err = m.errf(f, "division by zero")
 				goto out
 			}
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, uint64(int64(fr[in.A.Reg].I)/int64(b))
+			d.K, d.I = interp.VInt, uint64(int64(fr[in.A].I)/int64(b))
 
 		case bytecode.OpRemU:
 			nscalar++
-			b := fr[in.B.Reg].I
+			b := fr[in.B].I
 			if b == 0 {
 				err = m.errf(f, "remainder by zero")
 				goto out
 			}
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I%b
+			d.K, d.I = interp.VInt, fr[in.A].I%b
 
 		case bytecode.OpRemS:
 			nscalar++
-			b := fr[in.B.Reg].I
+			b := fr[in.B].I
 			if b == 0 {
 				err = m.errf(f, "remainder by zero")
 				goto out
 			}
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, uint64(int64(fr[in.A.Reg].I)%int64(b))
+			d.K, d.I = interp.VInt, uint64(int64(fr[in.A].I)%int64(b))
 
 		case bytecode.OpAndI:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I&fr[in.B.Reg].I
+			d.K, d.I = interp.VInt, fr[in.A].I&fr[in.B].I
 
 		case bytecode.OpOrI:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I|fr[in.B.Reg].I
+			d.K, d.I = interp.VInt, fr[in.A].I|fr[in.B].I
 
 		case bytecode.OpXorI:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I^fr[in.B.Reg].I
+			d.K, d.I = interp.VInt, fr[in.A].I^fr[in.B].I
 
 		case bytecode.OpShlI:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I<<(fr[in.B.Reg].I&63)
+			d.K, d.I = interp.VInt, fr[in.A].I<<(fr[in.B].I&63)
 
 		case bytecode.OpShrU:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, fr[in.A.Reg].I>>(fr[in.B.Reg].I&63)
+			d.K, d.I = interp.VInt, fr[in.A].I>>(fr[in.B].I&63)
 
 		case bytecode.OpShrS:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, uint64(int64(fr[in.A.Reg].I)>>(fr[in.B.Reg].I&63))
+			d.K, d.I = interp.VInt, uint64(int64(fr[in.A].I)>>(fr[in.B].I&63))
 
 		case bytecode.OpMinU:
 			nscalar++
-			a, b := fr[in.A.Reg].I, fr[in.B.Reg].I
+			a, b := fr[in.A].I, fr[in.B].I
 			if b < a {
 				a = b
 			}
@@ -1243,7 +1062,7 @@ dispatch:
 
 		case bytecode.OpMinS:
 			nscalar++
-			a, b := fr[in.A.Reg].I, fr[in.B.Reg].I
+			a, b := fr[in.A].I, fr[in.B].I
 			if int64(b) < int64(a) {
 				a = b
 			}
@@ -1252,7 +1071,7 @@ dispatch:
 
 		case bytecode.OpMaxU:
 			nscalar++
-			a, b := fr[in.A.Reg].I, fr[in.B.Reg].I
+			a, b := fr[in.A].I, fr[in.B].I
 			if b > a {
 				a = b
 			}
@@ -1261,7 +1080,7 @@ dispatch:
 
 		case bytecode.OpMaxS:
 			nscalar++
-			a, b := fr[in.A.Reg].I, fr[in.B.Reg].I
+			a, b := fr[in.A].I, fr[in.B].I
 			if int64(b) > int64(a) {
 				a = b
 			}
@@ -1271,46 +1090,46 @@ dispatch:
 		case bytecode.OpAddF:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VFloat, math.Float64bits(fr[in.A.Reg].Flt()+fr[in.B.Reg].Flt())
+			d.K, d.I = interp.VFloat, math.Float64bits(fr[in.A].Flt()+fr[in.B].Flt())
 
 		case bytecode.OpSubF:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VFloat, math.Float64bits(fr[in.A.Reg].Flt()-fr[in.B.Reg].Flt())
+			d.K, d.I = interp.VFloat, math.Float64bits(fr[in.A].Flt()-fr[in.B].Flt())
 
 		case bytecode.OpMulF:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VFloat, math.Float64bits(fr[in.A.Reg].Flt()*fr[in.B.Reg].Flt())
+			d.K, d.I = interp.VFloat, math.Float64bits(fr[in.A].Flt()*fr[in.B].Flt())
 
 		case bytecode.OpDivF:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VFloat, math.Float64bits(fr[in.A.Reg].Flt()/fr[in.B.Reg].Flt())
+			d.K, d.I = interp.VFloat, math.Float64bits(fr[in.A].Flt()/fr[in.B].Flt())
 
 		case bytecode.OpMinF:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VFloat, math.Float64bits(math.Min(fr[in.A.Reg].Flt(), fr[in.B.Reg].Flt()))
+			d.K, d.I = interp.VFloat, math.Float64bits(math.Min(fr[in.A].Flt(), fr[in.B].Flt()))
 
 		case bytecode.OpMaxF:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VFloat, math.Float64bits(math.Max(fr[in.A.Reg].Flt(), fr[in.B.Reg].Flt()))
+			d.K, d.I = interp.VFloat, math.Float64bits(math.Max(fr[in.A].Flt(), fr[in.B].Flt()))
 
 		case bytecode.OpCmpEq:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, b01(interp.EqVal(fr[in.A.Reg], fr[in.B.Reg]))
+			d.K, d.I = interp.VInt, b01(interp.EqVal(fr[in.A], fr[in.B]))
 
 		case bytecode.OpCmpNe:
 			nscalar++
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, b01(!interp.EqVal(fr[in.A.Reg], fr[in.B.Reg]))
+			d.K, d.I = interp.VInt, b01(!interp.EqVal(fr[in.A], fr[in.B]))
 
 		case bytecode.OpCmpU:
 			nscalar++
-			a, b := fr[in.A.Reg].I, fr[in.B.Reg].I
+			a, b := fr[in.A].I, fr[in.B].I
 			c := 0
 			switch {
 			case a < b:
@@ -1323,7 +1142,7 @@ dispatch:
 
 		case bytecode.OpCmpS:
 			nscalar++
-			a, b := int64(fr[in.A.Reg].I), int64(fr[in.B.Reg].I)
+			a, b := int64(fr[in.A].I), int64(fr[in.B].I)
 			c := 0
 			switch {
 			case a < b:
@@ -1336,7 +1155,7 @@ dispatch:
 
 		case bytecode.OpCmpF:
 			nscalar++
-			a, b := fr[in.A.Reg].Flt(), fr[in.B.Reg].Flt()
+			a, b := fr[in.A].Flt(), fr[in.B].Flt()
 			c := 0
 			switch {
 			case a < b:
@@ -1349,23 +1168,23 @@ dispatch:
 
 		case bytecode.OpCmpG:
 			nscalar++
-			c := interp.CmpVal(fr[in.A.Reg], fr[in.B.Reg])
+			c := interp.CmpVal(fr[in.A], fr[in.B])
 			d := &fr[in.Dst]
 			d.K, d.I = interp.VInt, b01(cmpHolds(c, ir.CmpKind(in.Aux)))
 
 		case bytecode.OpNot:
 			d := &fr[in.Dst]
-			d.K, d.I = interp.VInt, b01(fr[in.A.Reg].I == 0)
+			d.K, d.I = interp.VInt, b01(fr[in.A].I == 0)
 
 		case bytecode.OpSelect:
-			if fr[in.A.Reg].Bool() {
-				fr[in.Dst] = fr[in.B.Reg]
+			if fr[in.A].Bool() {
+				fr[in.Dst] = fr[in.B]
 			} else {
-				fr[in.Dst] = fr[in.C.Reg]
+				fr[in.Dst] = fr[in.C]
 			}
 
 		case bytecode.OpCastF:
-			x := fr[in.A.Reg]
+			x := fr[in.A]
 			if x.K == interp.VInt {
 				d := &fr[in.Dst]
 				d.K, d.I = interp.VFloat, math.Float64bits(float64(x.I))
@@ -1374,7 +1193,7 @@ dispatch:
 			}
 
 		case bytecode.OpCastI:
-			x := &fr[in.A.Reg]
+			x := &fr[in.A]
 			bits := x.I
 			if x.K == interp.VFloat {
 				bits = uint64(int64(x.Flt()))
@@ -1383,27 +1202,18 @@ dispatch:
 			d.K, d.I = interp.VInt, bits&in.Imm
 
 		case bytecode.OpIdent:
-			fr[in.Dst] = fr[in.A.Reg]
+			fr[in.Dst] = fr[in.A]
 
 		case bytecode.OpTuple:
 			list := f.ArgLists[in.Aux]
 			fields := make([]interp.Val, len(list))
-			for i, o := range list {
-				var v interp.Val
-				if v, err = m.get(f, fr, o); err != nil {
-					goto out
-				}
-				fields[i] = v
+			for i, r := range list {
+				fields[i] = fr[r]
 			}
 			fr[in.Dst] = interp.TupleV(fields)
 
 		case bytecode.OpField:
-			tv := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if tv, err = m.walkPath(f, fr, tv, in.A.Path); err != nil {
-					goto out
-				}
-			}
+			tv := fr[in.A]
 			fields := tv.Tuple()
 			if int(in.Aux) >= len(fields) {
 				err = m.errf(f, "field %d of %d-tuple", in.Aux, len(fields))
@@ -1412,12 +1222,7 @@ dispatch:
 			fr[in.Dst] = fields[in.Aux]
 
 		case bytecode.OpEmit:
-			v := fr[in.A.Reg]
-			if in.A.Path >= 0 {
-				if v, err = m.walkPath(f, fr, v, in.A.Path); err != nil {
-					goto out
-				}
-			}
+			v := fr[in.A]
 			m.Emit(v)
 
 		case bytecode.OpROI:
