@@ -115,8 +115,21 @@ func (s *SparseBitSet) Clear() {
 	s.n = 0
 }
 
-// UnionWith merges other into s chunk by chunk.
+// UnionWith merges other into s chunk by chunk. When every chunk of
+// other is already a chunk of s, the chunks merge in place, and a
+// union that adds nothing allocates nothing.
 func (s *SparseBitSet) UnionWith(other *SparseBitSet) {
+	if holdsAll(s.keys, other.keys) {
+		j := 0
+		for i, hi := range s.keys {
+			if j < len(other.keys) && other.keys[j] == hi {
+				s.ctrs[i] = mergeInto(s.ctrs[i], other.ctrs[j])
+				j++
+			}
+		}
+		s.recount()
+		return
+	}
 	keys := make([]uint16, 0, len(s.keys)+len(other.keys))
 	ctrs := make([]container, 0, len(s.keys)+len(other.keys))
 	i, j := 0, 0
@@ -146,11 +159,59 @@ func (s *SparseBitSet) UnionWith(other *SparseBitSet) {
 		ctrs = append(ctrs, other.ctrs[j].clone())
 	}
 	s.keys, s.ctrs = keys, ctrs
+	s.recount()
+}
+
+// holdsAll reports whether every element of the sorted o is in the
+// sorted a.
+func holdsAll(a, o []uint16) bool {
+	i := 0
+	for _, x := range o {
+		for i < len(a) && a[i] < x {
+			i++
+		}
+		if i == len(a) || a[i] != x {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *SparseBitSet) recount() {
 	n := 0
-	for _, c := range ctrs {
+	for _, c := range s.ctrs {
 		n += c.card()
 	}
 	s.n = n
+}
+
+// mergeInto returns dst ∪ src for a container dst that its set owns,
+// reusing dst where the result fits: a bitmap ORs in place, and an
+// array that already holds every element of src is kept when its
+// capacity (its modeled size) is the one the allocating merge gives.
+func mergeInto(dst, src container) container {
+	switch d := dst.(type) {
+	case arrayContainer:
+		if o, ok := src.(arrayContainer); ok && cap(d) == len(d)+len(o) && holdsAll(d, o) {
+			return dst
+		}
+	case *bitmapContainer:
+		switch o := src.(type) {
+		case *bitmapContainer:
+			for i := range d.words {
+				d.words[i] |= o.words[i]
+			}
+		case arrayContainer:
+			for _, lo := range o {
+				d.words[lo/64] |= 1 << (lo % 64)
+			}
+		default:
+			return dst.unionWith(src)
+		}
+		d.recount()
+		return d
+	}
+	return dst.unionWith(src)
 }
 
 // RunOptimize converts chunks to run-length encoding where that is the
@@ -350,12 +411,16 @@ func (b *bitmapContainer) unionWith(other container) container {
 			return true
 		})
 	}
+	out.recount()
+	return out
+}
+
+func (b *bitmapContainer) recount() {
 	n := 0
-	for _, w := range out.words {
+	for _, w := range b.words {
 		n += bits.OnesCount64(w)
 	}
-	out.n = n
-	return out
+	b.n = n
 }
 
 func (b *bitmapContainer) clone() container {

@@ -106,36 +106,47 @@ type hostRow struct {
 	speedup [6]float64
 }
 
-// hostPass times every host implementation and its hash baseline once
-// (one pass of every operation).
+// hostPass times every host implementation once, each between two
+// timings of its hash baseline (baseline, implementation, baseline,
+// implementation, ...), and divides by the mean of the two baselines:
+// host drift over the pass then moves both sides of a ratio alike
+// instead of entering every ratio.
 func hostPass(n int) []hostRow {
 	na := math.NaN()
 	var rows []hostRow
 	hs := measureHashSet(n)
 	for _, row := range []struct {
-		name string
-		m    setTimes
+		name    string
+		measure func(int) setTimes
 	}{
-		{"BitSet", measureBitSet(n)},
-		{"SparseBitSet", measureSparse(n)},
-		{"SwissSet", measureSwissSet(n)},
-		{"FlatSet", measureFlatSet(n)},
+		{"BitSet", measureBitSet},
+		{"SparseBitSet", measureSparse},
+		{"SwissSet", measureSwissSet},
+		{"FlatSet", measureFlatSet},
 	} {
+		m := row.measure(n)
+		next := measureHashSet(n)
+		base := hs.mean(next)
+		hs = next
 		rows = append(rows, hostRow{row.name, [6]float64{na, na,
-			hs.insert / row.m.insert, hs.remove / row.m.remove,
-			hs.iterate / row.m.iterate, hs.union / row.m.union}})
+			base.insert / m.insert, base.remove / m.remove,
+			base.iterate / m.iterate, base.union / m.union}})
 	}
 	hm := measureHashMap(n)
 	for _, row := range []struct {
-		name string
-		m    mapTimes
+		name    string
+		measure func(int) mapTimes
 	}{
-		{"BitMap", measureBitMap(n)},
-		{"SwissMap", measureSwissMap(n)},
+		{"BitMap", measureBitMap},
+		{"SwissMap", measureSwissMap},
 	} {
-		rows = append(rows, hostRow{row.name, [6]float64{hm.read / row.m.read, hm.write / row.m.write,
-			hm.insert / row.m.insert, hm.remove / row.m.remove,
-			hm.iterate / row.m.iterate, na}})
+		m := row.measure(n)
+		next := measureHashMap(n)
+		base := hm.mean(next)
+		hm = next
+		rows = append(rows, hostRow{row.name, [6]float64{base.read / m.read, base.write / m.write,
+			base.insert / m.insert, base.remove / m.remove,
+			base.iterate / m.iterate, na}})
 	}
 	return rows
 }
@@ -143,6 +154,16 @@ func hostPass(n int) []hostRow {
 type setTimes struct{ insert, remove, iterate, union float64 }
 
 type mapTimes struct{ read, write, insert, remove, iterate float64 }
+
+func (a setTimes) mean(b setTimes) setTimes {
+	return setTimes{(a.insert + b.insert) / 2, (a.remove + b.remove) / 2,
+		(a.iterate + b.iterate) / 2, (a.union + b.union) / 2}
+}
+
+func (a mapTimes) mean(b mapTimes) mapTimes {
+	return mapTimes{(a.read + b.read) / 2, (a.write + b.write) / 2,
+		(a.insert + b.insert) / 2, (a.remove + b.remove) / 2, (a.iterate + b.iterate) / 2}
+}
 
 var sink uint64
 

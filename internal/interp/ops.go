@@ -431,20 +431,16 @@ func (ip *Interp) execUnion(fn *ir.Func, fr []Val, in *ir.Instr) error {
 // paths, accounting the work proportionally into st (Table III's
 // union row). Shared by both execution engines so the OKUnionWord
 // counts agree exactly; callers handle memory-growth sampling. rec may
-// be nil; when set, the union work is attributed to the operand sites.
+// be nil (its methods are nil-safe); when set, the union work is
+// attributed to the operand sites. The word-level paths allocate nothing.
 func UnionInto(st *Stats, rec *telemetry.Recorder, dst, src RSet) {
-	tc := func(c any, k OpKind, n uint64) {
-		if rec != nil {
-			rec.CollOp(c, int(k), n)
-		}
-	}
 	switch dd := dst.(type) {
 	case *RSetBits:
 		if sd, ok := src.(*RSetBits); ok {
 			dd.S.UnionWith(sd.S)
 			words := uint64(len(dd.S.Words()))
 			st.Count(collections.ImplBitSet, OKUnionWord, words)
-			tc(dd, OKUnionWord, words)
+			rec.CollOp(dd, int(OKUnionWord), words)
 			return
 		}
 	case *RSetSparse:
@@ -452,7 +448,7 @@ func UnionInto(st *Stats, rec *telemetry.Recorder, dst, src RSet) {
 			dd.S.UnionWith(sd.S)
 			n := uint64(sd.S.Len() + 1)
 			st.Count(collections.ImplSparseBitSet, OKUnionWord, n)
-			tc(dd, OKUnionWord, n)
+			rec.CollOp(dd, int(OKUnionWord), n)
 			return
 		}
 	}
@@ -463,7 +459,7 @@ func UnionInto(st *Stats, rec *telemetry.Recorder, dst, src RSet) {
 					n := uint64(df.Len() + sf.Len())
 					df.UnionWith(sf)
 					st.Count(collections.ImplFlatSet, OKUnionWord, n)
-					tc(dg, OKUnionWord, n)
+					rec.CollOp(dg, int(OKUnionWord), n)
 					return
 				}
 			}
@@ -473,8 +469,8 @@ func UnionInto(st *Stats, rec *telemetry.Recorder, dst, src RSet) {
 	src.Iterate(func(v Val) bool {
 		st.Count(src.Impl(), OKIter, 1)
 		st.Count(dst.Impl(), OKInsert, 1)
-		tc(src, OKIter, 1)
-		tc(dst, OKInsert, 1)
+		rec.CollOp(src, int(OKIter), 1)
+		rec.CollOp(dst, int(OKInsert), 1)
 		dst.Insert(v)
 		return true
 	})

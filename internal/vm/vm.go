@@ -564,10 +564,6 @@ dispatch:
 				fr[in.Dst] = ret
 			}
 
-		case bytecode.OpRaise:
-			err = errors.New(m.Prog.Msgs[in.Aux])
-			goto out
-
 		case bytecode.OpNewColl:
 			site := &m.Prog.AllocSites[in.Aux]
 			var c interp.Coll
@@ -580,12 +576,6 @@ dispatch:
 				m.Tele.TrackColl(c, telemetry.SiteKey{Fn: site.Fn, Alloc: site.Alloc})
 			}
 			fr[in.Dst] = interp.CollV(c)
-
-		case bytecode.OpNewEnum:
-			fr[in.Dst] = interp.EnumV(m.NewEnum(m.Prog.EnumKeys[in.Aux], ""))
-
-		case bytecode.OpEnumGlobal:
-			fr[in.Dst] = interp.EnumV(m.global(in.Aux, m.Prog.EnumKeys[in.Aux2]))
 
 		case bytecode.OpReadMap:
 			cv := fr[in.A]
@@ -740,26 +730,6 @@ dispatch:
 			m.Grew()
 			fr[in.Dst] = fr[in.A]
 
-		case bytecode.OpWriteSeq:
-			cv := fr[in.A]
-			key := fr[in.B]
-			val := fr[in.C]
-			c, ok := cv.Coll().(interp.RSeq)
-			if !ok {
-				err = m.errf(f, "write on set")
-				goto out
-			}
-			i := int(key.I)
-			if i < 0 || i >= c.Len() {
-				err = m.errf(f, "seq write index %d out of range", i)
-				goto out
-			}
-			st.Count(c.Impl(), interp.OKWrite, 1)
-			c.Set(i, val)
-			m.CollOp(c, interp.OKWrite, 1)
-			m.Grew()
-			fr[in.Dst] = fr[in.A]
-
 		case bytecode.OpInsertSet:
 			cv := fr[in.A]
 			key := fr[in.B]
@@ -841,78 +811,6 @@ dispatch:
 				m.CollOp(c, interp.OKInsert, 1)
 				c.Append(val)
 			}
-			m.Grew()
-			fr[in.Dst] = fr[in.A]
-
-		case bytecode.OpInsertSeqAt:
-			cv := fr[in.A]
-			val := fr[in.C]
-			if c, ok := cv.Coll().(interp.RSeq); ok {
-				st.Count(c.Impl(), interp.OKInsert, 1)
-				m.CollOp(c, interp.OKInsert, 1)
-				i := int(fr[in.B].I)
-				if i < 0 || i > c.Len() {
-					err = m.errf(f, "seq insert index %d out of range", i)
-					goto out
-				}
-				c.InsertAt(i, val)
-			}
-			m.Grew()
-			fr[in.Dst] = fr[in.A]
-
-		case bytecode.OpRemoveSet:
-			cv := fr[in.A]
-			key := fr[in.B]
-			if c, ok := cv.Coll().(interp.RSet); ok {
-				st.Count(c.Impl(), interp.OKRemove, 1)
-				c.Remove(key)
-				m.CollOp(c, interp.OKRemove, 1)
-			}
-			fr[in.Dst] = fr[in.A]
-
-		case bytecode.OpRemoveMap:
-			cv := fr[in.A]
-			key := fr[in.B]
-			if c, ok := cv.Coll().(interp.RMap); ok {
-				st.Count(c.Impl(), interp.OKRemove, 1)
-				c.Remove(key)
-				m.CollOp(c, interp.OKRemove, 1)
-			}
-			fr[in.Dst] = fr[in.A]
-
-		case bytecode.OpRemoveSeq:
-			cv := fr[in.A]
-			key := fr[in.B]
-			if c, ok := cv.Coll().(interp.RSeq); ok {
-				i := int(key.I)
-				if i < 0 || i >= c.Len() {
-					err = m.errf(f, "seq remove index %d out of range", i)
-					goto out
-				}
-				st.Count(c.Impl(), interp.OKRemove, 1)
-				c.RemoveAt(i)
-				m.CollOp(c, interp.OKRemove, 1)
-			}
-			fr[in.Dst] = fr[in.A]
-
-		case bytecode.OpClear:
-			cv := fr[in.A]
-			c := cv.Coll()
-			st.Count(c.Impl(), interp.OKClear, 1)
-			c.Clear()
-			m.CollOp(c, interp.OKClear, 1)
-			fr[in.Dst] = fr[in.A]
-
-		case bytecode.OpUnion:
-			dv := fr[in.A]
-			sv := fr[in.B]
-			dst, ok1 := dv.Coll().(interp.RSet)
-			src, ok2 := sv.Coll().(interp.RSet)
-			if !ok1 || !ok2 {
-				err = m.errf(f, "union on non-sets")
-				goto out
-			}
-			interp.UnionInto(st, m.Tele, dst, src)
 			m.Grew()
 			fr[in.Dst] = fr[in.A]
 
@@ -1183,15 +1081,6 @@ dispatch:
 				fr[in.Dst] = fr[in.C]
 			}
 
-		case bytecode.OpCastF:
-			x := fr[in.A]
-			if x.K == interp.VInt {
-				d := &fr[in.Dst]
-				d.K, d.I = interp.VFloat, math.Float64bits(float64(x.I))
-			} else {
-				fr[in.Dst] = x
-			}
-
 		case bytecode.OpCastI:
 			x := &fr[in.A]
 			bits := x.I
@@ -1203,23 +1092,6 @@ dispatch:
 
 		case bytecode.OpIdent:
 			fr[in.Dst] = fr[in.A]
-
-		case bytecode.OpTuple:
-			list := f.ArgLists[in.Aux]
-			fields := make([]interp.Val, len(list))
-			for i, r := range list {
-				fields[i] = fr[r]
-			}
-			fr[in.Dst] = interp.TupleV(fields)
-
-		case bytecode.OpField:
-			tv := fr[in.A]
-			fields := tv.Tuple()
-			if int(in.Aux) >= len(fields) {
-				err = m.errf(f, "field %d of %d-tuple", in.Aux, len(fields))
-				goto out
-			}
-			fr[in.Dst] = fields[in.Aux]
 
 		case bytecode.OpEmit:
 			v := fr[in.A]
@@ -1233,12 +1105,149 @@ dispatch:
 			m.MarkROI()
 
 		default:
-			err = m.errf(f, "unimplemented opcode %v", op)
-			goto out
+			if err = m.slowOp(f, fr, in); err != nil {
+				goto out
+			}
 		}
 	}
 out:
 	st.Steps += steps
 	st.Counts[collections.ImplNone][interp.OKScalar] += nscalar
 	return rv, returned, err
+}
+
+// slowOp executes one of the opcodes the suite almost never dispatches
+// (DESIGN.md §19). Their arms live here, out of run, so that run stays
+// under the Go compiler's "big function" threshold and may inline the
+// accounting calls and dense accessors of every hot arm. Each arm is
+// run's own code: the same counts, telemetry and errors, in the same
+// order.
+func (m *VM) slowOp(f *bytecode.Func, fr []interp.Val, in *bytecode.Instr) error {
+	st := m.Stats
+	switch in.Op {
+	case bytecode.OpRaise:
+		return errors.New(m.Prog.Msgs[in.Aux])
+
+	case bytecode.OpNewEnum:
+		fr[in.Dst] = interp.EnumV(m.NewEnum(m.Prog.EnumKeys[in.Aux], ""))
+
+	case bytecode.OpEnumGlobal:
+		fr[in.Dst] = interp.EnumV(m.global(in.Aux, m.Prog.EnumKeys[in.Aux2]))
+
+	case bytecode.OpWriteSeq:
+		cv := fr[in.A]
+		key := fr[in.B]
+		val := fr[in.C]
+		c, ok := cv.Coll().(interp.RSeq)
+		if !ok {
+			return m.errf(f, "write on set")
+		}
+		i := int(key.I)
+		if i < 0 || i >= c.Len() {
+			return m.errf(f, "seq write index %d out of range", i)
+		}
+		st.Count(c.Impl(), interp.OKWrite, 1)
+		c.Set(i, val)
+		m.CollOp(c, interp.OKWrite, 1)
+		m.Grew()
+		fr[in.Dst] = fr[in.A]
+
+	case bytecode.OpInsertSeqAt:
+		cv := fr[in.A]
+		val := fr[in.C]
+		if c, ok := cv.Coll().(interp.RSeq); ok {
+			st.Count(c.Impl(), interp.OKInsert, 1)
+			m.CollOp(c, interp.OKInsert, 1)
+			i := int(fr[in.B].I)
+			if i < 0 || i > c.Len() {
+				return m.errf(f, "seq insert index %d out of range", i)
+			}
+			c.InsertAt(i, val)
+		}
+		m.Grew()
+		fr[in.Dst] = fr[in.A]
+
+	case bytecode.OpRemoveSet:
+		cv := fr[in.A]
+		key := fr[in.B]
+		if c, ok := cv.Coll().(interp.RSet); ok {
+			st.Count(c.Impl(), interp.OKRemove, 1)
+			c.Remove(key)
+			m.CollOp(c, interp.OKRemove, 1)
+		}
+		fr[in.Dst] = fr[in.A]
+
+	case bytecode.OpRemoveMap:
+		cv := fr[in.A]
+		key := fr[in.B]
+		if c, ok := cv.Coll().(interp.RMap); ok {
+			st.Count(c.Impl(), interp.OKRemove, 1)
+			c.Remove(key)
+			m.CollOp(c, interp.OKRemove, 1)
+		}
+		fr[in.Dst] = fr[in.A]
+
+	case bytecode.OpRemoveSeq:
+		cv := fr[in.A]
+		key := fr[in.B]
+		if c, ok := cv.Coll().(interp.RSeq); ok {
+			i := int(key.I)
+			if i < 0 || i >= c.Len() {
+				return m.errf(f, "seq remove index %d out of range", i)
+			}
+			st.Count(c.Impl(), interp.OKRemove, 1)
+			c.RemoveAt(i)
+			m.CollOp(c, interp.OKRemove, 1)
+		}
+		fr[in.Dst] = fr[in.A]
+
+	case bytecode.OpClear:
+		cv := fr[in.A]
+		c := cv.Coll()
+		st.Count(c.Impl(), interp.OKClear, 1)
+		c.Clear()
+		m.CollOp(c, interp.OKClear, 1)
+		fr[in.Dst] = fr[in.A]
+
+	case bytecode.OpUnion:
+		dv := fr[in.A]
+		sv := fr[in.B]
+		dst, ok1 := dv.Coll().(interp.RSet)
+		src, ok2 := sv.Coll().(interp.RSet)
+		if !ok1 || !ok2 {
+			return m.errf(f, "union on non-sets")
+		}
+		interp.UnionInto(st, m.Tele, dst, src)
+		m.Grew()
+		fr[in.Dst] = fr[in.A]
+
+	case bytecode.OpCastF:
+		x := fr[in.A]
+		if x.K == interp.VInt {
+			d := &fr[in.Dst]
+			d.K, d.I = interp.VFloat, math.Float64bits(float64(x.I))
+		} else {
+			fr[in.Dst] = x
+		}
+
+	case bytecode.OpTuple:
+		list := f.ArgLists[in.Aux]
+		fields := make([]interp.Val, len(list))
+		for i, r := range list {
+			fields[i] = fr[r]
+		}
+		fr[in.Dst] = interp.TupleV(fields)
+
+	case bytecode.OpField:
+		tv := fr[in.A]
+		fields := tv.Tuple()
+		if int(in.Aux) >= len(fields) {
+			return m.errf(f, "field %d of %d-tuple", in.Aux, len(fields))
+		}
+		fr[in.Dst] = fields[in.Aux]
+
+	default:
+		return m.errf(f, "unimplemented opcode %v", in.Op)
+	}
+	return nil
 }
