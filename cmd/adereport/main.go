@@ -235,7 +235,13 @@ func runProfile(path, profPath string) (*ProgReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := join(path, pgoRs, teleFromProfile(prof.For(hash)))
+	// The saved aggregates stand in for a live run's telemetry; the
+	// per-run fields (mutation counts, occupancy samples) stay zero.
+	tele := &telemetry.Telemetry{}
+	if pp := prof.For(hash); pp != nil {
+		tele.Sites, tele.Enums = pp.Sites, pp.Enums
+	}
+	pr := join(path, pgoRs, tele)
 	pr.Engine = "profile(" + profPath + ")"
 	pr.Profile = verdict
 	pr.Suggestions = sugs

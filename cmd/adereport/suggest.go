@@ -10,7 +10,6 @@ import (
 	"memoir/internal/ir"
 	"memoir/internal/pipeline"
 	"memoir/internal/remarks"
-	"memoir/internal/telemetry"
 )
 
 // Suggestion is one auto-generated `#pragma ade` line: where the
@@ -153,40 +152,4 @@ func Suggest(build func() (*ir.Program, error), prof *adeprofile.Profile) ([]Sug
 		return out[i].Pragma < out[j].Pragma
 	})
 	return out, pgoRs, pgoRep.Profile, nil
-}
-
-// teleFromProfile reconstitutes the saved aggregates as a telemetry
-// document, so the offline-replay join renders through the same path
-// as a live run (per-run fields — mutation counts, occupancy samples —
-// are not persisted and stay zero).
-func teleFromProfile(pp *adeprofile.ProgramProfile) *telemetry.Telemetry {
-	t := &telemetry.Telemetry{}
-	if pp == nil {
-		return t
-	}
-	for _, s := range pp.Sites {
-		t.Sites = append(t.Sites, &telemetry.SiteStats{
-			Key:       s.Key,
-			Impl:      s.Impl,
-			Ops:       s.Ops,
-			Sparse:    s.Sparse,
-			Dense:     s.Dense,
-			Instances: int(s.Instances),
-			PeakLen:   s.PeakLen,
-			KeySeen:   s.KeySeen,
-			KeyLo:     s.KeyLo,
-			KeyHi:     s.KeyHi,
-		})
-	}
-	for _, e := range pp.Enums {
-		t.Enums = append(t.Enums, &telemetry.EnumStats{
-			Global:   e.Global,
-			Enc:      e.Enc,
-			Dec:      e.Dec,
-			Add:      e.Add,
-			Added:    e.Added,
-			FinalLen: e.FinalLen,
-		})
-	}
-	return t
 }

@@ -63,14 +63,4 @@ func main() {
 	loneRoar.Insert(20_000_000)
 	fmt.Printf("\none element at id 20M: BitSet=%d bytes, SparseBitSet=%d bytes\n",
 		lone.Bytes(), loneRoar.Bytes())
-
-	// Run-length compression for contiguous ranges.
-	rangeSet := collections.NewSparseBitSet()
-	for i := uint32(1000); i < 200000; i++ {
-		rangeSet.Insert(i)
-	}
-	before := rangeSet.Bytes()
-	rangeSet.RunOptimize()
-	fmt.Printf("contiguous range in SparseBitSet: %d bytes -> %d after RunOptimize\n",
-		before, rangeSet.Bytes())
 }

@@ -2,7 +2,10 @@
 // of the runtime telemetry both engines collect: a canonical,
 // engine-deterministic profile keyed by the same stable site keys
 // {fn, new-ordinal, depth} the compiler remarks carry, so a profile
-// survives re-parse, clone, and the ADE transform itself.
+// survives re-parse, clone, and the ADE transform itself. A profile
+// stores telemetry's own records (telemetry.SiteStats and
+// telemetry.EnumStats); Merge alone decides which of their fields
+// persist.
 //
 // A profile is the artifact half of the feedback loop: memoir-run,
 // adebench, and adeserved emit one from live telemetry; adec consumes
@@ -12,7 +15,8 @@
 // behaviour disagree.
 //
 // Profiles merge: the fold is commutative and associative (counts
-// add, peaks max, key bounds widen), and serialization normalizes
+// add, peaks max, key bounds widen; the per-run mutation count and
+// occupancy samples are dropped), and serialization normalizes
 // order (programs sorted by hash, sites by key, enumerations by
 // global), so shards collected on different engines, machines, or in
 // different orders produce byte-identical files.
@@ -50,56 +54,21 @@ type Profile struct {
 // collected against what the user wrote, and the site keys inside are
 // stable across the ADE rewrite, so the same profile guides any
 // options configuration of that program.
+//
+// Sites and Enums hold the engines' own telemetry records, folded
+// across runs by Merge: the per-run fields (SiteStats.Muts and the
+// occupancy Samples) are never folded, so they stay zero and drop out
+// of the serialization.
 type ProgramProfile struct {
 	Hash string `json:"hash"`
 	// Name is an optional human label (benchmark name, file name);
-	// informational only — merging keeps the first non-empty one.
+	// informational only — merging keeps the lexicographically smallest
+	// non-empty one.
 	Name string `json:"name,omitempty"`
 	// Runs counts the recorded executions folded into this profile.
-	Runs  uint64         `json:"runs"`
-	Sites []*SiteProfile `json:"sites"`
-	Enums []*EnumProfile `json:"enums,omitempty"`
-}
-
-// SiteProfile is the durable aggregate of one allocation site's
-// telemetry across runs: the fields of telemetry.SiteStats whose fold
-// is order-invariant (the occupancy sample series is per-run and is
-// deliberately not persisted).
-type SiteProfile struct {
-	Key telemetry.SiteKey `json:"key"`
-	// Impl is the implementation observed when the profile was
-	// collected (informational; selection decisions come from the
-	// counts, not from this).
-	Impl      string                 `json:"impl,omitempty"`
-	Ops       [telemetry.NOps]uint64 `json:"ops"`
-	Sparse    uint64                 `json:"sparse,omitempty"`
-	Dense     uint64                 `json:"dense,omitempty"`
-	Instances uint64                 `json:"instances,omitempty"`
-	PeakLen   int                    `json:"peakLen,omitempty"`
-	KeySeen   bool                   `json:"keySeen,omitempty"`
-	KeyLo     uint64                 `json:"keyLo,omitempty"`
-	KeyHi     uint64                 `json:"keyHi,omitempty"`
-}
-
-// Total returns the operation-histogram sum.
-func (s *SiteProfile) Total() uint64 {
-	var t uint64
-	for _, n := range s.Ops {
-		t += n
-	}
-	return t
-}
-
-// EnumProfile is the durable aggregate of one runtime enumeration's
-// translation traffic across runs.
-type EnumProfile struct {
-	Global string `json:"global"`
-	Enc    uint64 `json:"enc"`
-	Dec    uint64 `json:"dec"`
-	Add    uint64 `json:"add"`
-	Added  uint64 `json:"added"`
-	// FinalLen is the largest final cardinality observed in any run.
-	FinalLen int `json:"finalLen"`
+	Runs  uint64                 `json:"runs"`
+	Sites []*telemetry.SiteStats `json:"sites"`
+	Enums []*telemetry.EnumStats `json:"enums,omitempty"`
 }
 
 // New returns an empty adeprofile/v1 profile.
@@ -107,41 +76,17 @@ func New() *Profile {
 	return &Profile{Schema: Schema}
 }
 
-// FromTelemetry converts one recorded run into a single-program
-// profile. hash must be the pre-ADE ir.ProgramHash of the program the
-// run executed (possibly post-ADE at runtime — the site keys are the
+// FromTelemetry folds one recorded run into a single-program profile.
+// hash must be the pre-ADE ir.ProgramHash of the program the run
+// executed (possibly post-ADE at runtime — the site keys are the
 // same); name is an optional label.
 func FromTelemetry(hash, name string, t *telemetry.Telemetry) *Profile {
-	pp := &ProgramProfile{Hash: hash, Name: name, Runs: 1}
+	run := &ProgramProfile{Hash: hash, Name: name, Runs: 1}
 	if t != nil {
-		for _, ss := range t.Sites {
-			pp.Sites = append(pp.Sites, &SiteProfile{
-				Key:       ss.Key,
-				Impl:      ss.Impl,
-				Ops:       ss.Ops,
-				Sparse:    ss.Sparse,
-				Dense:     ss.Dense,
-				Instances: uint64(ss.Instances),
-				PeakLen:   ss.PeakLen,
-				KeySeen:   ss.KeySeen,
-				KeyLo:     ss.KeyLo,
-				KeyHi:     ss.KeyHi,
-			})
-		}
-		for _, es := range t.Enums {
-			pp.Enums = append(pp.Enums, &EnumProfile{
-				Global:   es.Global,
-				Enc:      es.Enc,
-				Dec:      es.Dec,
-				Add:      es.Add,
-				Added:    es.Added,
-				FinalLen: es.FinalLen,
-			})
-		}
+		run.Sites, run.Enums = t.Sites, t.Enums
 	}
 	p := New()
-	p.Programs = append(p.Programs, pp)
-	p.normalize()
+	p.Merge(&Profile{Programs: []*ProgramProfile{run}})
 	return p
 }
 
@@ -158,8 +103,8 @@ func (p *Profile) For(hash string) *ProgramProfile {
 	return nil
 }
 
-// Site returns the site profile for key k, or nil.
-func (pp *ProgramProfile) Site(k telemetry.SiteKey) *SiteProfile {
+// Site returns the aggregate of the site with key k, or nil.
+func (pp *ProgramProfile) Site(k telemetry.SiteKey) *telemetry.SiteStats {
 	if pp == nil {
 		return nil
 	}
@@ -171,10 +116,11 @@ func (pp *ProgramProfile) Site(k telemetry.SiteKey) *SiteProfile {
 	return nil
 }
 
-// Merge folds q into p. The fold is commutative and associative:
+// Merge folds q into p, and is the one rule that decides which
+// telemetry fields persist. The fold is commutative and associative:
 // counts add, peaks max, key bounds widen, so shards merged in any
 // order produce the same profile (and, after Write's normalization,
-// the same bytes).
+// the same bytes). Per-run fields are not folded.
 func (p *Profile) Merge(q *Profile) {
 	if q == nil {
 		return
@@ -194,7 +140,7 @@ func (p *Profile) Merge(q *Profile) {
 		for _, qs := range qp.Sites {
 			ps := pp.Site(qs.Key)
 			if ps == nil {
-				ps = &SiteProfile{Key: qs.Key, Impl: qs.Impl}
+				ps = &telemetry.SiteStats{Key: qs.Key, Impl: qs.Impl}
 				pp.Sites = append(pp.Sites, ps)
 			}
 			if qs.Impl != "" && (ps.Impl == "" || qs.Impl < ps.Impl) {
@@ -222,7 +168,7 @@ func (p *Profile) Merge(q *Profile) {
 		for _, qe := range qp.Enums {
 			pe := pp.enum(qe.Global)
 			if pe == nil {
-				pe = &EnumProfile{Global: qe.Global}
+				pe = &telemetry.EnumStats{Global: qe.Global}
 				pp.Enums = append(pp.Enums, pe)
 			}
 			pe.Enc += qe.Enc
@@ -237,7 +183,7 @@ func (p *Profile) Merge(q *Profile) {
 	p.normalize()
 }
 
-func (pp *ProgramProfile) enum(global string) *EnumProfile {
+func (pp *ProgramProfile) enum(global string) *telemetry.EnumStats {
 	for _, e := range pp.Enums {
 		if e.Global == global {
 			return e

@@ -129,6 +129,30 @@ func TestMergeFold(t *testing.T) {
 	}
 }
 
+// TestPerRunFieldsNotPersisted: FromTelemetry folds the recording
+// through Merge, which copies no per-run field (mutation count,
+// occupancy samples) and keeps no pointer into the recording.
+func TestPerRunFieldsNotPersisted(t *testing.T) {
+	rec := tele(10, 2, 8)
+	rec.Sites[0].Muts = 12
+	rec.Sites[0].Samples = []telemetry.Sample{{Muts: 8, Len: 5}}
+	p := FromTelemetry("h", "", rec)
+	sp := p.For("h").Site(rec.Sites[0].Key)
+	if sp == rec.Sites[0] || p.For("h").Enums[0] == rec.Enums[0] {
+		t.Fatal("profile aliases the recording's records")
+	}
+	if sp.Muts != 0 || sp.Samples != nil {
+		t.Fatalf("per-run fields persisted: muts=%d samples=%v", sp.Muts, sp.Samples)
+	}
+	var buf bytes.Buffer
+	if err := p.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Contains(out, `"muts"`) || strings.Contains(out, `"samples"`) {
+		t.Fatalf("per-run fields serialized:\n%s", out)
+	}
+}
+
 func TestValidate(t *testing.T) {
 	p := FromTelemetry("h", "", tele(1, 1, 1))
 	if err := p.Validate(); err != nil {
@@ -147,7 +171,7 @@ func TestValidate(t *testing.T) {
 	dk := New()
 	dk.Programs = []*ProgramProfile{{
 		Hash: "x",
-		Sites: []*SiteProfile{
+		Sites: []*telemetry.SiteStats{
 			{Key: telemetry.SiteKey{Fn: "f"}},
 			{Key: telemetry.SiteKey{Fn: "f"}},
 		},

@@ -25,11 +25,11 @@ func runTracked(t *testing.T, prog *ir.Program, seed int64) map[*ir.Value]bool {
 	opts.MemSampleEvery = 1 << 30
 	opts.TrackReads = true
 	ip := interp.New(prog, opts)
-	c := ip.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+	c := ip.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 	for _, k := range core.FuzzInput(seed) {
 		c.Append(interp.IntV(k))
 	}
-	if _, err := ip.Run("main", interp.CollV(c.(interp.Coll))); err != nil {
+	if _, err := ip.Run("main", interp.CollV(c)); err != nil {
 		t.Fatalf("seed %d: run: %v", seed, err)
 	}
 	reads := ip.ReadValues()
@@ -104,11 +104,11 @@ func TestLintErrorFreeGeneratedPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v engine: %v", seed, eng, err)
 			}
-			c := m.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+			c := m.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 			for _, k := range core.FuzzInput(seed) {
 				c.Append(interp.IntV(k))
 			}
-			ret, err := m.Run("main", interp.CollV(c.(interp.Coll)))
+			ret, err := m.Run("main", interp.CollV(c))
 			if err != nil {
 				t.Fatalf("seed %d: run on %v: %v", seed, eng, err)
 			}

@@ -163,20 +163,20 @@ func CollectSiteProfile(s *Spec, prog *ir.Program, sc Scale) (*adeprofile.Profil
 
 // seqOfLabels materializes a Seq<u64> input collection.
 func seqOfLabels(ip Allocator, labels []uint64) interp.Val {
-	c := ip.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+	c := ip.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 	for _, l := range labels {
 		c.Append(interp.IntV(l))
 	}
-	return interp.CollV(c.(interp.Coll))
+	return interp.CollV(c)
 }
 
 // seqOfIndexed materializes a Seq<u64> of labels selected by index.
 func seqOfIndexed(ip Allocator, labels []uint64, idx []int32) interp.Val {
-	c := ip.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+	c := ip.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 	for _, i := range idx {
 		c.Append(interp.IntV(labels[i]))
 	}
-	return interp.CollV(c.(interp.Coll))
+	return interp.CollV(c)
 }
 
 // --- shared IR fragments ---

@@ -19,10 +19,6 @@
 // manufactures.
 package collections
 
-import (
-	"math/bits"
-)
-
 // Impl identifies a concrete collection implementation, mirroring the
 // Selection column of the paper's Table I.
 type Impl uint8
@@ -166,11 +162,4 @@ func CmpUint64(a, b uint64) int {
 		return 1
 	}
 	return 0
-}
-
-func ceilPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << (bits.Len(uint(n - 1)))
 }

@@ -209,7 +209,7 @@ func runtimeFamilies() []family {
 			func(k uint64) { c.Remove(key(k)) }, c.Clear), c.Bytes, "HashSet<wide>"})
 	}
 	for _, ct := range []*ir.CollType{ir.SeqOf(ir.TU64), ir.SeqOf(ir.TF64), ir.SeqOf(ir.TStr)} {
-		s := newColl(ct).(interp.RSeq)
+		s := newColl(ct).(*interp.RSeqArr)
 		fams = append(fams, family{ct.String(), func(op layoutOp) {
 			v := interp.IntV(op.key)
 			switch op.kind {

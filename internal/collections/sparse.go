@@ -8,10 +8,10 @@ import (
 // SparseBitSet is a Roaring-style compressed bitset (Table I row
 // Set/SparseBitSet). The 32-bit key space is chunked by its high 16
 // bits; each chunk stores its low 16 bits in whichever container is
-// cheapest — a sorted uint16 array (≤ arrayMax entries), an
-// uncompressed 65536-bit bitmap, or run-length-encoded intervals.
-// This is the hybrid layout of the Roaring bitmap library the paper
-// links against.
+// cheapest — a sorted uint16 array (≤ arrayMax entries) or an
+// uncompressed 65536-bit bitmap. This is the hybrid layout of the
+// Roaring bitmap library the paper links against, without Roaring's
+// optional run containers.
 type SparseBitSet struct {
 	keys []uint16
 	ctrs []container
@@ -212,19 +212,6 @@ func mergeInto(dst, src container) container {
 		return d
 	}
 	return dst.unionWith(src)
-}
-
-// RunOptimize converts chunks to run-length encoding where that is the
-// smallest representation, as Roaring's runOptimize does.
-func (s *SparseBitSet) RunOptimize() {
-	for i, c := range s.ctrs {
-		runs := countRuns(c)
-		// A run container costs 4 bytes per run; compare against the
-		// current representation.
-		if int64(runs)*4 < c.bytes() {
-			s.ctrs[i] = toRunContainer(c, runs)
-		}
-	}
 }
 
 // Bytes models the storage footprint: chunk index plus container
@@ -429,148 +416,3 @@ func (b *bitmapContainer) clone() container {
 }
 
 func (b *bitmapContainer) bytes() int64 { return 1024 * 8 }
-
-// --- run container ---
-
-// interval16 is a closed interval [start, start+length].
-type interval16 struct {
-	start, length uint16
-}
-
-type runContainer struct {
-	runs []interval16
-	n    int
-}
-
-func (r *runContainer) findRun(lo uint16) (int, bool) {
-	i := sort.Search(len(r.runs), func(i int) bool {
-		return uint32(r.runs[i].start)+uint32(r.runs[i].length) >= uint32(lo)
-	})
-	if i < len(r.runs) && r.runs[i].start <= lo {
-		return i, true
-	}
-	return i, false
-}
-
-func (r *runContainer) has(lo uint16) bool {
-	_, ok := r.findRun(lo)
-	return ok
-}
-
-func (r *runContainer) insert(lo uint16) (container, bool) {
-	i, ok := r.findRun(lo)
-	if ok {
-		return r, false
-	}
-	// Try extending a neighboring run, merging if the gap closes.
-	prevAdj := i > 0 && uint32(r.runs[i-1].start)+uint32(r.runs[i-1].length)+1 == uint32(lo)
-	nextAdj := i < len(r.runs) && r.runs[i].start == lo+1
-	switch {
-	case prevAdj && nextAdj:
-		r.runs[i-1].length += r.runs[i].length + 2
-		r.runs = append(r.runs[:i], r.runs[i+1:]...)
-	case prevAdj:
-		r.runs[i-1].length++
-	case nextAdj:
-		r.runs[i].start = lo
-		r.runs[i].length++
-	default:
-		r.runs = append(r.runs, interval16{})
-		copy(r.runs[i+1:], r.runs[i:])
-		r.runs[i] = interval16{start: lo}
-	}
-	r.n++
-	return r, true
-}
-
-func (r *runContainer) remove(lo uint16) (container, bool) {
-	i, ok := r.findRun(lo)
-	if !ok {
-		return r, false
-	}
-	run := r.runs[i]
-	switch {
-	case run.length == 0:
-		r.runs = append(r.runs[:i], r.runs[i+1:]...)
-	case lo == run.start:
-		r.runs[i].start++
-		r.runs[i].length--
-	case uint32(lo) == uint32(run.start)+uint32(run.length):
-		r.runs[i].length--
-	default:
-		// Split the run.
-		r.runs = append(r.runs, interval16{})
-		copy(r.runs[i+1:], r.runs[i:])
-		r.runs[i] = interval16{start: run.start, length: lo - run.start - 1}
-		r.runs[i+1] = interval16{start: lo + 1, length: uint16(uint32(run.start) + uint32(run.length) - uint32(lo) - 1)}
-	}
-	r.n--
-	return r, true
-}
-
-func (r *runContainer) card() int { return r.n }
-
-func (r *runContainer) iterate(base uint32, f func(uint32) bool) bool {
-	for _, run := range r.runs {
-		for k := uint32(run.start); k <= uint32(run.start)+uint32(run.length); k++ {
-			if !f(base | k) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (r *runContainer) unionWith(other container) container {
-	// Materialize through a bitmap; precise run-run merge is not a hot
-	// path for our workloads.
-	b := &bitmapContainer{}
-	r.iterate(0, func(k uint32) bool {
-		b.words[k/64] |= 1 << (k % 64)
-		return true
-	})
-	out := b.unionWith(other)
-	if out.card() <= arrayMax {
-		if bc, ok := out.(*bitmapContainer); ok {
-			return bc.toArray()
-		}
-	}
-	return out
-}
-
-func (r *runContainer) clone() container {
-	c := &runContainer{runs: make([]interval16, len(r.runs)), n: r.n}
-	copy(c.runs, r.runs)
-	return c
-}
-
-func (r *runContainer) bytes() int64 { return int64(cap(r.runs)) * 4 }
-
-// countRuns counts maximal runs of consecutive values in c.
-func countRuns(c container) int {
-	runs := 0
-	prev := int64(-2)
-	c.iterate(0, func(k uint32) bool {
-		if int64(k) != prev+1 {
-			runs++
-		}
-		prev = int64(k)
-		return true
-	})
-	return runs
-}
-
-func toRunContainer(c container, runs int) *runContainer {
-	r := &runContainer{runs: make([]interval16, 0, runs), n: c.card()}
-	prev := int64(-2)
-	c.iterate(0, func(k uint32) bool {
-		if int64(k) == prev+1 {
-			r.runs[len(r.runs)-1].length++
-		} else {
-			r.runs = append(r.runs, interval16{start: uint16(k)})
-		}
-		prev = int64(k)
-		return true
-	})
-	return r
-}

@@ -104,68 +104,6 @@ func TestSparseUnionArrayOverflowToBitmap(t *testing.T) {
 	}
 }
 
-func TestSparseRunOptimize(t *testing.T) {
-	s := NewSparseBitSet()
-	for i := uint32(100); i < 5000; i++ {
-		s.Insert(i)
-	}
-	before := s.Bytes()
-	s.RunOptimize()
-	if _, ok := s.ctrs[0].(*runContainer); !ok {
-		t.Fatalf("container is %T, want run after RunOptimize on a dense range", s.ctrs[0])
-	}
-	if s.Bytes() >= before {
-		t.Fatalf("RunOptimize did not shrink: %d -> %d", before, s.Bytes())
-	}
-	if s.Len() != 4900 || !s.Has(100) || !s.Has(4999) || s.Has(99) || s.Has(5000) {
-		t.Fatal("run container membership wrong")
-	}
-	// Mutations after optimization must stay correct.
-	if s.Insert(100) {
-		t.Fatal("duplicate insert into run reported new")
-	}
-	if !s.Insert(5000) || !s.Has(5000) {
-		t.Fatal("extend run failed")
-	}
-	if !s.Remove(2500) || s.Has(2500) || s.Len() != 4900 {
-		t.Fatal("split run failed")
-	}
-	if !s.Insert(99) || !s.Has(99) {
-		t.Fatal("prepend to run failed")
-	}
-}
-
-func TestSparseRunContainerEdgeOps(t *testing.T) {
-	r := &runContainer{}
-	var c container = r
-	for _, lo := range []uint16{10, 11, 12, 20, 21, 5} {
-		c, _ = c.insert(lo)
-	}
-	if c.card() != 6 {
-		t.Fatalf("card=%d", c.card())
-	}
-	// Insert bridging two runs: 10..12 and a lone 13+? Insert 13 then 19
-	// bridging 13 with 20..21? 13 extends [10,12]; 19 extends [20,21] head.
-	c, _ = c.insert(13)
-	c, _ = c.insert(19)
-	// Bridge [10..13] and [19..21] via 14..18.
-	for lo := uint16(14); lo <= 18; lo++ {
-		c, _ = c.insert(lo)
-	}
-	rc := c.(*runContainer)
-	if len(rc.runs) != 2 { // {5} and {10..21}
-		t.Fatalf("runs=%v", rc.runs)
-	}
-	// Remove from the front, back, middle.
-	c, _ = c.remove(5)
-	c, _ = c.remove(10)
-	c, _ = c.remove(21)
-	c, _ = c.remove(15)
-	if c.has(5) || c.has(10) || c.has(21) || c.has(15) || !c.has(11) || !c.has(20) {
-		t.Fatal("run removals wrong")
-	}
-}
-
 func TestSparseBytesCompression(t *testing.T) {
 	dense, sparse := NewBitSet(), NewSparseBitSet()
 	// One element at a huge key: BitSet pays for the whole range,
@@ -211,7 +149,7 @@ func cloneSparse(s *SparseBitSet) *SparseBitSet {
 
 // TestSparseUnionInPlaceMatchesAllocating: merging in place leaves the
 // same members, container kinds and modeled Bytes as the allocating
-// merge, over array, bitmap and run chunks, repeated unions of an
+// merge, over array and bitmap chunks, repeated unions of an
 // unchanged source (the in-place case) and sources that add elements
 // or chunks; the source is never modified.
 func TestSparseUnionInPlaceMatchesAllocating(t *testing.T) {
@@ -226,9 +164,6 @@ func TestSparseUnionInPlaceMatchesAllocating(t *testing.T) {
 		a, b := NewSparseBitSet(), NewSparseBitSet()
 		fill(a, r.Intn(6000), span)
 		fill(b, r.Intn(6000), span)
-		if trial%4 == 0 {
-			b.RunOptimize()
-		}
 		ref := cloneSparse(a)
 		for round := 0; round < 4; round++ {
 			if round == 2 {

@@ -79,8 +79,6 @@ func newAdeCtx(prog *ir.Program, opts Options) *adeCtx {
 	}
 }
 
-func (cx *adeCtx) fiOf(fn *ir.Func) *fnInfo { return cx.fis[fn] }
-
 // weightFn returns the benefit weight function for fn: nil (static
 // counts) without a matched site profile, observed per-site operation
 // counts with one.

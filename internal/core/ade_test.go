@@ -54,7 +54,7 @@ func runCount(t *testing.T, p *ir.Program, vals []uint64) (uint64, *interp.Stats
 	t.Helper()
 	ip := interp.New(p, interp.DefaultOptions())
 	c := ip.NewColl(ir.SeqOf(ir.TU64))
-	s := c.(interp.RSeq)
+	s := c.(*interp.RSeqArr)
 	for _, v := range vals {
 		s.Append(interp.IntV(v))
 	}
@@ -209,7 +209,7 @@ func runMain(t *testing.T, p *ir.Program, vals []uint64) (uint64, *interp.Stats)
 	t.Helper()
 	ip := interp.New(p, interp.DefaultOptions())
 	c := ip.NewColl(ir.SeqOf(ir.TU64))
-	s := c.(interp.RSeq)
+	s := c.(*interp.RSeqArr)
 	for _, v := range vals {
 		s.Append(interp.IntV(v))
 	}
@@ -465,14 +465,14 @@ func TestInterprocClone(t *testing.T) {
 
 	run := func(pp *ir.Program) (uint64, uint64) {
 		ip := interp.New(pp, interp.DefaultOptions())
-		ks := ip.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+		ks := ip.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 		for _, v := range ufKeys {
 			ks.Append(interp.IntV(v))
 		}
 		pl := ip.NewColl(ir.MapOf(ir.TU64, ir.TU64)).(interp.RMap)
 		pl.Put(interp.IntV(71), interp.IntV(1000))
 		pl.Put(interp.IntV(3), interp.IntV(2000))
-		ret, err := ip.Run("main", interp.CollV(ks.(interp.Coll)), interp.CollV(pl.(interp.Coll)))
+		ret, err := ip.Run("main", interp.CollV(ks), interp.CollV(pl.(interp.Coll)))
 		if err != nil {
 			t.Fatalf("run: %v\n%s", err, ir.Print(pp))
 		}

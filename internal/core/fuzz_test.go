@@ -22,11 +22,11 @@ func runFuzzProgram(t testing.TB, p *ir.Program, seed int64) (uint64, uint64) {
 	opts.MaxSteps = 20_000_000
 	opts.MaxBytes = 1 << 30
 	ip := interp.New(p, opts)
-	c := ip.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+	c := ip.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 	for _, k := range FuzzInput(seed) {
 		c.Append(interp.IntV(k))
 	}
-	ret, err := ip.Run("main", interp.CollV(c.(interp.Coll)))
+	ret, err := ip.Run("main", interp.CollV(c))
 	if err != nil {
 		t.Fatalf("seed %d: run: %v\n%s", seed, err, ir.Print(p))
 	}

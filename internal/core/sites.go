@@ -465,13 +465,6 @@ func (s *site) st() *ir.CollType { return s.collType }
 
 func pathLen(o ir.Operand) int { return len(o.Path) }
 
-func readResultType(in *ir.Instr) ir.Type {
-	if r := in.Result(); r != nil {
-		return r.Type
-	}
-	return nil
-}
-
 // analyzeLoopUse handles a for-each whose collection operand is a
 // redef of s's base.
 func analyzeLoopUse(fi *fnInfo, s *site, fe *ir.ForEach, d int) {

@@ -203,11 +203,11 @@ func specSource(s *bench.Spec, sc bench.Scale) source {
 // seqInput passes keys to @main as one Seq<u64>.
 func seqInput(keys []uint64) func(bench.Allocator) []interp.Val {
 	return func(a bench.Allocator) []interp.Val {
-		c := a.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+		c := a.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 		for _, k := range keys {
 			c.Append(interp.IntV(k))
 		}
-		return []interp.Val{interp.CollV(c.(interp.Coll))}
+		return []interp.Val{interp.CollV(c)}
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 // RSetBits, RSetSparse, RMapHash, RMapBit, RSeqArr) so the bytecode
 // VM can devirtualize its hot collection opcodes with a type switch;
 // rarer implementations stay behind the generic rsetG/rmapG wrappers.
+// Sequences have one implementation, so RSeqArr is the sequence type:
+// there is no sequence interface beside it.
 //
 // RSeqArr, RMapBit, RMapHash and RSetHash each hold the storage for
 // both element representations and use the one NewCollFor picked from
@@ -47,17 +49,6 @@ type RMap interface {
 	HasKey(Val) bool
 	Remove(Val) bool
 	Iterate(func(k, v Val) bool)
-}
-
-// RSeq is a runtime sequence.
-type RSeq interface {
-	Coll
-	Get(int) Val
-	Set(int, Val)
-	Append(Val)
-	InsertAt(int, Val)
-	RemoveAt(int)
-	Iterate(func(i int, v Val) bool)
 }
 
 // --- HashSet-backed set ---

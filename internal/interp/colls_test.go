@@ -367,11 +367,11 @@ func TestRuntimeSeqsMatchModel(t *testing.T) {
 	for _, c := range seqCases() {
 		t.Run(c.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(1))
-			var seqsUT []RSeq
+			var seqsUT []*RSeqArr
 			var colls []Coll
 			for _, v := range c.variants {
 				x := v()
-				seqsUT, colls = append(seqsUT, x.(RSeq)), append(colls, x)
+				seqsUT, colls = append(seqsUT, x.(*RSeqArr)), append(colls, x)
 			}
 			checkShape(t, c, colls)
 			et := c.ct.Elem.(*ir.ScalarType)
@@ -425,7 +425,7 @@ func TestRuntimeSeqsMatchModel(t *testing.T) {
 						seqs[j] = append(seqs[j], v)
 						return true
 					})
-					vals, words, ek := s.(*RSeqArr).Elems()
+					vals, words, ek := s.Elems()
 					elems := vals
 					if words != nil || vals == nil {
 						elems = nil

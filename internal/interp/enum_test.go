@@ -135,11 +135,11 @@ func TestIterationLocalLiveness(t *testing.T) {
 		opts := DefaultOptions()
 		opts.MemSampleEvery = 1
 		ip := New(p, opts)
-		seq := ip.NewColl(ir.SeqOf(ir.TU64)).(RSeq)
+		seq := ip.NewColl(ir.SeqOf(ir.TU64)).(*RSeqArr)
 		for i := 0; i < 500; i++ {
 			seq.Append(IntV(uint64(i) * 7919))
 		}
-		if _, err := ip.Run("main", CollV(seq.(Coll))); err != nil {
+		if _, err := ip.Run("main", CollV(seq)); err != nil {
 			t.Fatal(err)
 		}
 		ip.FinalizeMem()

@@ -290,7 +290,7 @@ func (ip *Interp) resolve(fn *ir.Func, fr []Val, o ir.Operand) (Val, error) {
 					return Val{}, ip.errf(fn, "nested read of missing key %v", key)
 				}
 				cur = v
-			case RSeq:
+			case *RSeqArr:
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
 					return Val{}, ip.errf(fn, "nested seq index %d out of range [0,%d)", i, c.Len())
@@ -409,7 +409,7 @@ func (ip *Interp) execForEach(fn *ir.Func, fr []Val, n *ir.ForEach) error {
 		return true
 	}
 	switch c := collV.Coll().(type) {
-	case RSeq:
+	case *RSeqArr:
 		c.Iterate(func(i int, v Val) bool { return step(IntV(uint64(i)), v) })
 	case RSet:
 		c.Iterate(func(v Val) bool { return step(v, v) })

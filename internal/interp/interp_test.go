@@ -93,7 +93,7 @@ func buildHistogramADE() *ir.Program {
 
 func inputSeq(ip *Interp, vals []uint64) Val {
 	c := ip.NewColl(ir.SeqOf(ir.TU64))
-	s := c.(RSeq)
+	s := c.(*RSeqArr)
 	for _, v := range vals {
 		s.Append(IntV(v))
 	}

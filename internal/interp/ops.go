@@ -60,7 +60,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 				return ctrlNormal, Val{}, ip.errf(fn, "read of missing key %v", key)
 			}
 			setRes(0, v)
-		case RSeq:
+		case *RSeqArr:
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
 				return ctrlNormal, Val{}, ip.errf(fn, "seq read index %d out of range [0,%d)", i, c.Len())
@@ -127,7 +127,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			}
 			c.Put(key, val)
 			ip.CollOp(c, OKWrite, 1)
-		case RSeq:
+		case *RSeqArr:
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
 				return ctrlNormal, Val{}, ip.errf(fn, "seq write index %d out of range", i)
@@ -175,7 +175,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			if ip.Tele != nil {
 				ip.Tele.KeyObs(c, key.Bits())
 			}
-		case RSeq:
+		case *RSeqArr:
 			val, err := ip.resolve(fn, fr, in.Args[2])
 			if err != nil {
 				return ctrlNormal, Val{}, err
@@ -218,7 +218,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			ip.Stats.Count(c.Impl(), OKRemove, 1)
 			c.Remove(key)
 			ip.CollOp(c, OKRemove, 1)
-		case RSeq:
+		case *RSeqArr:
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
 				return ctrlNormal, Val{}, ip.errf(fn, "seq remove index %d out of range", i)

@@ -30,7 +30,7 @@ func TestNewLocalCollReusesSlot(t *testing.T) {
 	r := NewRuntime(Options{MemSampleEvery: 1})
 	ct := ir.SeqOf(ir.TU64)
 	slot := int32(-1)
-	first := r.NewLocalColl(ct, &slot).(RSeq)
+	first := r.NewLocalColl(ct, &slot).(*RSeqArr)
 	first.Append(IntV(1))
 	if slot != 0 || len(r.live) != 1 {
 		t.Fatalf("first instance: slot %d, registry %d, want 0, 1", slot, len(r.live))
@@ -60,7 +60,7 @@ func TestCheckpointOrder(t *testing.T) {
 	if err := r.Checkpoint("f", 1025); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("cancelled context at step 1025: %v", err)
 	}
-	r.NewColl(ir.SeqOf(ir.TU64)).(RSeq).Append(IntV(1))
+	r.NewColl(ir.SeqOf(ir.TU64)).(*RSeqArr).Append(IntV(1))
 	r.Grew()
 	err := r.Checkpoint("f", 1)
 	var le *LimitError

@@ -41,11 +41,11 @@ func TestParseHistogram(t *testing.T) {
 		t.Fatal("function header parsed wrong")
 	}
 	ip := interp.New(prog, interp.DefaultOptions())
-	seq := ip.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+	seq := ip.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 	for _, v := range []uint64{5, 7, 5, 5, 11} {
 		seq.Append(interp.IntV(v))
 	}
-	ret, err := ip.Run("count", interp.CollV(seq.(interp.Coll)))
+	ret, err := ip.Run("count", interp.CollV(seq))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

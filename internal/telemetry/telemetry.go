@@ -11,13 +11,17 @@
 // stream of an untouched run (the -tol 0 op-count gate holds by
 // construction — the recorder never writes to interp.Stats).
 //
+// SiteStats and EnumStats are also the records adeprofile/v1 persists:
+// a profile is these records folded across runs (internal/adeprofile),
+// so there is one record type from the recorder to the file on disk
+// and back. JSON omits their zero-valued fields.
+//
 // The package depends only on internal/collections and internal/ir, so
 // the interpreter, the VM, the compiler remarks, and the report tool
 // can all share its site keys and canonical operation names.
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
@@ -118,24 +122,29 @@ type Sample struct {
 	Len  int    `json:"len"`
 }
 
-// SiteStats is the accumulated telemetry of one allocation site.
+// SiteStats is the accumulated telemetry of one allocation site. It
+// is also the persisted record of an adeprofile/v1 profile, which
+// folds every field but Muts and Samples across runs; zero-valued
+// fields other than the key and histogram are omitted from JSON, so
+// both serializations stay compact.
 type SiteStats struct {
 	Key  SiteKey `json:"key"`
-	Impl string  `json:"impl"`
+	Impl string  `json:"impl,omitempty"`
 	// Ops is the operation histogram, indexed like OpNames.
 	Ops [NOps]uint64 `json:"ops"`
 	// Sparse and Dense classify keyed accesses exactly as
 	// interp.Stats does (collections.SparseAccess).
-	Sparse uint64 `json:"sparse"`
-	Dense  uint64 `json:"dense"`
+	Sparse uint64 `json:"sparse,omitempty"`
+	Dense  uint64 `json:"dense,omitempty"`
 	// Instances counts how many runtime collections this site
 	// allocated (loop-local sites allocate one per iteration).
-	Instances int `json:"instances"`
+	Instances int `json:"instances,omitempty"`
 	// PeakLen is the largest element count observed at any single
 	// mutation point across the site's instances.
-	PeakLen int `json:"peakLen"`
-	// Muts is the cumulative mutation count driving the sampler.
-	Muts uint64 `json:"muts"`
+	PeakLen int `json:"peakLen,omitempty"`
+	// Muts is the cumulative mutation count driving the sampler
+	// (per-run: profiles do not persist it).
+	Muts uint64 `json:"muts,omitempty"`
 	// KeyLo and KeyHi bound every key inserted at the site (raw
 	// 64-bit patterns, valid when KeySeen) — the runtime ground truth
 	// the static-enum property tests compare proved intervals
@@ -144,7 +153,8 @@ type SiteStats struct {
 	KeySeen bool   `json:"keySeen,omitempty"`
 	KeyLo   uint64 `json:"keyLo,omitempty"`
 	KeyHi   uint64 `json:"keyHi,omitempty"`
-	// Samples is the occupancy-over-time series.
+	// Samples is the occupancy-over-time series (per-run: profiles
+	// do not persist it).
 	Samples []Sample `json:"samples,omitempty"`
 }
 
@@ -469,13 +479,6 @@ func (r *Recorder) Result() *Telemetry {
 	}
 	sort.Slice(t.Enums, func(i, j int) bool { return t.Enums[i].Global < t.Enums[j].Global })
 	return t
-}
-
-// WriteJSON writes the telemetry as indented JSON.
-func (t *Telemetry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }
 
 // WriteText writes a human-readable site and enumeration summary.

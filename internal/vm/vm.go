@@ -170,14 +170,6 @@ func (m *VM) nest(f *bytecode.Func, fr []interp.Val, in *bytecode.Instr) (interp
 		m.Stats.Count(collections.ImplArray, interp.OKRead, 1)
 		m.CollOp(c, interp.OKRead, 1)
 		return c.Get(i), nil
-	case interp.RSeq:
-		i := int(key.I)
-		if i < 0 || i >= c.Len() {
-			return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
-		}
-		m.Stats.Count(c.Impl(), interp.OKRead, 1)
-		m.CollOp(c, interp.OKRead, 1)
-		return c.Get(i), nil
 	default:
 		return interp.Val{}, m.errf(f, "indexing into a set")
 	}
@@ -498,8 +490,6 @@ dispatch:
 				switch c := coll.(type) {
 				case *interp.RSetSparse:
 					c.S.Iterate(func(k uint32) bool { v := interp.IntV(uint64(k)); return step(v, v) })
-				case interp.RSeq:
-					c.Iterate(func(i int, v interp.Val) bool { return step(interp.IntV(uint64(i)), v) })
 				case interp.RSet:
 					c.Iterate(func(v interp.Val) bool { return step(v, v) })
 				case interp.RMap:
@@ -618,15 +608,6 @@ dispatch:
 					goto out
 				}
 				st.Count(collections.ImplArray, interp.OKRead, 1)
-				m.CollOp(c, interp.OKRead, 1)
-				fr[in.Dst] = c.Get(i)
-			case interp.RSeq:
-				i := int(key.I)
-				if i < 0 || i >= c.Len() {
-					err = m.errf(f, "seq read index %d out of range [0,%d)", i, c.Len())
-					goto out
-				}
-				st.Count(c.Impl(), interp.OKRead, 1)
 				m.CollOp(c, interp.OKRead, 1)
 				fr[in.Dst] = c.Get(i)
 			default:
@@ -804,10 +785,6 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RSeqArr:
 				st.Count(collections.ImplArray, interp.OKInsert, 1)
-				m.CollOp(c, interp.OKInsert, 1)
-				c.Append(val)
-			case interp.RSeq:
-				st.Count(c.Impl(), interp.OKInsert, 1)
 				m.CollOp(c, interp.OKInsert, 1)
 				c.Append(val)
 			}
@@ -1138,7 +1115,7 @@ func (m *VM) slowOp(f *bytecode.Func, fr []interp.Val, in *bytecode.Instr) error
 		cv := fr[in.A]
 		key := fr[in.B]
 		val := fr[in.C]
-		c, ok := cv.Coll().(interp.RSeq)
+		c, ok := cv.Coll().(*interp.RSeqArr)
 		if !ok {
 			return m.errf(f, "write on set")
 		}
@@ -1155,7 +1132,7 @@ func (m *VM) slowOp(f *bytecode.Func, fr []interp.Val, in *bytecode.Instr) error
 	case bytecode.OpInsertSeqAt:
 		cv := fr[in.A]
 		val := fr[in.C]
-		if c, ok := cv.Coll().(interp.RSeq); ok {
+		if c, ok := cv.Coll().(*interp.RSeqArr); ok {
 			st.Count(c.Impl(), interp.OKInsert, 1)
 			m.CollOp(c, interp.OKInsert, 1)
 			i := int(fr[in.B].I)
@@ -1190,7 +1167,7 @@ func (m *VM) slowOp(f *bytecode.Func, fr []interp.Val, in *bytecode.Instr) error
 	case bytecode.OpRemoveSeq:
 		cv := fr[in.A]
 		key := fr[in.B]
-		if c, ok := cv.Coll().(interp.RSeq); ok {
+		if c, ok := cv.Coll().(*interp.RSeqArr); ok {
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
 				return m.errf(f, "seq remove index %d out of range", i)

@@ -452,11 +452,11 @@ func engineDiffSeed(t *testing.T, seed int64) {
 	t.Helper()
 	input := core.FuzzInput(seed)
 	inputFor := func(a bench.Allocator) []interp.Val {
-		c := a.NewColl(ir.SeqOf(ir.TU64)).(interp.RSeq)
+		c := a.NewColl(ir.SeqOf(ir.TU64)).(*interp.RSeqArr)
 		for _, x := range input {
 			c.Append(interp.IntV(x))
 		}
-		return []interp.Val{interp.CollV(c.(interp.Coll))}
+		return []interp.Val{interp.CollV(c)}
 	}
 	build := func() *ir.Program { return core.GenerateProgram(seed) }
 	// Generous step/mem budgets so a pathological generated program
