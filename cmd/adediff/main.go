@@ -1,8 +1,11 @@
 // Command adediff is the differential-testing and regression harness:
-// it proves ADE semantics-preserving by running the benchmark suite
-// (and, with -seed, randomly generated IR programs) under a
+// it proves ADE semantics-preserving by running programs under a
 // configuration matrix and asserting byte-identical canonical outputs
-// against the untransformed hash baseline.
+// against the untransformed hash baseline. The programs come from one
+// source selector: the benchmark suite (the default, or -bench), every
+// program skeleton up to a statement bound (-enum) or by ID
+// (-enum-id), or randomly generated IR programs (-seed). -check,
+// -fuel and -fault apply to every cell, whatever the source.
 //
 // Usage:
 //
@@ -13,29 +16,27 @@
 //	adediff -enum 2                      # skeletal enumeration, bound 2
 //	adediff -enum 3 -shard 2/4           # enumeration shard
 //	adediff -enum-id skL:pm0.tms.dm0     # replay one skeleton by ID
-//	adediff -faults                      # fault-injection sweep, full registry
+//	adediff -fault all                   # fault-injection sweep, full registry
 //	adediff -fault enum-corrupt:100 -bench BFS
 //	adediff -fuel 3 -bench BFS           # cap ADE at 3 rewrites (bisection)
 //	adediff -list                        # print the matrix and exit
 //	adediff -list-faults                 # print the fault registry and exit
 //	adediff -list-enum                   # print the statement alphabet and exit
 //
-// The fault sweep injects each registered fault — one at a time, with
-// a fresh deterministic injector per cell — and requires every fault
-// to be rolled back, crash as a structured error, or surface as a
-// "degraded" divergence triaged by fuel bisection to the first faulty
-// rewrite; a fault that escapes containment fails the run.
+// -fault injects each named point (or the whole registry, "all") —
+// one at a time, with a fresh deterministic injector per cell — and
+// classifies every cell as rolled back, crashed as a structured error,
+// degraded (triaged by fuel bisection to the first faulty rewrite) or
+// not triggered; only a fault that escapes containment fails the run.
 //
-// The enumeration mode walks every program skeleton up to the -enum
-// statement bound (deterministically — the same bound always yields
-// the same skeleton sequence) through the full matrix; a divergence
-// names the skeleton's stable ID and its automatically reduced
-// smallest failing prefix, either of which replays via -enum-id.
-// Combining -enum with -fault injects that fault into every cell — the
-// self-test proving the sweep can fail and reduce.
+// The enumeration walk is deterministic: the same bound always yields
+// the same skeleton sequence. A failing skeleton cell names the
+// skeleton's stable ID and its automatically reduced smallest failing
+// prefix, either of which replays via -enum-id.
 //
 // The JSON report lands in -out (default difftest-report.json); the
-// exit status is 1 when any cell diverged or errored.
+// exit status is 1 when any cell diverged, errored or let a fault
+// escape, and 2 on bad usage (including two source selectors).
 package main
 
 import (
@@ -66,8 +67,7 @@ func main() {
 		list       = flag.Bool("list", false, "print the configuration matrix and exit")
 		check      = flag.Bool("check", false, "enable core's mid-pipeline invariant checking on every ADE column")
 		fuel       = flag.Int("fuel", -1, "cap every ADE column at N rewrite units, for bisecting a diverging cell (-1 = unlimited, 0 = none)")
-		faultSweep = flag.Bool("faults", false, "fault-injection mode: sweep every registered injection point")
-		fault      = flag.String("fault", "", "fault-injection mode: comma-separated injection point names (see -list-faults)")
+		fault      = flag.String("fault", "", "inject faults into every cell: comma-separated injection point names, or all (see -list-faults)")
 		listFaults = flag.Bool("list-faults", false, "print the fault-injection registry and exit")
 		verbose    = flag.Bool("v", false, "log each cell as it runs")
 	)
@@ -87,8 +87,8 @@ func main() {
 		for _, p := range faults.Registry() {
 			fmt.Printf("%-28s kind=%s\n", p.Name, p.Kind)
 		}
-		// The store I/O points are not part of the engine sweep (-faults
-		// iterates the registry above); they are listed here because
+		// The store I/O points are not part of the engine sweep (-fault
+		// all iterates the registry above); they are listed here because
 		// this flag is the single catalog of injectable fault names.
 		for _, p := range faults.IOPoints() {
 			fmt.Printf("%-28s kind=%s  (store I/O; adeserved -store-fault / -chaos)\n", p.Name, p.Kind)
@@ -115,40 +115,18 @@ func main() {
 		progress = os.Stderr
 	}
 
-	var rpt *difftest.Report
-	switch {
-	case *enum != 0 || *enumID != "":
-		rpt, err = difftest.RunEnum(difftest.EnumOptions{
-			Bound: *enum, IDs: splitList(*enumID), Shard: sh,
-			Configs: splitList(*configs), Check: *check,
-			Fault: *fault, Verbose: progress,
-		})
-	case *faultSweep || *fault != "":
-		sc, perr := bench.ParseScale(*scale)
-		if perr != nil {
-			fatal(perr)
-		}
-		rpt, err = difftest.RunFaults(difftest.FaultOptions{
-			Scale: sc, Shard: sh,
-			Benchmarks: splitList(*benchs), Configs: splitList(*configs),
-			Faults: splitList(*fault), Verbose: progress,
-		})
-	case *seed != 0:
-		rpt, err = difftest.RunRandom(difftest.RandomOptions{
-			Seed: *seed, Count: *count, Shard: sh,
-			Configs: splitList(*configs), Check: *check, Verbose: progress,
-		})
-	default:
-		sc, perr := bench.ParseScale(*scale)
-		if perr != nil {
-			fatal(perr)
-		}
-		rpt, err = difftest.Run(difftest.RunOptions{
-			Scale: sc, Shard: sh,
-			Benchmarks: splitList(*benchs), Configs: splitList(*configs),
-			Check: *check, Fuel: core.FuelFromFlag(*fuel), Verbose: progress,
-		})
+	sc, err := bench.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
+	rpt, err := difftest.Run(difftest.Options{
+		Benchmarks: splitList(*benchs), Scale: sc,
+		Bound: *enum, IDs: splitList(*enumID),
+		Seed: *seed, Count: *count,
+		Shard: sh, Configs: splitList(*configs),
+		Check: *check, Fuel: core.FuelFromFlag(*fuel),
+		Faults: splitList(*fault), Verbose: progress,
+	})
 	if err != nil {
 		fatal(err)
 	}

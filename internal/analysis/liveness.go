@@ -125,9 +125,6 @@ func LivenessOf(c *CFG) *LivenessInfo {
 // definition on some path.
 func (li *LivenessInfo) LiveAfterDef(v *ir.Value) bool { return li.liveAfter[v] }
 
-// LiveIn returns the live set at the entry of block id.
-func (li *LivenessInfo) LiveIn(id int) VSet { return li.Sol.In[id] }
-
 // DeadUpdates returns collection-update instructions that no later code
 // can observe: dead stores (ADE002 candidates).
 //

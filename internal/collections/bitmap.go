@@ -13,11 +13,6 @@ type BitMap[V any] struct {
 // NewBitMap returns an empty dense map.
 func NewBitMap[V any]() *BitMap[V] { return &BitMap[V]{} }
 
-// NewBitMapWithCap returns an empty dense map pre-sized for keys < k.
-func NewBitMapWithCap[V any](k uint32) *BitMap[V] {
-	return &BitMap[V]{vals: make([]V, 0, k), elem: ElemBytes[V]()}
-}
-
 func (m *BitMap[V]) growTo(k uint32) {
 	if int(k) < len(m.vals) {
 		return

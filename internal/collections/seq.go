@@ -11,11 +11,6 @@ type Seq[T any] struct {
 // NewSeq returns an empty sequence.
 func NewSeq[T any]() *Seq[T] { return &Seq[T]{} }
 
-// NewSeqWithCap returns an empty sequence with capacity for n elements.
-func NewSeqWithCap[T any](n int) *Seq[T] {
-	return &Seq[T]{elems: make([]T, 0, n), elem: ElemBytes[T]()}
-}
-
 // Len returns the number of elements.
 func (s *Seq[T]) Len() int { return len(s.elems) }
 

@@ -1,14 +1,17 @@
 // Package difftest is the differential-testing and regression harness
 // guarding ADE's central claim: the transformation is
-// semantics-preserving. It runs every benchmark in internal/bench
-// under a configuration matrix — ADE off (reference) vs. ADE on,
-// crossed with collection-selection choices, sharing on/off and RTE
-// on/off — and asserts byte-identical canonical outputs. Every cell is
-// transformed and lowered by internal/pipeline, the same verified
-// stage sequence production uses. A -seed-driven
-// random-program mode diffs the generator family behind internal/core's
-// fuzz tests. Results land in a machine-readable JSON report
-// (difftest-report.json) that CI uploads as an artifact.
+// semantics-preserving. One sweep, Run, takes a list of sources — the
+// benchmarks in internal/bench, the enumerated program skeletons
+// (enum.go), or programs from the generator family behind
+// internal/core's fuzz tests — and runs each under a configuration
+// matrix — ADE off (reference) vs. ADE on, crossed with
+// collection-selection choices, sharing on/off and RTE on/off —
+// asserting byte-identical canonical outputs. Every cell is transformed
+// and lowered by internal/pipeline, the same verified stage sequence
+// production uses; invariant checking, a rewrite fuel cap and injected
+// faults are per-cell settings that apply whatever the source. Results
+// land in a machine-readable JSON report (difftest-report.json) that
+// CI uploads as an artifact.
 //
 // The matrix also carries an execution-engine axis: every column runs
 // once on the tree-walking interpreter and once on the bytecode
@@ -107,14 +110,27 @@ func ConfigNames(cfgs []Config) []string {
 	return names
 }
 
-// RunOptions configures one harness run.
-type RunOptions struct {
-	Scale bench.Scale
-	// Shard selects the slice of the benchmark work list this run
-	// covers. The zero value means everything.
-	Shard Shard
-	// Benchmarks filters by abbreviation; empty means the whole suite.
+// Options configures one sweep. Exactly one source selector may be
+// set: Benchmarks (with Scale), Bound or IDs (skeletons), or Seed
+// (generated programs); none selects the whole benchmark suite. The
+// remaining fields apply to every cell whatever the source.
+type Options struct {
+	// Benchmarks filters the suite by abbreviation; empty means all of
+	// it. Scale sizes the benchmark inputs.
 	Benchmarks []string
+	Scale      bench.Scale
+	// Bound sweeps every skeleton up to that many statements
+	// (EnumeratePrograms); IDs replays the named skeletons instead.
+	Bound int
+	IDs   []string
+	// Seed is the first generator seed; Count consecutive seeds run
+	// (at least one).
+	Seed  int64
+	Count int
+
+	// Shard selects the slice of the source list this run covers. The
+	// zero value means everything.
+	Shard Shard
 	// Configs filters matrix columns by name; empty means all. The
 	// reference is always executed regardless of the filter.
 	Configs []string
@@ -127,19 +143,24 @@ type RunOptions struct {
 	Check bool
 	// Fuel, when non-zero, caps every ADE column's rewrite budget
 	// (core.Options.Fuel convention: negative permits none). Combined
-	// with -bench/-configs filters this is the manual bisection
+	// with source and -configs filters this is the manual bisection
 	// workflow: rerun a diverging cell at shrinking fuel levels until
 	// the divergence disappears.
 	Fuel int
+	// Faults names injection points (faults.ByName syntax, or "all" for
+	// the whole registry). Each source then runs once per point, with a
+	// fresh deterministic injector in every cell (never the
+	// reference); empty means no injection.
+	Faults []string
 	// Verbose, when non-nil, receives one progress line per executed
 	// cell.
 	Verbose io.Writer
 }
 
-// withCheck returns c with core's invariant checking and/or a rewrite
-// fuel cap applied to its ADE options (a copy; the matrix itself is
-// never mutated).
-func withCheck(c Config, check bool, fuel int) Config {
+// column returns c as a cell runs it: core's invariant checking and/or
+// a rewrite fuel cap applied to its ADE options (a copy; the matrix
+// itself is never mutated).
+func column(c Config, check bool, fuel int) Config {
 	if (!check && fuel == 0) || c.ADE == nil {
 		return c
 	}
@@ -185,10 +206,14 @@ func interpOpts(c Config) interp.Options {
 // program and how to build @main's arguments on the engine that runs
 // it; every cell then goes through the same build and run.
 type source struct {
-	// name labels the source's in-harness profile.
+	// name is the source's report key (BFS, skS:pm0.tms, seed3); it
+	// also labels the source's in-harness profile.
 	name  string
 	build func() *ir.Program
 	input func(bench.Allocator) []interp.Val
+	// prefixes, when non-nil, lists smaller sources, smallest first,
+	// that a failing cell is reduced to (skeletons only).
+	prefixes func() []source
 }
 
 // specSource is a suite benchmark at the given scale.
@@ -197,6 +222,16 @@ func specSource(s *bench.Spec, sc bench.Scale) source {
 		name:  s.Abbr,
 		build: func() *ir.Program { return s.Build("") },
 		input: func(a bench.Allocator) []interp.Val { return s.Input(a, sc) },
+	}
+}
+
+// seedSource is the generated program for seed on the family's
+// canonical input.
+func seedSource(seed int64) source {
+	return source{
+		name:  fmt.Sprintf("seed%d", seed),
+		build: func() *ir.Program { return core.GenerateProgram(seed) },
+		input: seqInput(core.FuzzInput(seed)),
 	}
 }
 
@@ -296,29 +331,6 @@ func build(src source, c Config) (*ir.Program, *core.Report, error) {
 	return prog, rep, nil
 }
 
-// diffCell builds and runs one cell and compares its output with the
-// reference. A non-nil error is the cell's error entry; a non-nil
-// divergence carries only the config and the two outputs.
-func diffCell(src source, c Config, ref *outcome, iopts interp.Options) (*outcome, *core.Report, *Divergence, error) {
-	prog, rep, err := build(src, c)
-	if err != nil {
-		return nil, rep, nil, err
-	}
-	got, err := run(src, prog, iopts, c.Engine)
-	if err != nil {
-		return nil, rep, nil, err
-	}
-	if equalOutput(ref, got) {
-		return got, rep, nil, nil
-	}
-	return got, rep, &Divergence{
-		Config:  c.Name,
-		WantRet: ref.ret, GotRet: got.ret,
-		WantEmitSum: ref.emitSum, GotEmitSum: got.emitSum,
-		WantEmitCount: ref.emitCount, GotEmitCount: got.emitCount,
-	}, nil
-}
-
 // statsDelta describes how two deterministic measurement surfaces
 // differ; "" means exactly equal. Engine twins must never differ.
 func statsDelta(want, got *interp.Stats) string {
@@ -368,28 +380,6 @@ func equalOutput(a, b *outcome) bool {
 	return true
 }
 
-// entryFor fills a report entry from an outcome.
-func entryFor(c Config, o *outcome, rep *core.Report) Entry {
-	e := Entry{
-		Config:    c.Name,
-		Engine:    c.Engine.String(),
-		Ret:       o.ret,
-		EmitSum:   o.emitSum,
-		EmitCount: o.emitCount,
-		Steps:     o.stats.Steps,
-		CollOps:   o.stats.CollOps(),
-		Sparse:    o.stats.Sparse,
-		Dense:     o.stats.Dense,
-		Enc:       o.stats.Counts[interp.ImplEnum][interp.OKEnc],
-		Dec:       o.stats.Counts[interp.ImplEnum][interp.OKDec],
-		Add:       o.stats.Counts[interp.ImplEnum][interp.OKAdd],
-	}
-	if rep != nil {
-		e.EnumClasses = len(rep.Classes)
-	}
-	return e
-}
-
 // selectConfigs applies the -configs filter.
 func selectConfigs(matrix []Config, names []string) ([]Config, error) {
 	if len(names) == 0 {
@@ -410,36 +400,87 @@ func selectConfigs(matrix []Config, names []string) ([]Config, error) {
 	return out, nil
 }
 
-// selectBenchmarks applies the -bench filter and the shard.
-func selectBenchmarks(o RunOptions) ([]*bench.Spec, error) {
-	var specs []*bench.Spec
-	if len(o.Benchmarks) == 0 {
-		specs = bench.All()
-	} else {
-		for _, abbr := range o.Benchmarks {
-			s := bench.Get(abbr)
-			if s == nil {
-				return nil, fmt.Errorf("unknown benchmark %q", abbr)
-			}
-			specs = append(specs, s)
+// sources selects the source list and applies the shard. The returned
+// scale names the benchmark input size ("" for skeletons and seeds).
+func (o Options) sources() ([]source, string, error) {
+	var set []string
+	for _, sel := range []struct {
+		flag string
+		on   bool
+	}{
+		{"-bench", len(o.Benchmarks) > 0},
+		{"-enum", o.Bound != 0},
+		{"-enum-id", len(o.IDs) > 0},
+		{"-seed", o.Seed != 0},
+	} {
+		if sel.on {
+			set = append(set, sel.flag)
 		}
 	}
-	var out []*bench.Spec
-	for _, i := range Partition(len(specs), o.Shard) {
-		out = append(out, specs[i])
+	if len(set) > 1 {
+		return nil, "", fmt.Errorf("conflicting source selectors %s: choose one", strings.Join(set, " and "))
+	}
+	var all []source
+	scale := ""
+	switch {
+	case o.Bound < 0:
+		return nil, "", fmt.Errorf("enum: bound must be >= 1, got %d", o.Bound)
+	case o.Bound > 0:
+		for _, sk := range EnumeratePrograms(o.Bound) {
+			all = append(all, sk.source())
+		}
+	case len(o.IDs) > 0:
+		for _, id := range o.IDs {
+			sk, err := ParseSkeletonID(id)
+			if err != nil {
+				return nil, "", err
+			}
+			all = append(all, sk.source())
+		}
+	case o.Seed != 0:
+		for j := 0; j < max(o.Count, 1); j++ {
+			all = append(all, seedSource(o.Seed+int64(j)))
+		}
+	default:
+		specs := bench.All()
+		if len(o.Benchmarks) > 0 {
+			specs = nil
+			for _, abbr := range o.Benchmarks {
+				s := bench.Get(abbr)
+				if s == nil {
+					return nil, "", fmt.Errorf("unknown benchmark %q", abbr)
+				}
+				specs = append(specs, s)
+			}
+		}
+		for _, s := range specs {
+			all = append(all, specSource(s, o.Scale))
+		}
+		scale = o.Scale.String()
+	}
+	var out []source
+	for _, j := range Partition(len(all), o.Shard) {
+		out = append(out, all[j])
 	}
 	if len(out) == 0 {
 		// A selection that matches nothing must not pass silently — a
 		// typo'd CI filter would otherwise green-light an empty run.
-		return nil, fmt.Errorf("empty selection: shard %s of %d benchmarks covers nothing", o.Shard.Norm(), len(specs))
+		return nil, "", fmt.Errorf("empty selection: shard %s of %d sources covers nothing", o.Shard.Norm(), len(all))
 	}
-	return out, nil
+	return out, scale, nil
 }
 
-// Run executes the benchmark differential matrix and returns the
-// report. A non-nil error means the harness itself failed; divergences
-// and per-cell execution errors are recorded in the report instead.
-func Run(o RunOptions) (*Report, error) {
+// Run executes the differential sweep: every selected source runs
+// untransformed on the interpreter (the reference), then through every
+// selected matrix column — once per injected fault point when Faults is
+// set — and each cell is classified against the reference. Unfaulted
+// @vm cells must also reproduce their interpreter twin's op counts. A
+// failing cell is triaged where it can be: fuel bisection for a
+// crashed or degraded faulted ADE cell, prefix reduction for a source
+// with prefixes. A non-nil error means the harness itself failed
+// (including an empty or conflicting selection); cell results are
+// recorded in the report.
+func Run(o Options) (*Report, error) {
 	matrix := o.Matrix
 	if matrix == nil {
 		matrix = Matrix()
@@ -448,93 +489,162 @@ func Run(o RunOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, err := selectBenchmarks(o)
+	srcs, scale, err := o.sources()
 	if err != nil {
 		return nil, err
 	}
-	rpt := NewReport(o.Scale, o.Shard, ConfigNames(cfgs))
-	for _, s := range specs {
-		br := BenchReport{Abbr: s.Abbr}
-		// The reference semantics: untransformed program on the
-		// baseline hash implementations, on the interpreter.
-		ref, err := reference(specSource(s, o.Scale))
+	pts, err := faultPoints(o.Faults)
+	if err != nil {
+		return nil, err
+	}
+	rpt := &Report{Schema: Schema, Scale: scale, Shard: o.Shard.String(), Configs: ConfigNames(cfgs)}
+	for _, pt := range pts {
+		if pt.Name != "" {
+			rpt.Faults = append(rpt.Faults, pt.Name)
+		}
+	}
+	for _, src := range srcs {
+		rpt.Sources = append(rpt.Sources, src.name)
+		ref, err := reference(src)
 		if err != nil {
-			return nil, fmt.Errorf("%s: reference run: %w", s.Abbr, err)
+			return nil, fmt.Errorf("%s: reference run: %w", src.name, err)
 		}
 		if ref.emitCount == 0 {
-			return nil, fmt.Errorf("%s: benchmark emits no output; equivalence untestable", s.Abbr)
+			return nil, fmt.Errorf("%s: emits no output; equivalence untestable", src.name)
 		}
 		// Interpreter outcomes by column name, for the engine-twin
 		// op-count comparison.
 		twins := map[string]*outcome{}
-		for _, c := range cfgs {
-			e, got, div := runCell(s, withCheck(c, o.Check, o.Fuel), ref, o.Scale)
-			if div == nil {
-				if d := twinDivergence(got, twins, c, s.Abbr, 0); d != nil {
-					e.Diverged = true
-					div = d
+		for _, pt := range pts {
+			for _, c := range cfgs {
+				c = column(c, o.Check, o.Fuel)
+				e, got := runCell(src, c, pt, ref)
+				kind := e.Outcome
+				if e.Outcome == OutcomeOK {
+					if delta := twinDelta(got, twins, c); delta != "" {
+						e.Outcome, e.Detail, kind = OutcomeDiverged, delta, "op-counts"
+					}
 				}
-			}
-			br.Entries = append(br.Entries, e)
-			if div != nil {
-				rpt.Divergences = append(rpt.Divergences, *div)
-			}
-			if o.Verbose != nil {
-				status := "ok"
-				if e.Diverged {
-					status = "DIVERGED"
-				} else if e.Error != "" {
-					status = "error: " + e.Error
+				if e.failed() {
+					if e.Outcome == FaultCrash || e.Outcome == FaultDegraded {
+						e.FirstBadRewrite = bisectFault(src, c, pt, ref)
+					}
+					rpt.Divergences = append(rpt.Divergences, Divergence{
+						Source: src.name, Reduced: reduce(src, c, pt), Config: c.Name,
+						Kind: kind, Fault: pt.Name, Detail: e.Detail, FirstBadRewrite: e.FirstBadRewrite,
+						WantRet: ref.ret, GotRet: e.Ret,
+						WantEmitSum: ref.emitSum, GotEmitSum: e.EmitSum,
+						WantEmitCount: ref.emitCount, GotEmitCount: e.EmitCount,
+					})
 				}
-				fmt.Fprintf(o.Verbose, "%-5s %-22s %s\n", s.Abbr, c.Name, status)
+				rpt.add(e)
+				if o.Verbose != nil {
+					fmt.Fprintf(o.Verbose, "%-28s %-22s %-20s %s %s\n", src.name, c.Name, pt.Name, e.Outcome, e.Detail)
+				}
 			}
 		}
-		rpt.Benchmarks = append(rpt.Benchmarks, br)
 	}
-	rpt.Finish()
 	return rpt, nil
 }
 
-// twinDivergence implements the engine axis' count-parity assertion:
+// twinDelta implements the engine axis' count-parity assertion:
 // interpreter outcomes are remembered by column name, and a "@vm"
 // column with an interpreter twin in this run must reproduce the
-// twin's full deterministic measurement surface exactly. A non-nil
-// return is the divergence; the caller marks the cell.
-func twinDivergence(got *outcome, twins map[string]*outcome, c Config, abbr string, seed int64) *Divergence {
-	if got == nil {
-		return nil
-	}
+// twin's full deterministic measurement surface exactly. It returns
+// the drift, "" for none.
+func twinDelta(got *outcome, twins map[string]*outcome, c Config) string {
 	if c.Engine == bench.EngineInterp {
 		twins[c.Name] = got
-		return nil
+		return ""
 	}
 	want, ok := twins[BaseName(c.Name)]
 	if !ok {
-		return nil // twin filtered out of this run
+		return "" // twin filtered out of this run
 	}
-	delta := statsDelta(want.stats, got.stats)
-	if delta == "" {
-		return nil
-	}
-	return &Divergence{
-		Bench: abbr, Seed: seed, Config: c.Name,
-		Kind: "op-counts", Detail: delta,
-		WantRet: want.ret, GotRet: got.ret,
-		WantEmitSum: want.emitSum, GotEmitSum: got.emitSum,
-		WantEmitCount: want.emitCount, GotEmitCount: got.emitCount,
-	}
+	return statsDelta(want.stats, got.stats)
 }
 
-// runCell runs one (benchmark, config) cell against the reference.
-func runCell(s *bench.Spec, c Config, ref *outcome, sc bench.Scale) (Entry, *outcome, *Divergence) {
-	got, rep, div, err := diffCell(specSource(s, sc), c, ref, interpOpts(c))
+// runCell builds and runs src under column c — with a fresh injector
+// for pt when it names a fault — and classifies the cell against the
+// reference. A cell without a fault is ok, diverged or error. A faulted
+// cell is rolled-back (the fault fired and was fully contained),
+// crash (the run stopped with a structured error instead of a process
+// panic), degraded (wrong output, no crash — the miscompile shape),
+// not-triggered, or unexpected (a panic escaped every recovery layer,
+// or the sandbox returned an error it should have absorbed).
+func runCell(src source, c Config, pt faults.Point, ref *outcome) (e Entry, got *outcome) {
+	e = Entry{Source: src.name, Config: c.Name, Engine: c.Engine.String(), Fault: pt.Name}
+	faulted := pt.Name != ""
+	pick := func(plain, withFault string) string {
+		if faulted {
+			return withFault
+		}
+		return plain
+	}
+	iopts := interpOpts(c)
+	var inj *faults.Injector
+	if faulted {
+		defer func() {
+			if r := recover(); r != nil {
+				e.Outcome, e.Detail, got = FaultUnexpected, fmt.Sprintf("escaped panic: %v", r), nil
+			}
+		}()
+		if pt.Kind == faults.PassPanic && c.ADE == nil {
+			e.Outcome, e.Detail = FaultNotTriggered, "baseline column runs no compiler pipeline"
+			return e, nil
+		}
+		c, inj = inject(c, &iopts, pt)
+	}
+	prog, rep, err := build(src, c)
 	if err != nil {
-		return Entry{Config: c.Name, Engine: c.Engine.String(), Error: err.Error()}, nil, nil
+		// Every faulted ADE column runs sandboxed, so a compile error
+		// there means the sandbox failed to absorb the fault.
+		e.Outcome, e.Detail = pick(OutcomeError, FaultUnexpected), err.Error()
+		return e, nil
 	}
-	e := entryFor(c, got, rep)
-	if div != nil {
-		e.Diverged = true
-		div.Bench = s.Abbr
+	if got, err = run(src, prog, iopts, c.Engine); err != nil {
+		e.Outcome, e.Detail = pick(OutcomeError, FaultCrash), err.Error()
+		return e, nil
 	}
-	return e, got, div
+	e.Ret, e.EmitSum, e.EmitCount = got.ret, got.emitSum, got.emitCount
+	e.Steps, e.CollOps = got.stats.Steps, got.stats.CollOps()
+	e.Sparse, e.Dense = got.stats.Sparse, got.stats.Dense
+	enum := got.stats.Counts[interp.ImplEnum]
+	e.Enc, e.Dec, e.Add = enum[interp.OKEnc], enum[interp.OKDec], enum[interp.OKAdd]
+	if rep != nil {
+		e.EnumClasses = len(rep.Classes)
+	}
+	switch {
+	case !equalOutput(ref, got):
+		e.Outcome = pick(OutcomeDiverged, FaultDegraded)
+	case !faulted:
+		e.Outcome = OutcomeOK
+	case rep != nil && len(rep.Degraded) > 0:
+		e.Outcome, e.Detail = FaultRolledBack, rep.Degraded[0]
+	case inj.Fired():
+		e.Outcome, e.Detail = FaultRolledBack, "fault fired; output unaffected"
+	default:
+		e.Outcome = FaultNotTriggered
+	}
+	return e, got
+}
+
+// reduce shrinks a failing cell whose source has prefixes: it replays
+// them, smallest first, under the same column and fault, and returns
+// the name of the first whose cell still fails — src's own name when
+// none does. It returns "" for a source without prefixes.
+func reduce(src source, c Config, pt faults.Point) string {
+	if src.prefixes == nil {
+		return ""
+	}
+	for _, pre := range src.prefixes() {
+		ref, err := reference(pre)
+		if err != nil {
+			continue
+		}
+		if e, _ := runCell(pre, c, pt, ref); e.failed() {
+			return pre.name
+		}
+	}
+	return src.name
 }

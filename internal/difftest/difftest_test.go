@@ -87,17 +87,12 @@ func TestShardPartition(t *testing.T) {
 }
 
 func TestReportRoundTrip(t *testing.T) {
-	rpt := NewReport(bench.ScaleTest, Shard{1, 4}, []string{"baseline-hash", "ade"})
-	rpt.Benchmarks = []BenchReport{{
-		Abbr: "BFS",
-		Entries: []Entry{
-			{Config: "baseline-hash", Ret: 7, EmitSum: 9, EmitCount: 1, Steps: 100, CollOps: 40},
-			{Config: "ade", Ret: 8, EmitSum: 10, EmitCount: 1, Enc: 3, Dec: 2, Add: 1, EnumClasses: 2, Diverged: true},
-		},
-	}}
-	rpt.Divergences = []Divergence{{Bench: "BFS", Config: "ade", WantRet: 7, GotRet: 8}}
-	rpt.Finish()
-	if rpt.Cells != 2 || rpt.Diverged != 1 || rpt.OK() {
+	rpt := &Report{Schema: Schema, Scale: "test", Shard: Shard{1, 4}.String(),
+		Configs: []string{"baseline-hash", "ade"}, Sources: []string{"BFS"}}
+	rpt.add(Entry{Source: "BFS", Config: "baseline-hash", Outcome: OutcomeOK, Ret: 7, EmitSum: 9, EmitCount: 1, Steps: 100, CollOps: 40})
+	rpt.add(Entry{Source: "BFS", Config: "ade", Outcome: OutcomeDiverged, Ret: 8, EmitSum: 10, EmitCount: 1, Enc: 3, Dec: 2, Add: 1, EnumClasses: 2})
+	rpt.Divergences = []Divergence{{Source: "BFS", Config: "ade", Kind: OutcomeDiverged, WantRet: 7, GotRet: 8}}
+	if rpt.Cells != 2 || rpt.Diverged != 1 || len(rpt.Entries) != 1 || rpt.OK() {
 		t.Fatalf("summary wrong: %+v", rpt)
 	}
 
@@ -109,14 +104,14 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shard != "1/4" || got.Scale != "test" || len(got.Benchmarks) != 1 {
+	if got.Shard != "1/4" || got.Scale != "test" || len(got.Sources) != 1 || got.Cells != 2 {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
-	e := got.Benchmarks[0].Entries[1]
-	if e.Config != "ade" || !e.Diverged || e.EnumClasses != 2 || e.Enc != 3 {
+	e := got.Entries[0]
+	if e.Source != "BFS" || e.Config != "ade" || e.Outcome != OutcomeDiverged || e.EnumClasses != 2 || e.Enc != 3 {
 		t.Fatalf("entry round trip: %+v", e)
 	}
-	if len(got.Divergences) != 1 || got.Divergences[0].GotRet != 8 {
+	if len(got.Divergences) != 1 || got.Divergences[0].GotRet != 8 || got.Divergences[0].Source != "BFS" {
 		t.Fatalf("divergence round trip: %+v", got.Divergences)
 	}
 
@@ -128,10 +123,11 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 // TestBenchmarkDiff runs a real slice of the matrix on one benchmark
-// and checks the harness reports clean equivalence with non-trivial
-// translation activity.
+// and checks the harness reports clean equivalence, and that the ade
+// cell shows non-trivial translation activity (read from the cell
+// function, since the report keeps no clean cells).
 func TestBenchmarkDiff(t *testing.T) {
-	rpt, err := Run(RunOptions{
+	rpt, err := Run(Options{
 		Scale:      bench.ScaleTest,
 		Benchmarks: []string{"BFS"},
 		Configs:    []string{"baseline-hash", "baseline-swiss", "ade", "ade-sparse"},
@@ -139,27 +135,29 @@ func TestBenchmarkDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rpt.OK() || rpt.Cells != 4 {
+	if !rpt.OK() || rpt.Cells != 4 || len(rpt.Entries) != 0 {
 		var buf bytes.Buffer
 		rpt.Summary(&buf)
 		t.Fatalf("expected 4 clean cells:\n%s", buf.String())
 	}
-	var ade *Entry
-	for i, e := range rpt.Benchmarks[0].Entries {
-		if e.Config == "ade" {
-			ade = &rpt.Benchmarks[0].Entries[i]
-		}
+	src := specSource(bench.Get("BFS"), bench.ScaleTest)
+	ref, err := reference(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ade == nil || ade.EnumClasses == 0 || ade.Enc+ade.Add == 0 {
-		t.Fatalf("ade cell shows no enumeration activity: %+v", ade)
+	opts := core.DefaultOptions()
+	e, _ := runCell(src, Config{Name: "ade", ADE: &opts}, faults.Point{}, ref)
+	if e.Outcome != OutcomeOK || e.EnumClasses == 0 || e.Enc+e.Add == 0 {
+		t.Fatalf("ade cell shows no enumeration activity: %+v", e)
 	}
 }
 
 // TestEngineTwinClean runs interpreter/VM twin columns on one
 // benchmark: the VM cells must match the reference output and their
-// twins' op counts exactly.
+// twins' op counts exactly (TestEngineCountDivergence proves that
+// per-cell check fires).
 func TestEngineTwinClean(t *testing.T) {
-	rpt, err := Run(RunOptions{
+	rpt, err := Run(Options{
 		Scale:      bench.ScaleTest,
 		Benchmarks: []string{"BFS"},
 		Configs:    []string{"baseline-hash", "baseline-hash@vm", "ade", "ade@vm", "ade-sparse", "ade-sparse@vm"},
@@ -172,20 +170,6 @@ func TestEngineTwinClean(t *testing.T) {
 		rpt.Summary(&buf)
 		t.Fatalf("expected 6 clean cells:\n%s", buf.String())
 	}
-	byName := map[string]Entry{}
-	for _, e := range rpt.Benchmarks[0].Entries {
-		byName[e.Config] = e
-	}
-	for _, base := range []string{"baseline-hash", "ade", "ade-sparse"} {
-		i, v := byName[base], byName[base+EngineSuffix]
-		if i.Engine != "interp" || v.Engine != "vm" {
-			t.Fatalf("engine fields wrong: %+v %+v", i, v)
-		}
-		v.Engine, v.Config = i.Engine, i.Config
-		if i != v {
-			t.Fatalf("%s: engine twins disagree:\n  interp: %+v\n  vm:     %+v", base, i, v)
-		}
-	}
 }
 
 // TestEngineCountDivergence proves the op-count comparator actually
@@ -194,7 +178,7 @@ func TestEngineTwinClean(t *testing.T) {
 // must be flagged as an "op-counts" divergence.
 func TestEngineCountDivergence(t *testing.T) {
 	opts := core.DefaultOptions()
-	rpt, err := Run(RunOptions{
+	rpt, err := Run(Options{
 		Scale:      bench.ScaleTest,
 		Benchmarks: []string{"BFS"},
 		Matrix: []Config{
@@ -229,73 +213,54 @@ func breakEmits(p *ir.Program) {
 	}
 }
 
-// TestKnownDivergenceBench proves the differ actually fails when
-// outputs differ: a matrix column whose post-ADE program is broken on
-// purpose must be reported as a divergence (and survive ir.Verify, so
-// only the output comparison can catch it).
-func TestKnownDivergenceBench(t *testing.T) {
+// TestKnownDivergence proves the sweep actually fails when outputs
+// differ, for every source kind: a matrix column whose post-ADE program
+// is broken on purpose must be reported as a divergence (and survive
+// ir.Verify, so only the output comparison can catch it). A skeleton's
+// divergence also carries its reduced prefix.
+func TestKnownDivergence(t *testing.T) {
 	opts := core.DefaultOptions()
-	rpt, err := Run(RunOptions{
-		Scale:      bench.ScaleTest,
-		Benchmarks: []string{"BFS"},
-		Matrix: []Config{
-			{Name: "ade"},
-			{Name: "ade-broken", ADE: &opts, Mutate: breakEmits},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	matrix := []Config{
+		{Name: "ade", ADE: &opts},
+		{Name: "ade-broken", ADE: &opts, Mutate: breakEmits},
 	}
-	if rpt.OK() {
-		t.Fatal("differ did not flag the deliberately broken rewrite")
-	}
-	if rpt.Diverged != 1 || len(rpt.Divergences) != 1 {
-		t.Fatalf("want exactly one divergence, got %+v", rpt.Divergences)
-	}
-	d := rpt.Divergences[0]
-	if d.Bench != "BFS" || d.Config != "ade-broken" {
-		t.Fatalf("divergence attributed wrongly: %+v", d)
-	}
-	if d.GotEmitSum == d.WantEmitSum {
-		t.Fatalf("divergence detail not captured: %+v", d)
-	}
-	// The cell entry itself must carry the flag too.
-	for _, e := range rpt.Benchmarks[0].Entries {
-		if e.Config == "ade-broken" && !e.Diverged {
-			t.Fatalf("broken cell not marked diverged: %+v", e)
+	for _, tc := range []struct {
+		o       Options
+		source  string
+		reduced string
+	}{
+		{Options{Scale: bench.ScaleTest, Benchmarks: []string{"BFS"}}, "BFS", ""},
+		{Options{Seed: 3}, "seed3", ""},
+		{Options{IDs: []string{"skS:pm0.tms.lm0.fs0"}}, "skS:pm0.tms.lm0.fs0", "skS:pm0"},
+	} {
+		tc.o.Matrix = matrix
+		rpt, err := Run(tc.o)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestKnownDivergenceRandom covers the same property on the
-// random-program path.
-func TestKnownDivergenceRandom(t *testing.T) {
-	opts := core.DefaultOptions()
-	rpt, err := RunRandom(RandomOptions{
-		Seed: 3, Count: 2,
-		Matrix: []Config{
-			{Name: "ade", ADE: &opts},
-			{Name: "ade-broken", ADE: &opts, Mutate: breakEmits},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rpt.Diverged != 2 { // one broken cell per seed
-		var buf bytes.Buffer
-		rpt.Summary(&buf)
-		t.Fatalf("want 2 divergences:\n%s", buf.String())
-	}
-	for _, d := range rpt.Divergences {
-		if d.Config != "ade-broken" || d.Seed == 0 {
+		if rpt.OK() {
+			t.Fatalf("%s: differ did not flag the deliberately broken rewrite", tc.source)
+		}
+		if rpt.Diverged != 1 || len(rpt.Divergences) != 1 || len(rpt.Entries) != 1 {
+			t.Fatalf("%s: want exactly one divergence, got %+v", tc.source, rpt.Divergences)
+		}
+		d := rpt.Divergences[0]
+		if d.Source != tc.source || d.Config != "ade-broken" || d.Kind != OutcomeDiverged || d.Reduced != tc.reduced {
 			t.Fatalf("divergence attributed wrongly: %+v", d)
+		}
+		if d.GotEmitSum == d.WantEmitSum {
+			t.Fatalf("%s: divergence detail not captured: %+v", tc.source, d)
+		}
+		// The cell entry itself must carry the outcome too.
+		if e := rpt.Entries[0]; e.Config != "ade-broken" || e.Outcome != OutcomeDiverged {
+			t.Fatalf("%s: broken cell not marked diverged: %+v", tc.source, e)
 		}
 	}
 }
 
 // TestRandomDiffClean runs a few seeds across the full matrix.
 func TestRandomDiffClean(t *testing.T) {
-	rpt, err := RunRandom(RandomOptions{Seed: 1, Count: 5})
+	rpt, err := Run(Options{Seed: 1, Count: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,15 +269,15 @@ func TestRandomDiffClean(t *testing.T) {
 		rpt.Summary(&buf)
 		t.Fatalf("random diff not clean:\n%s", buf.String())
 	}
-	if rpt.Random == nil || len(rpt.Random.Entries) != 5*len(rpt.Configs) {
-		t.Fatalf("random entries missing: %+v", rpt.Random)
+	if len(rpt.Sources) != 5 || rpt.Sources[4] != "seed5" || rpt.Cells != 5*len(rpt.Configs) {
+		t.Fatalf("random cells missing: sources %v, %d cells", rpt.Sources, rpt.Cells)
 	}
 }
 
-// TestPGOCellsMatchProfile: in the random-program mode and the fault
-// sweep the ade-pgo column compiles under a profile recorded for the
-// program it transforms, exactly like the benchmark mode, instead of
-// being the ade column under another name.
+// TestPGOCellsMatchProfile: for generated programs and under injected
+// faults the ade-pgo column compiles under a profile recorded for the
+// program it transforms, exactly like on benchmarks, instead of being
+// the ade column under another name.
 func TestPGOCellsMatchProfile(t *testing.T) {
 	var pgo Config
 	for _, c := range Matrix() {
@@ -341,8 +306,9 @@ func TestPGOCellsMatchProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc, _ := faulted(pgo, pt, 0)
-		check("fault sweep "+name, specSource(bench.Get("BFS"), bench.ScaleTest), fc)
+		iopts := interpOpts(pgo)
+		fc, _ := inject(pgo, &iopts, pt)
+		check("fault "+name, specSource(bench.Get("BFS"), bench.ScaleTest), fc)
 	}
 }
 
@@ -351,7 +317,7 @@ func TestPGOCellsMatchProfile(t *testing.T) {
 func TestShardedRunsCoverSuite(t *testing.T) {
 	seen := map[string]int{}
 	for i := 0; i < 4; i++ {
-		rpt, err := Run(RunOptions{
+		rpt, err := Run(Options{
 			Scale:   bench.ScaleTest,
 			Shard:   Shard{i, 4},
 			Configs: []string{"baseline-hash", "ade"},
@@ -362,8 +328,8 @@ func TestShardedRunsCoverSuite(t *testing.T) {
 		if !rpt.OK() {
 			t.Fatalf("shard %d not clean", i)
 		}
-		for _, b := range rpt.Benchmarks {
-			seen[b.Abbr]++
+		for _, name := range rpt.Sources {
+			seen[name]++
 		}
 	}
 	all := bench.All()

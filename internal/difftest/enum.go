@@ -2,10 +2,8 @@ package difftest
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
-	"memoir/internal/faults"
 	"memoir/internal/ir"
 )
 
@@ -25,13 +23,12 @@ import (
 // (e.g. "skL:pm0.tms.dm0"), so any failure replays from the ID alone —
 // no corpus files, no seeds.
 //
-// Every skeleton runs through the same configuration matrix as the
-// benchmark mode (baselines, every ADE configuration, and the @vm
-// engine twin of each) against the untransformed interpreter
-// reference, with the engine twins' op-count parity asserted cell by
-// cell. Diverging skeletons are automatically reduced: the harness
-// replays statement-sequence prefixes, shortest first, and reports the
-// smallest prefix that still diverges.
+// Skeletons are one of Run's three source kinds, so every skeleton runs
+// through the same cells as a benchmark (baselines, every ADE
+// configuration, and the @vm engine twin of each, under any -check,
+// -fuel or injected fault). They are the one kind with prefixes: a
+// failing skeleton cell is automatically reduced to the smallest
+// statement-sequence prefix that still fails.
 
 // Skeleton is one enumerated program shape.
 type Skeleton struct {
@@ -458,177 +455,21 @@ func EnumInput() []uint64 {
 	}
 }
 
-// --- the sweep ---
-
-// EnumOptions configures one skeletal-enumeration run
-// (adediff -enum / -enum-id).
-type EnumOptions struct {
-	// Bound is the maximum statement count; EnumeratePrograms(Bound)
-	// is the work list. Ignored when IDs is set.
-	Bound int
-	// IDs replays specific skeletons instead of walking the bound.
-	IDs []string
-	// Shard slices the skeleton list the same way Run slices
-	// benchmarks.
-	Shard Shard
-	// Configs filters matrix columns by name; empty means all.
-	Configs []string
-	// Matrix overrides the configuration matrix (tests); nil means
-	// Matrix().
-	Matrix []Config
-	// Check enables core's mid-pipeline invariant checking on every
-	// ADE column.
-	Check bool
-	// Fault, when non-empty, names a faults.Point injected into every
-	// matrix cell (never the reference): compile-time points run under
-	// the sandbox, runtime points get a fresh per-cell injector. The
-	// sweep is then expected to fail — it is the harness's own
-	// fault-finding proof (and the reduction demo).
-	Fault string
-	// Verbose, when non-nil, receives one progress line per skeleton.
-	Verbose io.Writer
-}
-
-// RunEnum executes the skeletal-enumeration sweep: every selected
-// skeleton crossed with the configuration matrix, diffed against the
-// untransformed interpreter reference, with engine-twin op-count
-// parity asserted and diverging skeletons reduced to their smallest
-// failing prefix. A non-nil error means the harness itself failed
-// (including an empty selection); divergences and per-cell errors are
-// recorded in the report.
-func RunEnum(o EnumOptions) (*Report, error) {
-	matrix := o.Matrix
-	if matrix == nil {
-		matrix = Matrix()
-	}
-	cfgs, err := selectConfigs(matrix, o.Configs)
-	if err != nil {
-		return nil, err
-	}
-	var skels []Skeleton
-	total := 0
-	if len(o.IDs) > 0 {
-		for _, id := range o.IDs {
-			sk, err := ParseSkeletonID(id)
-			if err != nil {
-				return nil, err
-			}
-			skels = append(skels, sk)
-		}
-		total = len(skels)
-	} else {
-		if o.Bound < 1 {
-			return nil, fmt.Errorf("enum: bound must be >= 1, got %d", o.Bound)
-		}
-		all := EnumeratePrograms(o.Bound)
-		total = len(all)
-		for _, j := range Partition(total, o.Shard) {
-			skels = append(skels, all[j])
-		}
-	}
-	if len(skels) == 0 {
-		return nil, fmt.Errorf("enum: empty selection — shard %s of %d skeletons covers nothing", o.Shard.Norm(), total)
-	}
-	var fpt faults.Point
-	if o.Fault != "" {
-		if fpt, err = faults.ByName(o.Fault); err != nil {
-			return nil, err
-		}
-	}
-
-	rpt := NewReport(0, o.Shard, ConfigNames(cfgs))
-	rpt.Scale = "enum"
-	er := &EnumReport{Bound: o.Bound, Total: total, Skeletons: len(skels), IDs: o.IDs, Fault: o.Fault}
-	rpt.Enum = er
-
-	for _, sk := range skels {
-		ref, err := reference(sk.source())
-		if err != nil {
-			return nil, fmt.Errorf("%s: reference run: %w", sk.ID, err)
-		}
-		twins := map[string]*outcome{}
-		problems := 0
-		for _, c := range cfgs {
-			ent, got, div := runEnumCell(sk, withCheck(c, o.Check, 0), ref, fpt)
-			if div == nil {
-				if d := twinDivergence(got, twins, c, "", 0); d != nil {
-					ent.Diverged = true
-					div = d
-				}
-			}
-			er.Cells++
-			if div != nil {
-				div.Skeleton = sk.ID
-				div.ReducedSkeleton = reduceSkeleton(sk, withCheck(c, o.Check, 0), fpt)
-				rpt.Divergences = append(rpt.Divergences, *div)
-			}
-			if ent.Diverged || ent.Error != "" {
-				er.Entries = append(er.Entries, ent)
-				problems++
-			}
-		}
-		if o.Verbose != nil {
-			status := "ok"
-			if problems > 0 {
-				status = fmt.Sprintf("%d/%d cells failed", problems, len(cfgs))
-			}
-			fmt.Fprintf(o.Verbose, "%-28s %s\n", sk.ID, status)
-		}
-	}
-	rpt.Finish()
-	return rpt, nil
-}
-
-// source is the skeleton's program on the fixed EnumInput.
+// source is the skeleton's program on the fixed EnumInput. Its
+// prefixes are the proper statement-sequence prefixes in the same
+// shape, shortest first: sequences are prefix-closed by construction,
+// so every prefix is itself a valid enumerated skeleton.
 func (sk Skeleton) source() source {
-	return source{name: sk.ID, build: sk.Build, input: seqInput(EnumInput())}
-}
-
-// runEnumCell builds, transforms and runs one (skeleton, config) cell
-// against the reference, with fpt (when named) injected: compile-time
-// points run sandboxed, since the sweep's claim is containment, not a
-// crashed harness; runtime points get a fresh injector.
-func runEnumCell(sk Skeleton, c Config, ref *outcome, fpt faults.Point) (EnumEntry, *outcome, *Divergence) {
-	ent := EnumEntry{Skeleton: sk.ID, Config: c.Name, Engine: c.Engine.String()}
-	iopts := interpOpts(c)
-	if fpt.Name != "" {
-		if fpt.Kind == faults.PassPanic {
-			c, _ = faulted(c, fpt, 0)
-		} else {
-			iopts.Faults = faults.NewInjector(fpt)
-		}
+	return source{
+		name:  sk.ID,
+		build: sk.Build,
+		input: seqInput(EnumInput()),
+		prefixes: func() []source {
+			var out []source
+			for n := 1; n < len(sk.Stmts); n++ {
+				out = append(out, newSkeleton(sk.Shape, sk.Stmts[:n]).source())
+			}
+			return out
+		},
 	}
-	got, _, div, err := diffCell(sk.source(), c, ref, iopts)
-	if err != nil {
-		ent.Error = err.Error()
-		return ent, nil, nil
-	}
-	ent.Diverged = div != nil
-	return ent, got, div
-}
-
-// reduceSkeleton shrinks a diverging cell: replay every proper prefix
-// of the skeleton's statement sequence (shortest first, same shape)
-// and return the ID of the smallest prefix whose cell still fails.
-// Statement sequences are prefix-closed by construction, so every
-// prefix is itself a valid enumerated skeleton.
-func reduceSkeleton(sk Skeleton, c Config, fpt faults.Point) string {
-	for n := 1; n < len(sk.Stmts); n++ {
-		pre := newSkeleton(sk.Shape, sk.Stmts[:n])
-		if enumCellFails(pre, c, fpt) {
-			return pre.ID
-		}
-	}
-	return sk.ID
-}
-
-// enumCellFails reports whether the (skeleton, config) cell diverges
-// or errors — the reduction probe.
-func enumCellFails(sk Skeleton, c Config, fpt faults.Point) bool {
-	ref, err := reference(sk.source())
-	if err != nil {
-		return false
-	}
-	ent, _, div := runEnumCell(sk, c, ref, fpt)
-	return div != nil || ent.Error != ""
 }

@@ -2,7 +2,10 @@ package difftest
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"memoir/internal/core"
 )
 
 // TestEnumDeterministic is the replay contract: the same bound yields
@@ -35,20 +38,29 @@ func TestEnumDeterministic(t *testing.T) {
 	}
 }
 
-// TestEnumShardsPartition checks -shard i/n over the skeleton list:
-// pairwise disjoint, union exhaustive, each shard in enumeration order.
+// TestEnumShardsPartition checks -shard i/n over the skeleton list as
+// Run reports it: pairwise disjoint, union exhaustive, each shard in
+// enumeration order.
 func TestEnumShardsPartition(t *testing.T) {
-	all := EnumeratePrograms(2)
+	all := EnumeratePrograms(1)
+	order := map[string]int{}
+	for i, sk := range all {
+		order[sk.ID] = i
+	}
 	for _, n := range []int{1, 2, 4, 7} {
 		seen := map[string]int{}
 		for i := 0; i < n; i++ {
+			rpt, err := Run(Options{Bound: 1, Shard: Shard{i, n}, Configs: []string{"baseline-hash"}})
+			if err != nil {
+				t.Fatal(err)
+			}
 			prev := -1
-			for _, j := range Partition(len(all), Shard{i, n}) {
-				if j <= prev {
+			for _, id := range rpt.Sources {
+				if order[id] <= prev {
 					t.Fatalf("shard %d/%d out of order", i, n)
 				}
-				prev = j
-				seen[all[j].ID]++
+				prev = order[id]
+				seen[id]++
 			}
 		}
 		if len(seen) != len(all) {
@@ -85,7 +97,7 @@ func TestSkeletonIDRoundTrip(t *testing.T) {
 // matrix — every statement shape alone, both control shapes, all
 // configs and both engines must agree with the reference.
 func TestEnumSweepClean(t *testing.T) {
-	rpt, err := RunEnum(EnumOptions{Bound: 1, Check: true})
+	rpt, err := Run(Options{Bound: 1, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,30 +106,32 @@ func TestEnumSweepClean(t *testing.T) {
 		rpt.Summary(&buf)
 		t.Fatalf("bound-1 sweep not clean:\n%s", buf.String())
 	}
-	want := SkeletonCount(1) * len(rpt.Configs)
-	if rpt.Enum == nil || rpt.Enum.Cells != want || rpt.Cells != want {
-		t.Fatalf("cell accounting wrong: %+v", rpt.Enum)
+	if len(rpt.Sources) != SkeletonCount(1) || rpt.Cells != SkeletonCount(1)*len(rpt.Configs) || len(rpt.Entries) != 0 {
+		t.Fatalf("cell accounting wrong: %d sources, %d cells, %d entries", len(rpt.Sources), rpt.Cells, len(rpt.Entries))
 	}
 }
 
-// TestEnumFaultCaughtAndReduced is the harness's own failure proof: a
-// seeded enumeration-corruption fault injected into every cell must
-// surface as divergences carrying skeleton IDs, and a multi-statement
-// victim must reduce to its minimal failing prefix.
+// TestEnumFaultCaughtAndReduced: a seeded enumeration-corruption fault
+// injected into every cell degrades exactly the cells whose
+// enumerations reach it — contained, so the run still passes — and a
+// degraded multi-statement skeleton reduces to its minimal failing
+// prefix and is fuel-bisected as well.
 func TestEnumFaultCaughtAndReduced(t *testing.T) {
-	rpt, err := RunEnum(EnumOptions{
+	rpt, err := Run(Options{
 		Bound:   2,
 		Configs: []string{"ade"},
-		Fault:   "enum-corrupt:3",
+		Faults:  []string{"enum-corrupt:3"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rpt.OK() || rpt.Diverged == 0 {
-		t.Fatal("injected enum-corrupt fault went undetected by the sweep")
+	if !rpt.OK() || rpt.Degraded != 36 || len(rpt.Divergences) != 36 {
+		var buf bytes.Buffer
+		rpt.Summary(&buf)
+		t.Fatalf("want 36 contained degraded cells:\n%s", buf.String())
 	}
 	for _, d := range rpt.Divergences {
-		if d.Skeleton == "" || d.ReducedSkeleton == "" {
+		if d.Kind != FaultDegraded || d.Reduced == "" || d.Fault != "enum-corrupt:3" {
 			t.Fatalf("divergence lacks skeleton attribution: %+v", d)
 		}
 	}
@@ -125,44 +139,73 @@ func TestEnumFaultCaughtAndReduced(t *testing.T) {
 	// Replay-by-ID with the same fault: the two trailing statements are
 	// innocent, so reduction must land exactly on the populate+share
 	// prefix that performs the corrupted enumeration add.
-	rpt, err = RunEnum(EnumOptions{
+	rpt, err = Run(Options{
 		IDs:     []string{"skS:pm0.tms.lm0.fs0"},
 		Configs: []string{"ade"},
-		Fault:   "enum-corrupt:3",
+		Faults:  []string{"enum-corrupt:3"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rpt.Divergences) != 1 {
-		t.Fatalf("want exactly one divergence, got %+v", rpt.Divergences)
+	if !rpt.OK() || len(rpt.Divergences) != 1 {
+		t.Fatalf("want exactly one contained divergence, got %+v", rpt.Divergences)
 	}
 	d := rpt.Divergences[0]
-	if d.Skeleton != "skS:pm0.tms.lm0.fs0" || d.ReducedSkeleton != "skS:pm0.tms" {
-		t.Fatalf("reduction wrong: %+v", d)
+	if d.Source != "skS:pm0.tms.lm0.fs0" || d.Reduced != "skS:pm0.tms" || d.FirstBadRewrite == nil || *d.FirstBadRewrite < 1 {
+		t.Fatalf("reduction or bisection wrong: %+v", d)
 	}
 }
 
-// TestEnumEmptySelections: selections that match nothing are errors,
-// in every mode — a typo'd CI filter must not pass silently.
-func TestEnumEmptySelections(t *testing.T) {
-	if _, err := RunEnum(EnumOptions{Bound: 1, Shard: Shard{31, 40}}); err == nil {
-		t.Error("RunEnum accepted an empty shard")
-	}
-	if _, err := RunEnum(EnumOptions{Bound: 0}); err == nil {
-		t.Error("RunEnum accepted bound 0 with no IDs")
-	}
-	if _, err := Run(RunOptions{Benchmarks: []string{"BFS"}, Shard: Shard{1, 2}}); err == nil {
-		t.Error("Run accepted a shard covering no benchmarks")
-	}
-	if _, err := RunRandom(RandomOptions{Seed: 1, Count: 1, Shard: Shard{1, 2}}); err == nil {
-		t.Error("RunRandom accepted a shard covering no seeds")
+// TestSelections: a selection that matches nothing is an error for
+// every source kind — a typo'd CI filter must not pass silently — and
+// so are two source selectors at once.
+func TestSelections(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"benchmarks", Options{Benchmarks: []string{"BFS"}, Shard: Shard{1, 2}}, "empty selection"},
+		{"skeletons", Options{Bound: 1, Shard: Shard{31, 40}}, "empty selection"},
+		{"skeleton IDs", Options{IDs: []string{"skS:pm0"}, Shard: Shard{1, 2}}, "empty selection"},
+		{"seeds", Options{Seed: 1, Count: 1, Shard: Shard{1, 2}}, "empty selection"},
+		{"negative bound", Options{Bound: -1}, "bound must be >= 1"},
+		{"seed and bound", Options{Seed: 5, Bound: 1}, "conflicting source selectors -enum and -seed"},
+		{"bench and ids", Options{Benchmarks: []string{"BFS"}, IDs: []string{"skS:pm0"}}, "conflicting source selectors -bench and -enum-id"},
+	} {
+		if _, err := Run(tc.o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
-// TestEnumReportRoundTrip covers the v4 enum section through
+// TestFuelReachesSkeletonCells: Fuel applies to skeleton cells like
+// any other — at -1 the ADE pass performs no rewrites, so the kept
+// (deliberately broken) cell forms no enumeration class and runs no
+// translation.
+func TestFuelReachesSkeletonCells(t *testing.T) {
+	opts := core.DefaultOptions()
+	matrix := []Config{{Name: "ade-broken", ADE: &opts, Mutate: breakEmits}}
+	for _, fuel := range []int{0, -1} {
+		rpt, err := Run(Options{IDs: []string{"skS:pm0.tms"}, Matrix: matrix, Fuel: fuel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rpt.Entries) != 1 {
+			t.Fatalf("fuel %d: want the broken cell kept, got %+v", fuel, rpt.Entries)
+		}
+		e := rpt.Entries[0]
+		active := e.EnumClasses > 0 || e.Enc+e.Dec+e.Add > 0
+		if active != (fuel == 0) {
+			t.Fatalf("fuel %d: enumeration activity %v: %+v", fuel, active, e)
+		}
+	}
+}
+
+// TestEnumReportRoundTrip covers a skeleton replay through
 // Encode/Decode.
 func TestEnumReportRoundTrip(t *testing.T) {
-	rpt, err := RunEnum(EnumOptions{
+	rpt, err := Run(Options{
 		IDs:     []string{"skS:pm0.cal", "skL:nst"},
 		Configs: []string{"baseline-hash", "ade", "ade@vm"},
 	})
@@ -182,7 +225,7 @@ func TestEnumReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Enum == nil || got.Enum.Skeletons != 2 || got.Enum.Cells != 6 || len(got.Enum.IDs) != 2 {
-		t.Fatalf("enum section round trip: %+v", got.Enum)
+	if len(got.Sources) != 2 || got.Sources[1] != "skL:nst" || got.Cells != 6 || got.Scale != "" {
+		t.Fatalf("skeleton replay round trip: %+v", got)
 	}
 }

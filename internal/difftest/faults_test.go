@@ -15,35 +15,40 @@ import (
 // as a structured error, or degrades the output — never escapes — and
 // both engines classify every fault identically.
 func TestFaultSweepContainment(t *testing.T) {
-	rpt, err := RunFaults(FaultOptions{
+	rpt, err := Run(Options{
 		Scale:      bench.ScaleTest,
 		Benchmarks: []string{"BFS"},
 		Configs:    []string{"baseline-hash", "ade", "ade@vm"},
+		Faults:     []string{"all"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := rpt.FaultSweep
-	if fs == nil {
-		t.Fatal("no fault sweep in report")
-	}
-	if !rpt.OK() || fs.Unexpected != 0 {
+	if !rpt.OK() || rpt.Unexpected != 0 {
 		var buf bytes.Buffer
 		rpt.Summary(&buf)
 		t.Fatalf("fault escaped containment:\n%s", buf.String())
 	}
-	if want := len(faults.Registry()) * 3; len(fs.Cells) != want {
-		t.Fatalf("sweep ran %d cells, want %d", len(fs.Cells), want)
+	// Every faulted cell keeps its entry.
+	if want := len(faults.Registry()) * 3; len(rpt.Entries) != want || rpt.Cells != want || len(rpt.Faults) != len(faults.Registry()) {
+		t.Fatalf("sweep kept %d entries of %d cells, want %d", len(rpt.Entries), rpt.Cells, want)
 	}
 
-	cell := func(fault, cfg string) FaultCell {
-		for _, c := range fs.Cells {
+	cell := func(fault, cfg string) Entry {
+		for _, c := range rpt.Entries {
 			if c.Fault == fault && c.Config == cfg {
 				return c
 			}
 		}
 		t.Fatalf("no cell for %s under %s", fault, cfg)
-		return FaultCell{}
+		return Entry{}
+	}
+	// firstBad reads a cell's bisection index, -1 when none applies.
+	firstBad := func(c Entry) int {
+		if c.FirstBadRewrite == nil {
+			return -1
+		}
+		return *c.FirstBadRewrite
 	}
 
 	// Compile-time pass panics: the sandbox rolls every one back on
@@ -75,8 +80,8 @@ func TestFaultSweepContainment(t *testing.T) {
 		if c.Outcome != FaultCrash || !strings.Contains(c.Detail, "runtime panic: injected fault alloc-fail:7") {
 			t.Errorf("alloc-fail:7 under %s: %s (%s)", cfg, c.Outcome, c.Detail)
 		}
-		if c.FirstBadRewrite != 0 {
-			t.Errorf("alloc-fail:7 under %s: first bad rewrite %d, want 0 (crashes even untransformed)", cfg, c.FirstBadRewrite)
+		if firstBad(c) != 0 {
+			t.Errorf("alloc-fail:7 under %s: first bad rewrite %d, want 0 (crashes even untransformed)", cfg, firstBad(c))
 		}
 	}
 
@@ -94,8 +99,8 @@ func TestFaultSweepContainment(t *testing.T) {
 		if c.Outcome != FaultDegraded {
 			t.Errorf("enum-corrupt:100 under %s: %s (%s), want degraded", cfg, c.Outcome, c.Detail)
 		}
-		if c.FirstBadRewrite < 1 {
-			t.Errorf("enum-corrupt:100 under %s: first bad rewrite %d, want >= 1", cfg, c.FirstBadRewrite)
+		if firstBad(c) < 1 {
+			t.Errorf("enum-corrupt:100 under %s: first bad rewrite %d, want >= 1", cfg, firstBad(c))
 		}
 	}
 
@@ -103,9 +108,9 @@ func TestFaultSweepContainment(t *testing.T) {
 	// its interpreter twin, bisection index included.
 	for _, pt := range faults.Registry() {
 		i, v := cell(pt.Name, "ade"), cell(pt.Name, "ade@vm")
-		if i.Outcome != v.Outcome || i.FirstBadRewrite != v.FirstBadRewrite {
+		if i.Outcome != v.Outcome || firstBad(i) != firstBad(v) {
 			t.Errorf("%s: engines disagree: interp %s/%d vs vm %s/%d",
-				pt.Name, i.Outcome, i.FirstBadRewrite, v.Outcome, v.FirstBadRewrite)
+				pt.Name, i.Outcome, firstBad(i), v.Outcome, firstBad(v))
 		}
 	}
 
@@ -122,15 +127,15 @@ func TestFaultSweepContainment(t *testing.T) {
 			t.Errorf("degraded divergence not bisected: %+v", d)
 		}
 	}
-	if fs.Crashed == 0 || fs.Degraded == 0 || fs.RolledBack == 0 {
-		t.Errorf("sweep did not exercise every containment path: %+v", fs)
+	if rpt.Crashed == 0 || rpt.Degraded == 0 || rpt.RolledBack == 0 {
+		t.Errorf("sweep did not exercise every containment path: %+v", rpt)
 	}
 }
 
 // TestFaultSweepUnknownPoint: a bad -fault name is a harness error,
 // not a swept cell.
 func TestFaultSweepUnknownPoint(t *testing.T) {
-	_, err := RunFaults(FaultOptions{
+	_, err := Run(Options{
 		Scale:      bench.ScaleTest,
 		Benchmarks: []string{"BFS"},
 		Faults:     []string{"no-such-fault"},
@@ -140,22 +145,16 @@ func TestFaultSweepUnknownPoint(t *testing.T) {
 	}
 }
 
-// TestFaultReportRoundTrip: the fault sweep survives the JSON round
-// trip, and an unexpected cell fails OK().
+// TestFaultReportRoundTrip: faulted cells survive the JSON round trip,
+// contained faults do not fail OK(), and an unexpected cell does.
 func TestFaultReportRoundTrip(t *testing.T) {
-	rpt := NewReport(bench.ScaleTest, Shard{}, []string{"ade"})
+	rpt := &Report{Schema: Schema, Configs: []string{"ade"}, Sources: []string{"BFS", "TC"}, Faults: []string{"enum-corrupt:1"}}
 	k := 3
-	rpt.FaultSweep = &FaultReport{
-		Points: []string{"enum-corrupt:1"},
-		Cells: []FaultCell{
-			{Fault: "enum-corrupt:1", Bench: "BFS", Config: "ade", Outcome: FaultDegraded, FirstBadRewrite: 3},
-			{Fault: "enum-corrupt:1", Bench: "TC", Config: "ade", Outcome: FaultRolledBack, FirstBadRewrite: -1},
-		},
-	}
-	rpt.Divergences = []Divergence{{Bench: "BFS", Config: "ade", Kind: FaultDegraded, Fault: "enum-corrupt:1", FirstBadRewrite: &k}}
-	rpt.Finish()
-	if !rpt.OK() || rpt.Cells != 2 || rpt.FaultSweep.Degraded != 1 || rpt.FaultSweep.RolledBack != 1 {
-		t.Fatalf("summary wrong: %+v", rpt.FaultSweep)
+	rpt.add(Entry{Source: "BFS", Config: "ade", Fault: "enum-corrupt:1", Outcome: FaultDegraded, FirstBadRewrite: &k})
+	rpt.add(Entry{Source: "TC", Config: "ade", Fault: "enum-corrupt:1", Outcome: FaultRolledBack})
+	rpt.Divergences = []Divergence{{Source: "BFS", Config: "ade", Kind: FaultDegraded, Fault: "enum-corrupt:1", FirstBadRewrite: &k}}
+	if !rpt.OK() || rpt.Cells != 2 || rpt.Degraded != 1 || rpt.RolledBack != 1 {
+		t.Fatalf("summary wrong: %+v", rpt)
 	}
 
 	var buf bytes.Buffer
@@ -166,19 +165,18 @@ func TestFaultReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.FaultSweep == nil || len(got.FaultSweep.Cells) != 2 {
-		t.Fatalf("fault sweep lost in round trip: %+v", got.FaultSweep)
+	if len(got.Entries) != 2 || got.Degraded != 1 || len(got.Faults) != 1 {
+		t.Fatalf("faulted cells lost in round trip: %+v", got)
 	}
-	if c := got.FaultSweep.Cells[0]; c.Outcome != FaultDegraded || c.FirstBadRewrite != 3 {
+	if c := got.Entries[0]; c.Outcome != FaultDegraded || c.FirstBadRewrite == nil || *c.FirstBadRewrite != 3 {
 		t.Fatalf("cell round trip: %+v", c)
 	}
 	if d := got.Divergences[0]; d.FirstBadRewrite == nil || *d.FirstBadRewrite != 3 {
 		t.Fatalf("divergence round trip: %+v", d)
 	}
 
-	got.FaultSweep.Cells[0].Outcome = FaultUnexpected
-	got.Finish()
-	if got.OK() || got.FaultSweep.Unexpected != 1 {
+	got.add(Entry{Source: "TC", Config: "ade", Fault: "enum-corrupt:1", Outcome: FaultUnexpected})
+	if got.OK() || got.Unexpected != 1 {
 		t.Fatal("unexpected cell must fail the report")
 	}
 }

@@ -7,7 +7,7 @@
 // enumeration adds (the PR-2 parity invariant), ordinal-based points
 // fire at the same dynamic operation on the interpreter and the VM,
 // so every degradation path is reproducible and differential-testable
-// (adediff -faults).
+// (adediff -fault all).
 //
 // The package holds no global state: callers construct one Injector
 // per compilation (core.Options.Faults) or per execution

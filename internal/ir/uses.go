@@ -123,12 +123,3 @@ func (ui *UseInfo) RedefsFrom(start *Value) []*Value {
 	}
 	return out
 }
-
-// RedefSet returns Redefs as a membership set.
-func (ui *UseInfo) RedefSet(alloc *Instr) map[*Value]bool {
-	set := map[*Value]bool{}
-	for _, v := range ui.Redefs(alloc) {
-		set[v] = true
-	}
-	return set
-}

@@ -45,26 +45,6 @@ func WalkInstrs(fn *Func, f func(*Instr)) {
 	})
 }
 
-// WalkBlocks visits every block in fn, outermost first.
-func WalkBlocks(fn *Func, f func(*Block)) {
-	var rec func(b *Block)
-	rec = func(b *Block) {
-		f(b)
-		for _, n := range b.Nodes {
-			switch n := n.(type) {
-			case *If:
-				rec(n.Then)
-				rec(n.Else)
-			case *ForEach:
-				rec(n.Body)
-			case *DoWhile:
-				rec(n.Body)
-			}
-		}
-	}
-	rec(fn.Body)
-}
-
 // FinalizeSlots assigns a frame slot to every non-constant value in fn
 // (parameters, instruction results, loop bindings) and returns the
 // frame size. Slot 0 is reserved so that an unassigned slot is

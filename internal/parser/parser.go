@@ -49,16 +49,6 @@ func Parse(src string) (prog *ir.Program, err error) {
 	return p.prog, nil
 }
 
-// MustParse parses or panics. It is for trusted, known-good sources
-// only (tests and examples); external input goes through Parse.
-func MustParse(src string) *ir.Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 type parser struct {
 	lines []line
 	pos   int

@@ -167,18 +167,6 @@ func (s *SiteStats) Total() uint64 {
 	return t
 }
 
-// OpsByName returns the non-zero histogram entries keyed by canonical
-// name, for human-readable rendering.
-func (s *SiteStats) OpsByName() map[string]uint64 {
-	out := map[string]uint64{}
-	for k, n := range s.Ops {
-		if n > 0 {
-			out[OpName(k)] = n
-		}
-	}
-	return out
-}
-
 // EnumStats is the accumulated telemetry of one runtime enumeration:
 // the translation traffic it absorbed and its final cardinality.
 type EnumStats struct {
