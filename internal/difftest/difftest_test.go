@@ -213,49 +213,56 @@ func breakEmits(p *ir.Program) {
 	}
 }
 
-// TestKnownDivergence proves the sweep actually fails when outputs
-// differ, for every source kind: a matrix column whose post-ADE program
-// is broken on purpose must be reported as a divergence (and survive
-// ir.Verify, so only the output comparison can catch it). A skeleton's
-// divergence also carries its reduced prefix.
-func TestKnownDivergence(t *testing.T) {
+// checkKnownDivergence proves the sweep actually fails when outputs
+// differ: a matrix column whose post-ADE program is broken on purpose
+// must be reported as a divergence of source (and survive ir.Verify, so
+// only the output comparison can catch it), with reduced as its reduced
+// prefix.
+func checkKnownDivergence(t *testing.T, o Options, source, reduced string) {
+	t.Helper()
 	opts := core.DefaultOptions()
-	matrix := []Config{
+	o.Matrix = []Config{
 		{Name: "ade", ADE: &opts},
 		{Name: "ade-broken", ADE: &opts, Mutate: breakEmits},
 	}
-	for _, tc := range []struct {
-		o       Options
-		source  string
-		reduced string
-	}{
-		{Options{Scale: bench.ScaleTest, Benchmarks: []string{"BFS"}}, "BFS", ""},
-		{Options{Seed: 3}, "seed3", ""},
-		{Options{IDs: []string{"skS:pm0.tms.lm0.fs0"}}, "skS:pm0.tms.lm0.fs0", "skS:pm0"},
-	} {
-		tc.o.Matrix = matrix
-		rpt, err := Run(tc.o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rpt.OK() {
-			t.Fatalf("%s: differ did not flag the deliberately broken rewrite", tc.source)
-		}
-		if rpt.Diverged != 1 || len(rpt.Divergences) != 1 || len(rpt.Entries) != 1 {
-			t.Fatalf("%s: want exactly one divergence, got %+v", tc.source, rpt.Divergences)
-		}
-		d := rpt.Divergences[0]
-		if d.Source != tc.source || d.Config != "ade-broken" || d.Kind != OutcomeDiverged || d.Reduced != tc.reduced {
-			t.Fatalf("divergence attributed wrongly: %+v", d)
-		}
-		if d.GotEmitSum == d.WantEmitSum {
-			t.Fatalf("%s: divergence detail not captured: %+v", tc.source, d)
-		}
-		// The cell entry itself must carry the outcome too.
-		if e := rpt.Entries[0]; e.Config != "ade-broken" || e.Outcome != OutcomeDiverged {
-			t.Fatalf("%s: broken cell not marked diverged: %+v", tc.source, e)
-		}
+	rpt, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rpt.OK() {
+		t.Fatalf("%s: differ did not flag the deliberately broken rewrite", source)
+	}
+	if rpt.Diverged != 1 || len(rpt.Divergences) != 1 || len(rpt.Entries) != 1 {
+		t.Fatalf("%s: want exactly one divergence, got %+v", source, rpt.Divergences)
+	}
+	d := rpt.Divergences[0]
+	if d.Source != source || d.Config != "ade-broken" || d.Kind != OutcomeDiverged || d.Reduced != reduced {
+		t.Fatalf("divergence attributed wrongly: %+v", d)
+	}
+	if d.GotEmitSum == d.WantEmitSum {
+		t.Fatalf("%s: divergence detail not captured: %+v", source, d)
+	}
+	// The cell entry itself must carry the outcome too.
+	if e := rpt.Entries[0]; e.Config != "ade-broken" || e.Outcome != OutcomeDiverged {
+		t.Fatalf("%s: broken cell not marked diverged: %+v", source, e)
+	}
+}
+
+// TestKnownDivergenceBench: a broken rewrite is caught on a benchmark.
+func TestKnownDivergenceBench(t *testing.T) {
+	checkKnownDivergence(t, Options{Scale: bench.ScaleTest, Benchmarks: []string{"BFS"}}, "BFS", "")
+}
+
+// TestKnownDivergenceRandom covers the same property on a generated
+// program.
+func TestKnownDivergenceRandom(t *testing.T) {
+	checkKnownDivergence(t, Options{Seed: 3}, "seed3", "")
+}
+
+// TestKnownDivergenceSkeleton covers it on an enumerated skeleton,
+// whose divergence also carries its reduced prefix.
+func TestKnownDivergenceSkeleton(t *testing.T) {
+	checkKnownDivergence(t, Options{IDs: []string{"skS:pm0.tms.lm0.fs0"}}, "skS:pm0.tms.lm0.fs0", "skS:pm0")
 }
 
 // TestRandomDiffClean runs a few seeds across the full matrix.
